@@ -463,18 +463,15 @@ def _run_completion(
 def complete(
     g: CubicRibbonGraph,
     k: int,
-    rng_seed: int = 0,
     *,
     strict_seed_trace: bool = False,
     slow_checks: bool = False,
 ) -> CubicRibbonGraph:
     """Complete a circuit seed to a 3-regular graph preserving the floor k.
 
-    The input graph is left untouched.  ``rng_seed`` is accepted for
-    interface stability but the completion itself is fully deterministic;
-    randomness only enters when the seed graph is laid out.
+    The input graph is left untouched.  The completion is fully
+    deterministic; randomness only enters when the seed graph is laid out.
     """
-    del rng_seed
     done, _ = _run_completion(
         g, k, strict_seed_trace=strict_seed_trace, slow_checks=slow_checks
     )

@@ -4,15 +4,13 @@ Subcommands: census, construct, verify, report, recover, selftest.
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 malformed
 input file.  Machine output goes to stdout or the -o path; everything else
 goes to stderr.  All randomness flows from --seed (default 0), and repeated
-invocations with equal flags produce byte-identical output regardless of
---threads.
+invocations with equal flags produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import builder, census, ribbon, scanner, words
@@ -113,7 +111,7 @@ def _cmd_verify(args) -> int:
     if not graph.is_complete():
         print("verify: graph is not 3-regular", file=sys.stderr)
         return EXIT_VERIFY
-    result = scanner.certify(graph, args.k, threads=args.threads)
+    result = scanner.certify(graph, args.k)
     if result.passed:
         print(
             f"certified: no essential cycle class below trace {args.k}; "
@@ -131,7 +129,7 @@ def _cmd_report(args) -> int:
     if not graph.is_complete():
         print("report: graph is not 3-regular", file=sys.stderr)
         return EXIT_VERIFY
-    rep = scanner.report(graph, spectrum_max=args.spectrum_max, threads=args.threads)
+    rep = scanner.report(graph, spectrum_max=args.spectrum_max)
     text = _json_text(rep.to_json_dict()) if args.json else rep.to_text()
     _write_output(text, args.output)
     return EXIT_OK
@@ -264,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="exit 0 iff the graph certifies at floor K")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=int, metavar="N", help="accepted for compatibility; no effect")
     p.add_argument("file", metavar="FILE.crg")
     p.set_defaults(fn=_cmd_verify)
 
@@ -272,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", metavar="FILE.crg")
     p.add_argument("--spectrum-max", type=int, default=None, metavar="T")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=int, metavar="N", help="accepted for compatibility; no effect")
     p.add_argument("-o", "--output", metavar="PATH")
     p.set_defaults(fn=_cmd_report)
 

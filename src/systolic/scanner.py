@@ -14,16 +14,11 @@ reversals) are peripheral and excluded from results; words that are proper
 powers are excluded as well, since their geodesics are iterates of shorter
 ones.  Free homotopy between distinct graph cycles is not quotiented, so
 multiplicities are upper bounds for geodesic multiplicities.
-
-Scans read a frozen graph; the optional thread pool partitions starting
-darts and merges per-class results whose values are canonical, so output
-never depends on the thread count.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,7 +31,6 @@ __all__ = [
     "canonical_walk",
     "low_trace_cycles",
     "scan_partial",
-    "SystoleResult",
     "systole",
     "bottom_spectrum",
     "CertificationResult",
@@ -100,11 +94,10 @@ def _is_proper_power(word: str) -> bool:
     return False
 
 
-def _enumerate_raw(
+def _enumerate(
     g: CubicRibbonGraph,
     max_trace: int,
     max_len: int,
-    starts: list[int] | None = None,
     trace_prune: bool = True,
 ) -> dict[tuple[int, ...], str]:
     """All closed-walk classes with word trace <= max_trace and <= max_len
@@ -152,34 +145,13 @@ def _enumerate_raw(
             dart_stack.pop()
             letter_stack.pop()
 
-    for d0 in (range(n_slots) if starts is None else starts):
+    for d0 in range(n_slots):
         if pair[d0] < 0:
             continue
         dart_stack.append(d0)
         explore(d0, d0, 1, 0, 0, 1)
         dart_stack.pop()
     return found
-
-
-def _enumerate(
-    g: CubicRibbonGraph,
-    max_trace: int,
-    max_len: int,
-    threads: int = 1,
-    trace_prune: bool = True,
-) -> dict[tuple[int, ...], str]:
-    if threads <= 1:
-        return _enumerate_raw(g, max_trace, max_len, trace_prune=trace_prune)
-    all_starts = list(range(g.num_slots))
-    chunks = [all_starts[i::threads] for i in range(threads)]
-    merged: dict[tuple[int, ...], str] = {}
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for part in pool.map(
-            lambda c: _enumerate_raw(g, max_trace, max_len, starts=c, trace_prune=trace_prune),
-            chunks,
-        ):
-            merged.update(part)
-    return merged
 
 
 def _group_classes(raw: dict[tuple[int, ...], str]) -> list[CycleClass]:
@@ -208,7 +180,6 @@ def low_trace_cycles(
     g: CubicRibbonGraph,
     bound: int,
     *,
-    threads: int = 1,
     trace_prune: bool = True,
 ) -> list[CycleClass]:
     """All cycle classes with word trace <= bound, letter powers excluded.
@@ -222,7 +193,7 @@ def low_trace_cycles(
         raise ValueError("graph is not 3-regular: scan the completed graph")
     if bound < 3:
         raise ValueError(f"bound {bound} is below 3, the least essential trace")
-    raw = _enumerate(g, bound, bound - 1, threads=threads, trace_prune=trace_prune)
+    raw = _enumerate(g, bound, bound - 1, trace_prune=trace_prune)
     return _group_classes(raw)
 
 
@@ -252,13 +223,6 @@ def scan_partial(g: CubicRibbonGraph, k: int) -> list[CycleClass]:
     return violations
 
 
-@dataclass(frozen=True)
-class SystoleResult:
-    trace: int
-    length: float
-    witness: CycleClass
-
-
 def _essential_trace_cap(g: CubicRibbonGraph) -> int:
     """Trace of one concrete essential cycle, found by walking alternating
     turns until a (dart, next-turn) state repeats.  The repeat period is at
@@ -281,12 +245,13 @@ def _essential_trace_cap(g: CubicRibbonGraph) -> int:
     return words.trace_of(walk_word(g, cycle))
 
 
-def systole(g: CubicRibbonGraph, *, threads: int = 1) -> SystoleResult:
-    """Shortest essential cycle class, by iterative deepening on the trace.
+def _first_classes(g: CubicRibbonGraph, start: int) -> list[CycleClass]:
+    """``low_trace_cycles(g, bound)`` at the least bound >= start that finds
+    a class, by iterative deepening on the trace.
 
-    Letter-power classes are peripheral (cusp cycles and their reversals);
-    everything else has trace at least 3, so essential means trace >= 3 and
-    the deepening starts there.
+    The first class found is the systole, and the list holds every class up
+    to max(start, systole trace).  The deepening runs at least once, even
+    when start lies beyond the essential-cycle cap.
     """
     if not g.is_complete():
         raise ValueError("graph is not 3-regular")
@@ -294,22 +259,33 @@ def systole(g: CubicRibbonGraph, *, threads: int = 1) -> SystoleResult:
         # the one complete graph whose every class is peripheral (vacuously)
         raise ValueError("graph has no cycles, so no essential class exists")
     cap = _essential_trace_cap(g)
-    for bound in range(3, cap + 1):
-        found = low_trace_cycles(g, bound, threads=threads)
+    for bound in range(start, max(start, cap) + 1):
+        found = low_trace_cycles(g, bound)
         if found:
-            best = found[0]
-            return SystoleResult(trace=best.trace, length=best.length, witness=best)
+            return found
     raise RuntimeError("internal error: essential cycle bound exceeded without a find")
 
 
-def bottom_spectrum(
-    g: CubicRibbonGraph, bound: int, *, threads: int = 1
-) -> list[tuple[int, int]]:
-    """Multiset of (trace, multiplicity) over all classes with trace <= bound."""
+def systole(g: CubicRibbonGraph) -> CycleClass:
+    """Shortest essential cycle class, by iterative deepening on the trace.
+
+    Letter-power classes are peripheral (cusp cycles and their reversals);
+    everything else has trace at least 3, so essential means trace >= 3 and
+    the deepening starts there.
+    """
+    return _first_classes(g, 3)[0]
+
+
+def _spectrum(classes: list[CycleClass]) -> list[tuple[int, int]]:
     spectrum: dict[int, int] = {}
-    for cls in low_trace_cycles(g, bound, threads=threads):
+    for cls in classes:
         spectrum[cls.trace] = spectrum.get(cls.trace, 0) + cls.multiplicity
     return sorted(spectrum.items())
+
+
+def bottom_spectrum(g: CubicRibbonGraph, bound: int) -> list[tuple[int, int]]:
+    """Multiset of (trace, multiplicity) over all classes with trace <= bound."""
+    return _spectrum(low_trace_cycles(g, bound))
 
 
 @dataclass(frozen=True)
@@ -334,7 +310,7 @@ class CertificationResult:
         return out
 
 
-def certify(g: CubicRibbonGraph, k: int, *, threads: int = 1) -> CertificationResult:
+def certify(g: CubicRibbonGraph, k: int) -> CertificationResult:
     """Pass iff no essential cycle class has trace below k and every face
     has at least k edges.  For k = 3 the trace condition is vacuous, since
     essential classes start at trace 3."""
@@ -342,7 +318,7 @@ def certify(g: CubicRibbonGraph, k: int, *, threads: int = 1) -> CertificationRe
         raise ValueError("graph is not 3-regular")
     if k < 3:
         raise ValueError(f"floor {k} is below 3")
-    short_cycles = tuple(low_trace_cycles(g, k - 1, threads=threads)) if k >= 4 else ()
+    short_cycles = tuple(low_trace_cycles(g, k - 1)) if k >= 4 else ()
     short_faces = tuple(f for f in ribbon.faces(g) if len(f) < k)
     return CertificationResult(
         passed=not short_cycles and not short_faces,
@@ -421,14 +397,12 @@ class SurfaceReport:
         return "\n".join(lines) + "\n"
 
 
-def report(
-    g: CubicRibbonGraph,
-    *,
-    spectrum_max: int | None = None,
-    threads: int = 1,
-) -> SurfaceReport:
+def report(g: CubicRibbonGraph, *, spectrum_max: int | None = None) -> SurfaceReport:
     """Full surface report: topology, girth, systole, bottom spectrum, and
     the exact genus bound check (summed per component on disconnected input).
+
+    One deepening scan from max(3, spectrum_max) yields both the systole (its
+    least class) and the spectrum up to max(spectrum_max, systole trace).
 
     Lengths are those of the cusped surface; the compactified surface's
     lengths converge to them as the cusp neighbourhoods grow, but no
@@ -438,31 +412,28 @@ def report(
         raise ValueError("nothing to report on an empty graph")
     comps = ribbon.genus_closed(g)
     genus_sum = sum(c.genus for c in comps)
-    g_girth = ribbon.girth(g)
-    assert g_girth is not None  # non-empty complete cubic graphs contain cycles
-    sys_res = systole(g, threads=threads)
-    bound = max(spectrum_max or 0, sys_res.trace)
-    spectrum = tuple(bottom_spectrum(g, bound, threads=threads))
+    classes = _first_classes(g, max(3, spectrum_max or 3))
+    shortest = classes[0]
+    spectrum = tuple(_spectrum(classes))
+    girths = [ribbon.girth(g, vertices=list(c.vertices)) for c in comps]
     bh_bound = Fraction(0)
-    for c in comps:
+    for c, h in zip(comps, girths):
         p = len(c.vertices)
-        q = 3 * p // 2
-        h = ribbon.girth(g, vertices=list(c.vertices))
-        bh_bound += ribbon.beineke_harary_lower_bound(p, q, h)
+        bh_bound += ribbon.beineke_harary_lower_bound(p, 3 * p // 2, h)
     log_genus = log_log_genus = systole_gap = None
     if genus_sum >= 2:
         log_genus = math.log(genus_sum)
         log_log_genus = math.log(log_genus)
-        systole_gap = log_genus - log_log_genus - sys_res.length
+        systole_gap = log_genus - log_log_genus - shortest.length
     return SurfaceReport(
         vertices=g.num_vertices,
         edges=g.num_edges(),
         components=tuple(comps),
         genus_sum=genus_sum,
-        girth=g_girth,
-        systole_trace=sys_res.trace,
-        systole_length=sys_res.length,
-        systole_word=sys_res.witness.word,
+        girth=min(girths),
+        systole_trace=shortest.trace,
+        systole_length=shortest.length,
+        systole_word=shortest.word,
         spectrum=spectrum,
         bh_bound=bh_bound,
         bh_ok=bh_bound <= genus_sum,

@@ -44,7 +44,6 @@ __all__ = [
     "insertion_trace",
     "is_letter_power",
     "lucas",
-    "fibonacci",
     "phi_power_floor",
     "phi_trace_ceiling",
     "log_phi_ceil",
@@ -127,8 +126,8 @@ L_MAT = UniMat(1, 1, 0, 1)
 R_MAT = UniMat(1, 0, 1, 1)
 
 
-def matrix_of(word: str) -> UniMat:
-    """Product of the generator matrices along ``word``; empty gives identity."""
+def _product(word: str) -> tuple[int, int, int, int]:
+    """Entries (a, b, c, d) of the generator product along ``word``."""
     check_word(word)
     a, b, c, d = 1, 0, 0, 1
     for ch in word:
@@ -136,18 +135,17 @@ def matrix_of(word: str) -> UniMat:
             a, b, c, d = a, a + b, c, c + d
         else:
             a, b, c, d = a + b, b, c + d, d
-    return UniMat(a, b, c, d)
+    return a, b, c, d
+
+
+def matrix_of(word: str) -> UniMat:
+    """Product of the generator matrices along ``word``; empty gives identity."""
+    return UniMat(*_product(word))
 
 
 def trace_of(word: str) -> int:
     """Trace of matrix_of(word), computed without building the matrix object."""
-    check_word(word)
-    a, b, c, d = 1, 0, 0, 1
-    for ch in word:
-        if ch == "L":
-            a, b, c, d = a, a + b, c, c + d
-        else:
-            a, b, c, d = a + b, b, c + d, d
+    a, _, _, d = _product(word)
     return a + d
 
 
@@ -262,15 +260,6 @@ def lucas(n: int) -> int:
     if n < 0:
         raise ValueError("negative index")
     a, b = 2, 1
-    for _ in range(n):
-        a, b = b, a + b
-    return a
-
-
-def fibonacci(n: int) -> int:
-    if n < 0:
-        raise ValueError("negative index")
-    a, b = 0, 1
     for _ in range(n):
         a, b = b, a + b
     return a

@@ -65,11 +65,6 @@ def test_trace_prune_changes_nothing():
         assert low_trace_cycles(g, 10) == low_trace_cycles(g, 10, trace_prune=False)
 
 
-def test_threads_change_nothing():
-    g = theta_graph(twisted=False)
-    assert low_trace_cycles(g, 10) == low_trace_cycles(g, 10, threads=3)
-
-
 def test_witness_walks_reproduce_their_trace():
     for g in (theta_graph(False), theta_graph(True)):
         for cls in low_trace_cycles(g, 12):
@@ -192,13 +187,18 @@ def test_report_contents():
     assert "systole: trace 5" in text
 
 
+def _disjoint_union(*parts):
+    g = ribbon.CubicRibbonGraph(sum(h.num_vertices for h in parts))
+    offset = 0
+    for h in parts:
+        for a, b in h.edges():
+            g.add_edge(a + offset, b + offset)
+        offset += h.num_slots
+    return g
+
+
 def test_report_on_disconnected_graph():
-    g = ribbon.CubicRibbonGraph(4)
-    for a, b in ((0, 3), (1, 4), (2, 5)):
-        g.add_edge(a, b)
-    for a, b in ((6, 9), (7, 11), (8, 10)):
-        g.add_edge(a, b)
-    rep = report(g)
+    rep = report(_disjoint_union(theta_graph(False), theta_graph(True)))
     assert len(rep.components) == 2
     assert rep.bh_bound <= rep.genus_sum
 
@@ -218,3 +218,39 @@ def test_certified_build_is_empty_under_the_naive_oracle():
     g, _ = builder.build(builder.SeedSpec(k=8))
     assert naive_cycle_classes(g, 7, 7) == []
     assert scanner.low_trace_cycles(g, 7) == []
+
+
+def test_report_matches_the_separate_systole_spectrum_and_girth_route():
+    k5, k8 = (builder.build(builder.SeedSpec(k=k))[0] for k in (5, 8))
+    # the first component's girth exceeds the global girth
+    mixed = _disjoint_union(k5, theta_graph(True))
+    graphs = [theta_graph(False), theta_graph(True), k5, k8, mixed]
+    for g in graphs:
+        shortest = systole(g)
+        s = shortest.trace
+        for spectrum_max in (None, 0, s - 1, s, s + 2):
+            rep = report(g, spectrum_max=spectrum_max)
+            assert (rep.systole_trace, rep.systole_length, rep.systole_word) == (
+                shortest.trace,
+                shortest.length,
+                shortest.word,
+            )
+            assert list(rep.spectrum) == bottom_spectrum(g, max(spectrum_max or 0, s))
+            assert rep.girth == ribbon.girth(g)
+
+
+def test_report_scans_once_when_the_spectrum_reaches_the_systole(monkeypatch):
+    g, _ = builder.build(builder.SeedSpec(k=5))
+    s = systole(g).trace
+    scan = scanner.low_trace_cycles
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:])
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(scanner, "low_trace_cycles", counting)
+    for spectrum_max in (s, s + 2):
+        calls.clear()
+        report(g, spectrum_max=spectrum_max)
+        assert calls == [(spectrum_max,)]
