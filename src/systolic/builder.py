@@ -40,6 +40,7 @@ from .ribbon import CubicRibbonGraph
 __all__ = [
     "SeedSpecError",
     "HypothesisError",
+    "CompletionError",
     "Plant",
     "SeedSpec",
     "word_for_trace",
@@ -64,6 +65,10 @@ class HypothesisError(ValueError):
     """A seed graph handed to the completion violates its preconditions."""
 
 
+class CompletionError(RuntimeError):
+    """A completion invariant failed; the message carries the state dump."""
+
+
 def word_for_trace(t: int) -> str:
     """L^(t-2) R, the canonical circuit word with trace exactly t."""
     if t < 3:
@@ -81,14 +86,14 @@ def parity_word(k: int) -> str:
     return "L" * (k - 2) + "RR"
 
 
-def seed_size_bound(k: int, sieve: census.DivisorSieve | None = None) -> int:
+def seed_size_bound(k: int) -> int:
     """Least admissible vertex count, 2 N(k-2) + 4k - 4 (N(1) is empty)."""
-    return 2 * census.N_of(max(k - 2, 2), sieve) + 4 * k - 4
+    return 2 * census.N_of(max(k - 2, 2)) + 4 * k - 4
 
 
-def forbidden_set_bound(k: int, sieve: census.DivisorSieve | None = None) -> int:
+def forbidden_set_bound(k: int) -> int:
     """Cap N(k-2) + 2k - 3 on the size of any forbidden set."""
-    return census.N_of(max(k - 2, 2), sieve) + 2 * k - 3
+    return census.N_of(max(k - 2, 2)) + 2 * k - 3
 
 
 @dataclass(frozen=True)
@@ -108,7 +113,7 @@ class SeedSpec:
     rng_seed: int = 0
     strict_seed_trace: bool = False
 
-    def validate(self, sieve: census.DivisorSieve | None = None) -> None:
+    def validate(self) -> None:
         if not isinstance(self.k, int) or self.k < 3:
             raise SeedSpecError(f"floor k={self.k!r} must be an integer >= 3")
         if not isinstance(self.rng_seed, int) or not 0 <= self.rng_seed < 2**64:
@@ -122,7 +127,7 @@ class SeedSpec:
                 raise SeedSpecError(f"multiplicity {plant.multiplicity!r} must be a positive integer")
             self._check_plant_word(plant.word)
             planted_vertices += plant.multiplicity * len(plant.word)
-        bound = seed_size_bound(self.k, sieve)
+        bound = seed_size_bound(self.k)
         if planted_vertices > bound:
             raise SeedSpecError(
                 f"planted circuits need {planted_vertices} vertices, above the "
@@ -159,7 +164,7 @@ class SeedSpec:
         }
 
 
-def _resolve_layout(spec: SeedSpec, sieve: census.DivisorSieve | None = None) -> tuple[int, int, bool]:
+def _resolve_layout(spec: SeedSpec) -> tuple[int, int, bool]:
     """Choose (total size, bulk padding circuits, parity circuit?).
 
     Padding uses circuits of k - 1 vertices plus at most one of k vertices,
@@ -168,7 +173,7 @@ def _resolve_layout(spec: SeedSpec, sieve: census.DivisorSieve | None = None) ->
     """
     k = spec.k
     planted = spec.planted_vertices()
-    bound = seed_size_bound(k, sieve)
+    bound = seed_size_bound(k)
 
     def split(size: int) -> tuple[int, bool] | None:
         r = size - planted
@@ -220,12 +225,12 @@ def _install_circuit(g: CubicRibbonGraph, ids: list[int], word: str) -> None:
         )
 
 
-def make_seed(spec: SeedSpec, sieve: census.DivisorSieve | None = None) -> CubicRibbonGraph:
+def make_seed(spec: SeedSpec) -> CubicRibbonGraph:
     """Disjoint oriented circuits realizing the spec: one circuit per planted
     copy (consecutive low ids, in order), padding circuits on the remaining
     ids, which are shuffled by the spec's rng seed."""
-    spec.validate(sieve)
-    size, n_padding, use_parity = _resolve_layout(spec, sieve)
+    spec.validate()
+    size, n_padding, use_parity = _resolve_layout(spec)
     g = CubicRibbonGraph(size)
 
     cursor = 0
@@ -329,12 +334,11 @@ def _circuit_word(g: CubicRibbonGraph, start: int) -> str:
             return "".join(letters)
 
 
-def _validate_seed_graph(g: CubicRibbonGraph, k: int, strict: bool,
-                         sieve: census.DivisorSieve | None = None) -> None:
+def _validate_seed_graph(g: CubicRibbonGraph, k: int, strict: bool) -> None:
     n = g.num_vertices
     if n % 2:
         raise HypothesisError(f"seed has an odd vertex count {n}")
-    bound = seed_size_bound(k, sieve)
+    bound = seed_size_bound(k)
     if n < bound:
         raise HypothesisError(f"seed has {n} vertices, below the admissible bound {bound}")
     for v in range(n):
@@ -371,6 +375,12 @@ def _state_dump(g: CubicRibbonGraph, note: str) -> str:
     return f"{note}\ndegree-2 vertices: {g.degree2_vertices()}\n{ribbon.serialize(g)}"
 
 
+def _require(ok: bool, g: CubicRibbonGraph, note: str) -> None:
+    """Raise CompletionError with the state dump unless the invariant holds."""
+    if not ok:
+        raise CompletionError(_state_dump(g, note))
+
+
 def _non_seed_edge(g: CubicRibbonGraph, v: int) -> tuple[int, int]:
     """The unique non-seed edge at a degree-3 vertex, as (slot at v, partner slot)."""
     out = [
@@ -378,7 +388,7 @@ def _non_seed_edge(g: CubicRibbonGraph, v: int) -> tuple[int, int]:
         for s in (ribbon.slot(v, i) for i in range(3))
         if not g.is_free(s) and not g.is_seed_slot(s)
     ]
-    assert len(out) == 1, _state_dump(g, f"vertex {v} has {len(out)} non-seed edges, expected 1")
+    _require(len(out) == 1, g, f"vertex {v} has {len(out)} non-seed edges, expected 1")
     return out[0]
 
 
@@ -388,17 +398,14 @@ def _run_completion(
     *,
     strict_seed_trace: bool = False,
     slow_checks: bool = False,
-    sieve: census.DivisorSieve | None = None,
 ) -> tuple[CubicRibbonGraph, _CompletionStats]:
-    _validate_seed_graph(g, k, strict_seed_trace, sieve)
+    _validate_seed_graph(g, k, strict_seed_trace)
     work = g.copy()
     stats = _CompletionStats()
-    while True:
-        deg2 = work.degree2_vertices()
-        if not deg2:
-            break
-        assert len(deg2) % 2 == 0, _state_dump(work, "odd number of degree-2 vertices")
-        edges_before = work.num_edges()
+    # The ascending degree-2 frontier is kept, not recomputed: both cases raise
+    # exactly x and y to degree 3 (a swap's w and w' drop and recover in-step).
+    deg2 = work.degree2_vertices()
+    while deg2:
         reaches: dict[int, ForbiddenReach] = {}
 
         def reach(v: int) -> ForbiddenReach:
@@ -407,20 +414,14 @@ def _run_completion(
                 stats.max_forbidden_set = max(stats.max_forbidden_set, len(reaches[v]))
             return reaches[v]
 
-        pair_found = None
         for x in deg2:
             fx = reach(x)
-            for y in deg2:
-                if y != x and y not in fx:
-                    pair_found = (x, y)
-                    break
-            if pair_found:
+            y = next((v for v in deg2 if v != x and v not in fx), None)
+            if y is not None:
+                # Case 1: the first x, in ascending order, with a partner outside F(x).
+                work.add_edge(work.free_slots_of(x)[0], work.free_slots_of(y)[0])
+                stats.case1 += 1
                 break
-
-        if pair_found:
-            x, y = pair_found
-            work.add_edge(work.free_slots_of(x)[0], work.free_slots_of(y)[0])
-            stats.case1 += 1
         else:
             # Case 2: every ordered degree-2 pair is mutually forbidden.
             x, y = deg2[0], deg2[1]
@@ -429,34 +430,29 @@ def _run_completion(
             inter = fx.members & fy.members
             outside = [v for v in range(work.num_vertices) if v not in union]
             for v in outside:
-                assert work.degree(v) == 3, _state_dump(
-                    work, f"degree-2 vertex {v} escaped both forbidden sets"
-                )
+                _require(work.degree(v) == 3, work, f"degree-2 vertex {v} escaped both forbidden sets")
             partners = sorted({_non_seed_edge(work, v)[1] // 3 for v in outside})
             candidates = [v for v in partners if v not in inter]
-            assert candidates, _state_dump(work, "no swap partner outside the intersection")
+            _require(bool(candidates), work, "no swap partner outside the intersection")
             w_prime = candidates[0]
             slot_wp, slot_w = _non_seed_edge(work, w_prime)
             w = slot_w // 3
-            assert w in outside, _state_dump(work, f"swap partner {w_prime} not paired into the outside set")
-            if w_prime not in fx:
-                first, second = x, y
-            else:
-                assert w_prime not in fy
-                first, second = y, x
+            _require(w in outside, work, f"swap partner {w_prime} not paired into the outside set")
+            _require(w_prime not in inter, work, f"swap partner {w_prime} is in both forbidden sets")
+            first, second = (x, y) if w_prime not in fx else (y, x)
             work.remove_edge(slot_wp, slot_w)
             work.add_edge(work.free_slots_of(first)[0], slot_wp)
             work.add_edge(work.free_slots_of(second)[0], slot_w)
             stats.case2 += 1
 
         stats.iterations += 1
-        assert work.num_edges() == edges_before + 1, _state_dump(work, "iteration did not add one edge")
+        _require(work.degree(x) == work.degree(y) == 3, work, f"step left {x} or {y} below degree 3")
+        deg2.remove(x)
+        deg2.remove(y)
         if slow_checks:
             bad = scanner.scan_partial(work, k)
-            assert not bad, _state_dump(
-                work, f"floor violated after iteration {stats.iterations}: {bad[:3]}"
-            )
-    assert work.is_complete()
+            _require(not bad, work, f"floor violated after iteration {stats.iterations}: {bad[:3]}")
+    _require(work.is_complete(), work, "completion left free slots")
     return work, stats
 
 
@@ -504,11 +500,9 @@ class BuildReport:
 
 def build(spec: SeedSpec, *, slow_checks: bool = False) -> tuple[CubicRibbonGraph, BuildReport]:
     """Lay out the seed for a spec and complete it; returns graph and report."""
-    sieve = census.DivisorSieve(max(4, spec.k * spec.k))
-    seed = make_seed(spec, sieve)
+    seed = make_seed(spec)
     done, stats = _run_completion(
-        seed, spec.k, strict_seed_trace=spec.strict_seed_trace,
-        slow_checks=slow_checks, sieve=sieve,
+        seed, spec.k, strict_seed_trace=spec.strict_seed_trace, slow_checks=slow_checks
     )
     sha = hashlib.sha256(ribbon.serialize(done).encode("ascii")).hexdigest()
     report = BuildReport(

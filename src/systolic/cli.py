@@ -30,7 +30,8 @@ def _write_output(text: str, path: str | None) -> None:
 
 
 def _load_graph(path: str) -> ribbon.CubicRibbonGraph:
-    with open(path, "r", encoding="ascii", newline="") as fh:
+    # latin-1 decodes every byte, so non-ASCII input reaches deserialize's check
+    with open(path, "r", encoding="latin-1", newline="") as fh:
         return ribbon.deserialize(fh.read())
 
 

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -185,13 +188,62 @@ def test_iteration_accounting():
     assert report.vertices == 20 and report.edges == 30
 
 
+CASE_TWO_SHAS = {
+    (3, 0): "e9c23840c0ac66a5121f9a6e977d2f5052c625fd19207d9c53423d0dd0f1d098",
+    (4, 5): "f733732b97f411ea83735bd36342b4d6fe04d024d43de26644cc0cec69c4d2ba",
+}
+
+
 def test_case_two_swap_occurs_and_certifies():
     # frozen layout seeds that force the swap branch at least once
-    for k, rng_seed in ((3, 0), (4, 5)):
+    for (k, rng_seed), sha in CASE_TWO_SHAS.items():
         spec = SeedSpec(k=k, rng_seed=rng_seed)
         graph, report = build(spec, slow_checks=True)
         assert report.case2 >= 1
+        assert report.output_sha == sha
         assert scanner.certify(graph, k).passed
+    # one swap in a larger completion: layout 6 of the k=16 builds
+    _, report = build(SeedSpec(k=16, rng_seed=6))
+    assert report.case2 == 1
+    assert report.output_sha == "b85c3e1001cf89b85e0b8a777eeb27fc6a2bd75e1c0be33ca46565350223ca04"
+
+
+def test_completion_computes_the_degree_two_frontier_once(monkeypatch):
+    calls = []
+    original = ribbon.CubicRibbonGraph.degree2_vertices
+
+    def counting(self):
+        calls.append(1)
+        return original(self)
+
+    monkeypatch.setattr(ribbon.CubicRibbonGraph, "degree2_vertices", counting)
+    build(SeedSpec(k=5))
+    assert len(calls) == 1
+
+
+def test_completion_invariants_hold_under_python_O():
+    # the invariants are typed errors, not asserts that -O strips
+    code = f"""
+import sys
+from systolic import builder
+if sys.flags.optimize != 1:
+    sys.exit("not running under -O")
+_, report = builder.build(builder.SeedSpec(k=4, rng_seed=5))
+if report.output_sha != {CASE_TWO_SHAS[(4, 5)]!r}:
+    sys.exit("sha changed under -O: " + report.output_sha)
+seed = builder.make_seed(builder.SeedSpec(k=5))
+try:
+    builder._non_seed_edge(seed, 0)
+except builder.CompletionError as exc:
+    if "0 non-seed edges" not in str(exc):
+        sys.exit("unexpected message: " + str(exc))
+else:
+    sys.exit("no CompletionError for a vertex without a non-seed edge")
+"""
+    src = os.path.dirname(os.path.dirname(builder.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_plants_at_full_budget_leave_no_padding():

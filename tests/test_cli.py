@@ -115,6 +115,11 @@ def test_malformed_file_is_exit_3(tmp_path, capsys):
     assert "malformed" in err
     code, _, err = run(capsys, "report", str(tmp_path / "missing.crg"))
     assert code == 3
+    latin = tmp_path / "latin.crg"
+    latin.write_bytes(b"CRG 1\n2\n0: 1.0 \xe9 -\n")
+    code, _, err = run(capsys, "verify", "--k", "5", str(latin))
+    assert code == 3
+    assert "not pure ASCII" in err
 
 
 def test_recover(capsys):
