@@ -7,13 +7,16 @@ letter.  Cycle classes are identified up to rotation and reversal of the
 dart sequence; two vertex-disjoint cycles carrying the same word therefore
 count separately, which is what planted-multiplicity accounting needs.
 
-The search over walks prunes on two exact facts: appending a letter never
-lowers the trace, and a word that is not a pure letter power has trace at
-least its length plus one.  Pure letter powers (the faces and their
-reversals) are peripheral and excluded from results; words that are proper
-powers are excluded as well, since their geodesics are iterates of shorter
-ones.  Free homotopy between distinct graph cycles is not quotiented, so
-multiplicities are upper bounds for geodesic multiplicities.
+The search keeps only (dart, matrix, length) per walk, on an explicit stack
+with no recursion; the word of a closing walk is recovered from its matrix
+by unique factorization over L and R, and its darts by replaying the word.
+It prunes on two exact facts: appending a letter never lowers the trace,
+and a word that is not a pure letter power has trace at least its length
+plus one.  Pure letter powers (the faces and their reversals) are
+peripheral and excluded from results; words that are proper powers are
+excluded as well, since their geodesics are iterates of shorter ones.  Free
+homotopy between distinct graph cycles is not quotiented, so multiplicities
+are upper bounds for geodesic multiplicities.
 """
 
 from __future__ import annotations
@@ -94,12 +97,7 @@ def _is_proper_power(word: str) -> bool:
     return False
 
 
-def _enumerate(
-    g: CubicRibbonGraph,
-    max_trace: int,
-    max_len: int,
-    trace_prune: bool = True,
-) -> dict[tuple[int, ...], str]:
+def _enumerate(g: CubicRibbonGraph, max_trace: int, max_len: int) -> dict[tuple[int, ...], str]:
     """All closed-walk classes with word trace <= max_trace and <= max_len
     darts, as {canonical dart sequence: canonical word}.
 
@@ -107,6 +105,11 @@ def _enumerate(
     would step onto a dart below the start, so each walk is generated from
     its least dart only.  Branches also end at free slots, which makes the
     same engine usable on partial graphs.
+
+    A walk is the state (last dart, a, b, c, d, length) on an explicit
+    stack, (a, b, c, d) being its matrix; a closing walk's word is the
+    unique factorization of that matrix, and its darts are replayed from the
+    start dart along the word.
     """
     pair = g.pair_table()
     n_slots = len(pair)
@@ -116,41 +119,35 @@ def _enumerate(
     if max_len < 1:
         return found
 
-    dart_stack: list[int] = []
-    letter_stack: list[str] = []
-
-    def explore(d0: int, last: int, a: int, b: int, c: int, d: int) -> None:
-        t = pair[last]
-        for e, na, nb, nc, nd, letter in (
-            (succ[t], a, a + b, c, c + d, "L"),
-            (pred[t], a + b, b, c + d, d, "R"),
-        ):
-            tr = na + nd
-            if e == d0:
-                if tr <= max_trace:
-                    canon = canonical_walk(tuple(dart_stack), g)
-                    if canon not in found:
-                        found[canon] = words.canonical("".join(letter_stack) + letter)
-            if e < d0 or pair[e] < 0 or len(dart_stack) >= max_len:
-                continue
-            if trace_prune:
+    for d0 in range(n_slots):
+        if pair[d0] < 0:
+            continue
+        stack = [(d0, 1, 0, 0, 1, 1)]
+        while stack:
+            last, a, b, c, d, n = stack.pop()
+            t = pair[last]
+            for e, na, nb, nc, nd in (
+                (succ[t], a, a + b, c, c + d),
+                (pred[t], a + b, b, c + d, d),
+            ):
+                tr = na + nd
                 if tr > max_trace:
+                    continue
+                if e == d0:
+                    word = words.word_of_matrix(words.UniMat(na, nb, nc, nd))
+                    darts = [d0]
+                    for letter in word[:-1]:
+                        s = pair[darts[-1]]
+                        darts.append(succ[s] if letter == "L" else pred[s])
+                    canon = canonical_walk(tuple(darts), g)
+                    if canon not in found:
+                        found[canon] = words.canonical(word)
+                if e < d0 or pair[e] < 0 or n >= max_len:
                     continue
                 # a non-letter-power at the bound can only close above it
                 if tr == max_trace and nb > 0 and nc > 0:
                     continue
-            dart_stack.append(e)
-            letter_stack.append(letter)
-            explore(d0, e, na, nb, nc, nd)
-            dart_stack.pop()
-            letter_stack.pop()
-
-    for d0 in range(n_slots):
-        if pair[d0] < 0:
-            continue
-        dart_stack.append(d0)
-        explore(d0, d0, 1, 0, 0, 1)
-        dart_stack.pop()
+                stack.append((e, na, nb, nc, nd, n + 1))
     return found
 
 
@@ -176,24 +173,19 @@ def _group_classes(raw: dict[tuple[int, ...], str]) -> list[CycleClass]:
     return out
 
 
-def low_trace_cycles(
-    g: CubicRibbonGraph,
-    bound: int,
-    *,
-    trace_prune: bool = True,
-) -> list[CycleClass]:
+def low_trace_cycles(g: CubicRibbonGraph, bound: int) -> list[CycleClass]:
     """All cycle classes with word trace <= bound, letter powers excluded.
 
     A non-letter-power word of trace t has at most t - 1 letters, so walks
-    longer than bound - 1 darts never qualify and the search depth is capped
-    there.  ``trace_prune`` only controls the mid-walk cutoff; disabling it
-    changes running time, never results.
+    longer than bound - 1 darts never qualify and the walk length is capped
+    there.  The walk is iterative, so no bound is limited by the Python
+    recursion depth.
     """
     if not g.is_complete():
         raise ValueError("graph is not 3-regular: scan the completed graph")
     if bound < 3:
         raise ValueError(f"bound {bound} is below 3, the least essential trace")
-    raw = _enumerate(g, bound, bound - 1, trace_prune=trace_prune)
+    raw = _enumerate(g, bound, bound - 1)
     return _group_classes(raw)
 
 
@@ -224,25 +216,32 @@ def scan_partial(g: CubicRibbonGraph, k: int) -> list[CycleClass]:
 
 
 def _essential_trace_cap(g: CubicRibbonGraph) -> int:
-    """Trace of one concrete essential cycle, found by walking alternating
-    turns until a (dart, next-turn) state repeats.  The repeat period is at
-    least 2, so the extracted cycle mixes both letters and its trace is an
-    upper bound for the systole trace; it certifies that iterative deepening
-    terminates."""
+    """Trace of one essential cycle class: an upper bound for the systole
+    trace, so iterative deepening terminates.
+
+    Alternating turns from dart 0 until a (dart, next-turn) state repeats
+    close a walk at the repeated dart x reading (LR)^(p/2), taking x's turn
+    as L (the mirror case has equal traces).  Prefixed by the face walk from
+    x, n >= 1 steps of that same turn, it reads L^n (LR)^(p/2), which has one
+    longest run of L and so is neither a letter power nor a proper power.
+    """
     pair = g.pair_table()
     seen: dict[tuple[int, str], int] = {}
-    trail: list[int] = []
     dart = 0
     letter = "L"
     while (dart, letter) not in seen:
-        seen[(dart, letter)] = len(trail)
-        trail.append(dart)
+        seen[(dart, letter)] = len(seen)
         t = pair[dart]
         dart = ribbon.succ(t) if letter == "L" else ribbon.pred(t)
         letter = "R" if letter == "L" else "L"
-    start = seen[(dart, letter)]
-    cycle = tuple(trail[start:])
-    return words.trace_of(walk_word(g, cycle))
+    period = len(seen) - seen[(dart, letter)]
+    face = ribbon.succ if letter == "L" else ribbon.pred
+    n = 1
+    x = face(pair[dart])
+    while x != dart:
+        x = face(pair[x])
+        n += 1
+    return words.trace_of("L" * n + "LR" * (period // 2))
 
 
 def _first_classes(g: CubicRibbonGraph, start: int) -> list[CycleClass]:

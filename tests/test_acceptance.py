@@ -194,10 +194,8 @@ def test_criterion_08_scanner_oracle_equivalence():
     assert graphs and all(g.num_vertices <= 8 for g in graphs)
     for g in graphs:
         pruned = scanner.low_trace_cycles(g, 10)
-        unpruned = scanner.low_trace_cycles(g, 10, trace_prune=False)
         naive = naive_cycle_classes(g, 9, 10)
         assert pruned == naive
-        assert pruned == unpruned
     _announce(8, "pruned scan equals naive enumeration", f"{len(graphs)} graphs")
 
 

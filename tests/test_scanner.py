@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,6 +21,7 @@ from systolic.scanner import (
 from _oracles import (
     circuit_graph,
     naive_cycle_classes,
+    naive_walk_classes,
     small_complete_corpus,
     theta_graph,
 )
@@ -58,11 +62,6 @@ def test_scanner_matches_naive_oracle_on_small_graphs():
     for g in list(small_complete_corpus())[:25]:
         fast = low_trace_cycles(g, 8)
         assert fast == naive_cycle_classes(g, 7, 8)
-
-
-def test_trace_prune_changes_nothing():
-    for g in (theta_graph(False), theta_graph(True)):
-        assert low_trace_cycles(g, 10) == low_trace_cycles(g, 10, trace_prune=False)
 
 
 def test_witness_walks_reproduce_their_trace():
@@ -159,6 +158,49 @@ def test_scan_partial_on_seeds():
     shortface = circuit_graph(["LLL"] * 4)  # 3-edge left-turn cycles
     assert scan_partial(shortface, 5)
     assert scan_partial(shortface, 3) == []
+
+
+def test_scan_partial_matches_the_walk_oracle_on_seeds():
+    # seeds and half-matched seeds: free slots end walks on both routes
+    graphs = []
+    for shape in (["LLLR"] * 3, ["LR"] * 4, ["LLL", "LLR"]):
+        seed = circuit_graph(shape)
+        half = seed.copy()
+        free = seed.free_slots()
+        for a, b in zip(free[: len(free) // 2 : 2], free[1 : len(free) // 2 : 2]):
+            half.add_edge(a, b)
+        graphs += [seed, half]
+    found_any = False
+    for g in graphs:
+        for k in (3, 5, 7):
+            got = [(c.trace, c.word, c.witness) for c in scan_partial(g, k)]
+            raw = naive_walk_classes(g, k - 1, k - 1)
+            assert got == sorted((words.trace_of(w), w, darts) for darts, w in raw.items())
+            found_any = found_any or bool(got)
+    assert found_any
+
+
+def test_scan_depth_is_not_limited_by_the_recursion_limit():
+    g, _ = builder.build(builder.SeedSpec(k=5))
+    expected = len(low_trace_cycles(g, 100))
+    assert expected == 374
+    code = """
+import sys
+from systolic import builder, scanner
+g, _ = builder.build(builder.SeedSpec(k=5))
+sys.setrecursionlimit(80)
+print(len(scanner.low_trace_cycles(g, 100)))
+"""
+    src = os.path.dirname(os.path.dirname(scanner.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) == expected
+
+
+def test_essential_trace_cap_bounds_the_systole():
+    for g in [theta_graph(False), theta_graph(True), *small_complete_corpus()]:
+        assert scanner._essential_trace_cap(g) >= systole(g).trace
 
 
 def test_report_contents():
