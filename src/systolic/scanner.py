@@ -13,10 +13,12 @@ by unique factorization over L and R, and its darts by replaying the word.
 It prunes on two exact facts: appending a letter never lowers the trace,
 and a word that is not a pure letter power has trace at least its length
 plus one.  Pure letter powers (the faces and their reversals) are
-peripheral and excluded from results; words that are proper powers are
-excluded as well, since their geodesics are iterates of shorter ones.  Free
-homotopy between distinct graph cycles is not quotiented, so multiplicities
-are upper bounds for geodesic multiplicities.
+peripheral and excluded from results; walks whose dart sequence is a
+proper power are excluded as well, since their geodesics are iterates of
+shorter ones.  A primitive walk whose word happens to be a proper power is
+kept: it is primitive in the surface group, so its geodesic is a primitive
+one of that trace.  Free homotopy between distinct graph cycles is not
+quotiented, so multiplicities are upper bounds for geodesic multiplicities.
 """
 
 from __future__ import annotations
@@ -89,10 +91,10 @@ def canonical_walk(darts: tuple[int, ...], g: CubicRibbonGraph) -> tuple[int, ..
     return best
 
 
-def _is_proper_power(word: str) -> bool:
-    n = len(word)
+def _is_proper_power(darts: tuple[int, ...]) -> bool:
+    n = len(darts)
     for p in range(1, n):
-        if n % p == 0 and word == word[:p] * (n // p):
+        if n % p == 0 and darts == darts[:p] * (n // p):
             return True
     return False
 
@@ -154,7 +156,7 @@ def _enumerate(g: CubicRibbonGraph, max_trace: int, max_len: int) -> dict[tuple[
 def _group_classes(raw: dict[tuple[int, ...], str]) -> list[CycleClass]:
     by_word: dict[str, list[tuple[int, ...]]] = {}
     for canon_darts, word in raw.items():
-        if words.is_letter_power(word) or _is_proper_power(word):
+        if words.is_letter_power(word) or _is_proper_power(canon_darts):
             continue
         by_word.setdefault(word, []).append(canon_darts)
     out = []
@@ -216,15 +218,12 @@ def scan_partial(g: CubicRibbonGraph, k: int) -> list[CycleClass]:
 
 
 def _essential_trace_cap(g: CubicRibbonGraph) -> int:
-    """Trace of one essential cycle class: an upper bound for the systole
-    trace, so iterative deepening terminates.
-
-    Alternating turns from dart 0 until a (dart, next-turn) state repeats
-    close a walk at the repeated dart x reading (LR)^(p/2), taking x's turn
-    as L (the mirror case has equal traces).  Prefixed by the face walk from
-    x, n >= 1 steps of that same turn, it reads L^n (LR)^(p/2), which has one
-    longest run of L and so is neither a letter power nor a proper power.
-    """
+    """Trace of one concrete essential cycle, found by walking alternating
+    turns until a (dart, next-turn) state repeats.  The repeat period p is
+    even, the walk between the repeats reads (LR)^(p/2) and is primitive as
+    a dart sequence, so its trace, the Lucas number of p, is an upper bound
+    for the systole trace; it certifies that iterative deepening
+    terminates."""
     pair = g.pair_table()
     seen: dict[tuple[int, str], int] = {}
     dart = 0
@@ -234,14 +233,7 @@ def _essential_trace_cap(g: CubicRibbonGraph) -> int:
         t = pair[dart]
         dart = ribbon.succ(t) if letter == "L" else ribbon.pred(t)
         letter = "R" if letter == "L" else "L"
-    period = len(seen) - seen[(dart, letter)]
-    face = ribbon.succ if letter == "L" else ribbon.pred
-    n = 1
-    x = face(pair[dart])
-    while x != dart:
-        x = face(pair[x])
-        n += 1
-    return words.trace_of("L" * n + "LR" * (period // 2))
+    return words.lucas(len(seen) - seen[(dart, letter)])
 
 
 def _first_classes(g: CubicRibbonGraph, start: int) -> list[CycleClass]:
