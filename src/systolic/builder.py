@@ -213,7 +213,8 @@ def _install_circuit(g: CubicRibbonGraph, ids: list[int], word: str) -> None:
     (arrival, departure) routing and leaves one free slot everywhere.
     """
     n = len(word)
-    assert n == len(ids) and n >= 2
+    if n != len(ids) or n < 2:
+        raise SeedSpecError(f"circuit {word!r} needs two or more letters and one id per letter")
     routing = {"L": (0, 1), "R": (0, 2)}
     for i, letter in enumerate(word):
         _, depart = routing[letter]
@@ -246,18 +247,19 @@ def make_seed(spec: SeedSpec) -> CubicRibbonGraph:
     for word in [padding_word(spec.k)] * n_padding + ([parity_word(spec.k)] if use_parity else []):
         _install_circuit(g, padding_ids[offset : offset + len(word)], word)
         offset += len(word)
-    assert offset == len(padding_ids)
     return g
 
 
 @dataclass(frozen=True)
 class ForbiddenReach:
-    """Endpoints of forbidden paths out of the free slot of one vertex."""
+    """Endpoints of forbidden paths out of the free slot of one vertex, each
+    with the matrix of the first path found to it; the path's word is read
+    back from that matrix, since every product of L and R factors uniquely."""
 
     source: int
     k: int
     members: frozenset[int]
-    witnesses: dict[int, str]  # one witness word per member
+    matrices: dict[int, tuple[int, int, int, int]]  # one path matrix per member
 
     def __contains__(self, vertex: int) -> bool:
         return vertex in self.members
@@ -265,71 +267,59 @@ class ForbiddenReach:
     def __len__(self) -> int:
         return len(self.members)
 
+    def witness(self, vertex: int) -> str:
+        """Word of the first forbidden path found from the source to ``vertex``."""
+        return words.word_of_matrix(words.UniMat(*self.matrices[vertex]))
+
 
 def forbidden_reach(g: CubicRibbonGraph, x: int, k: int) -> ForbiddenReach:
     """Depth-first search for every vertex reachable by a forbidden path.
 
-    States carry the arrival slot and the exact word matrix.  The first
-    letter is the turn out of x's free slot; a state is abandoned once its
-    trace can no longer stay at 2 or within k - 2 (appending letters never
-    lowers a trace), once it exceeds k - 2 edges, or when it meets a free
-    slot.  The source itself is always a member, by the trivial path.
+    A path is the state (arrival slot, a, b, c, d, length) on an explicit
+    stack, (a, b, c, d) its matrix.  It starts as if arrived at x through
+    x's free slot, so x is a member by the empty path.  A branch ends once
+    its trace is neither 2 nor at most k - 2 (appending letters never lowers
+    a trace), at k - 2 edges, or at a free slot.
     """
     if g.degree(x) != 2:
         raise ValueError(f"vertex {x} has degree {g.degree(x)}, expected 2")
     if k < 3:
         raise ValueError(f"floor {k} is below 3")
-    free = g.free_slots_of(x)[0]
-    members: dict[int, str] = {x: ""}
-    max_len = k - 2
     pair = g.pair_table()
-
-    def admissible(trace: int) -> bool:
-        return trace <= k - 2 or trace == 2
-
-    # stack entries: (arrival slot, a, b, c, d, word)
-    stack: list[tuple[int, int, int, int, int, str]] = []
-    if max_len >= 1:
-        for exit_slot, mat, letter in (
-            (ribbon.succ(free), (1, 1, 0, 1), "L"),
-            (ribbon.pred(free), (1, 0, 1, 1), "R"),
-        ):
-            target = pair[exit_slot]
-            assert target >= 0  # both non-free slots of a degree-2 vertex are paired
-            stack.append((target, *mat, letter))
+    succ, pred = ribbon.turn_tables(len(pair))
+    max_len = max_trace = k - 2
+    reached: dict[int, tuple[int, int, int, int]] = {}
+    stack = [(g.free_slots_of(x)[0], 1, 0, 0, 1, 0)]
     while stack:
-        t, a, b, c, d, word = stack.pop()
+        t, a, b, c, d, n = stack.pop()
         y = t // 3
-        if y not in members:
-            members[y] = word
-        if len(word) == max_len:
+        if y not in reached:
+            reached[y] = (a, b, c, d)
+        if n == max_len:
             continue
-        for e, na, nb, nc, nd, letter in (
-            (ribbon.succ(t), a, a + b, c, c + d, "L"),
-            (ribbon.pred(t), a + b, b, c + d, d, "R"),
+        for e, na, nb, nc, nd in (
+            (succ[t], a, a + b, c, c + d),
+            (pred[t], a + b, b, c + d, d),
         ):
-            if pair[e] < 0:
-                continue
-            if not admissible(na + nd):
-                continue
-            stack.append((pair[e], na, nb, nc, nd, word + letter))
-    return ForbiddenReach(source=x, k=k, members=frozenset(members), witnesses=members)
+            tr = na + nd
+            if pair[e] >= 0 and (tr <= max_trace or tr == 2):
+                stack.append((pair[e], na, nb, nc, nd, n + 1))
+    return ForbiddenReach(source=x, k=k, members=frozenset(reached), matrices=reached)
 
 
 def _circuit_word(g: CubicRibbonGraph, start: int) -> str:
-    """Word read around the circuit through a degree-2 vertex."""
-    paired = [s for s in (ribbon.slot(start, i) for i in range(3)) if not g.is_free(s)]
-    assert len(paired) == 2
-    first = paired[0]
+    """Word read around the circuit through ``start``; every vertex on the
+    circuit must have degree 2, as in a seed."""
+    pair = g.pair_table()
+    succ, pred = ribbon.turn_tables(len(pair))
+    first = next(s for s in range(3 * start, 3 * start + 3) if pair[s] >= 0)
     letters = []
     dart = first
-    pair = g.pair_table()
     while True:
         t = pair[dart]
-        others = [s for s in (ribbon.succ(t), ribbon.pred(t)) if pair[s] >= 0]
-        assert len(others) == 1, "circuit vertices must have degree 2"
-        letters.append(ribbon.turn_letter(t, others[0]))
-        dart = others[0]
+        left = pair[succ[t]] >= 0
+        letters.append("L" if left else "R")
+        dart = succ[t] if left else pred[t]
         if dart == first:
             return "".join(letters)
 
@@ -346,12 +336,8 @@ def _validate_seed_graph(g: CubicRibbonGraph, k: int, strict: bool) -> None:
             raise HypothesisError(f"vertex {v} has degree {g.degree(v)}; a seed is 2-regular")
     if g.edges() != g.seed_edges():
         raise HypothesisError("seed contains edges not flagged as seed edges")
-    seen: set[int] = set()
     for comp in g.components():
         v = comp[0]
-        if v in seen:
-            continue
-        seen.update(comp)
         word = _circuit_word(g, v)
         t = words.trace_of(word)
         if t >= k:

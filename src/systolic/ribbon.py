@@ -20,6 +20,7 @@ a construction is being assembled.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ __all__ = [
     "vertex_of",
     "succ",
     "pred",
+    "turn_tables",
     "turn_letter",
     "CubicRibbonGraph",
     "faces",
@@ -62,6 +64,13 @@ def succ(s: int) -> int:
 def pred(s: int) -> int:
     """Cyclic predecessor of a slot within its vertex."""
     return s - s % 3 + (s % 3 + 2) % 3
+
+
+@functools.lru_cache(maxsize=4)
+def turn_tables(n_slots: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(succ, pred) of every slot below ``n_slots``, for hot loops to index
+    instead of calling ``succ``/``pred`` per step; cached per slot count."""
+    return tuple(map(succ, range(n_slots))), tuple(map(pred, range(n_slots)))
 
 
 def turn_letter(arrival: int, exit_slot: int) -> str:
@@ -242,6 +251,7 @@ def faces(g: CubicRibbonGraph) -> list[tuple[int, ...]]:
     _require_complete(g)
     pair = g.pair_table()
     n = len(pair)
+    left, _ = turn_tables(n)
     seen = [False] * n
     out: list[tuple[int, ...]] = []
     for start in range(n):
@@ -252,7 +262,7 @@ def faces(g: CubicRibbonGraph) -> list[tuple[int, ...]]:
         while not seen[d]:
             seen[d] = True
             orbit.append(d)
-            d = succ(pair[d])
+            d = left[pair[d]]
         out.append(tuple(orbit))
     return out
 

@@ -115,8 +115,7 @@ def _enumerate(g: CubicRibbonGraph, max_trace: int, max_len: int) -> dict[tuple[
     """
     pair = g.pair_table()
     n_slots = len(pair)
-    succ = [ribbon.succ(s) for s in range(n_slots)]
-    pred = [ribbon.pred(s) for s in range(n_slots)]
+    succ, pred = ribbon.turn_tables(n_slots)
     found: dict[tuple[int, ...], str] = {}
     if max_len < 1:
         return found
@@ -225,13 +224,14 @@ def _essential_trace_cap(g: CubicRibbonGraph) -> int:
     for the systole trace; it certifies that iterative deepening
     terminates."""
     pair = g.pair_table()
+    succ, pred = ribbon.turn_tables(len(pair))
     seen: dict[tuple[int, str], int] = {}
     dart = 0
     letter = "L"
     while (dart, letter) not in seen:
         seen[(dart, letter)] = len(seen)
         t = pair[dart]
-        dart = ribbon.succ(t) if letter == "L" else ribbon.pred(t)
+        dart = succ[t] if letter == "L" else pred[t]
         letter = "R" if letter == "L" else "L"
     return words.lucas(len(seen) - seen[(dart, letter)])
 

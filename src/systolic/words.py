@@ -228,8 +228,7 @@ def word_of_matrix(mat: UniMat) -> str:
             out.append("L")
             a, b = a - c, b - d
         else:
-            # the only other consistent case: c >= a and d > b
-            assert c >= a and d > b, (a, b, c, d)
+            # determinant 1 and a + d > 2 leave only c >= a and d > b
             out.append("R")
             c, d = c - a, d - b
     if c == 0:

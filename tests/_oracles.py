@@ -102,6 +102,36 @@ def naive_cycle_classes(g, max_len, max_trace):
     return scanner._group_classes(raw)
 
 
+# -- forbidden-path oracle ----------------------------------------------------
+
+
+def free_slot_path_end(g: CubicRibbonGraph, x: int, word: str) -> int | None:
+    """Vertex reached by reading ``word`` from the free slot of x, turn by
+    turn, or None when the walk meets a free slot on the way."""
+    pair = g.pair_table()
+    arrival = g.free_slots_of(x)[0]
+    for ch in word:
+        exit_slot = ribbon.succ(arrival) if ch == "L" else ribbon.pred(arrival)
+        arrival = pair[exit_slot]
+        if arrival < 0:
+            return None
+    return arrival // 3
+
+
+def naive_forbidden_reach(g: CubicRibbonGraph, x: int, k: int) -> set[int]:
+    """x plus the endpoints of every word of 1..k-2 letters with trace at
+    most k - 2 or exactly 2 that walks out of x's free slot without meeting
+    a free slot; every word is tried whole, with no pruning of prefixes."""
+    out = {x}
+    for word in all_words(k - 2):
+        t = words.trace_of(word)
+        if word and (t <= k - 2 or t == 2):
+            end = free_slot_path_end(g, x, word)
+            if end is not None:
+                out.add(end)
+    return out
+
+
 # -- graph corpora ----------------------------------------------------------
 
 

@@ -1,3 +1,5 @@
+import ast
+import glob
 import hashlib
 import json
 import os
@@ -23,7 +25,7 @@ from systolic.builder import (
     word_for_trace,
 )
 
-from _oracles import circuit_graph
+from _oracles import circuit_graph, free_slot_path_end, naive_forbidden_reach
 
 
 def test_padding_words():
@@ -116,10 +118,10 @@ def test_forbidden_reach_on_a_hand_circuit():
     g = circuit_graph(["LLLR"])
     reach = forbidden_reach(g, 0, 5)
     assert reach.members == {0, 1, 2, 3}
-    assert reach.witnesses[0] == ""
+    assert reach.witness(0) == ""
     assert all(
-        words.trace_of(w) <= 3 or words.trace_of(w) == 2
-        for w in reach.witnesses.values()
+        words.trace_of(reach.witness(v)) <= 3 or words.trace_of(reach.witness(v)) == 2
+        for v in reach.members
     )
     assert len(reach) <= forbidden_set_bound(5)
 
@@ -132,6 +134,41 @@ def test_forbidden_reach_budget_cuts():
     assert len(reach) <= forbidden_set_bound(5)
     far = {v for v in range(12) if v not in reach}
     assert far  # the far side of the circuit is out of reach
+
+
+def _check_reach_against_oracle(g, x, k):
+    reach = forbidden_reach(g, x, k)
+    assert reach.members == naive_forbidden_reach(g, x, k)
+    for v in reach.members:
+        w = reach.witness(v)
+        assert len(w) <= k - 2
+        assert words.trace_of(w) <= k - 2 or words.trace_of(w) == 2
+        assert free_slot_path_end(g, x, w) == v
+
+
+def test_forbidden_reach_matches_the_path_oracle_on_seeds():
+    for shape in (["LLLR"] * 3, ["LR"] * 4, ["LLL", "LLR"], ["L" * 12]):
+        g = circuit_graph(shape)
+        for k in (3, 4, 5, 7):
+            for x in g.degree2_vertices():
+                _check_reach_against_oracle(g, x, k)
+
+
+def test_forbidden_reach_matches_the_path_oracle_mid_completion(monkeypatch):
+    calls = []
+    real = builder.forbidden_reach
+
+    def recording(g, x, k):
+        calls.append((g.copy(), x, k))
+        return real(g, x, k)
+
+    monkeypatch.setattr(builder, "forbidden_reach", recording)
+    for k, rng_seed in ((3, 0), (4, 5), (5, 0), (6, 1), (7, 2)):
+        build(SeedSpec(k=k, rng_seed=rng_seed))
+    monkeypatch.undo()
+    assert len(calls) > 50  # 70 calls across the five builds
+    for g, x, k in calls:
+        _check_reach_against_oracle(g, x, k)
 
 
 def test_forbidden_reach_requires_degree_two():
@@ -239,11 +276,29 @@ except builder.CompletionError as exc:
         sys.exit("unexpected message: " + str(exc))
 else:
     sys.exit("no CompletionError for a vertex without a non-seed edge")
+try:
+    builder._install_circuit(builder.CubicRibbonGraph(1), [0], "L")
+except builder.SeedSpecError:
+    pass
+else:
+    sys.exit("a one-letter circuit was wired")
 """
     src = os.path.dirname(os.path.dirname(builder.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_no_bare_asserts_under_src():
+    # python -O strips asserts, so an invariant must be an explicit raise
+    src = os.path.dirname(builder.__file__)
+    hits = []
+    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        name = os.path.basename(path)
+        hits += [f"{name}:{n.lineno}" for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+    assert not hits
 
 
 def test_plants_at_full_budget_leave_no_padding():
