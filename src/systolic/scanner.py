@@ -19,6 +19,9 @@ shorter ones.  A primitive walk whose word happens to be a proper power is
 kept: it is primitive in the surface group, so its geodesic is a primitive
 one of that trace.  Free homotopy between distinct graph cycles is not
 quotiented, so multiplicities are upper bounds for geodesic multiplicities.
+
+The systole comes from a probe that walks from dart 0 alone, which bounds
+it from above, and one full scan at that bound.
 """
 
 from __future__ import annotations
@@ -99,14 +102,16 @@ def _is_proper_power(darts: tuple[int, ...]) -> bool:
     return False
 
 
-def _enumerate(g: CubicRibbonGraph, max_trace: int, max_len: int) -> dict[tuple[int, ...], str]:
-    """All closed-walk classes with word trace <= max_trace and <= max_len
-    darts, as {canonical dart sequence: canonical word}.
+def _enumerate(
+    g: CubicRibbonGraph, max_trace: int, max_len: int, starts
+) -> dict[tuple[int, ...], str]:
+    """Closed-walk classes with word trace <= max_trace and <= max_len darts,
+    started at the darts of ``starts``, as {canonical dart sequence:
+    canonical word}.
 
-    Starting darts are tried in ascending order and a branch is cut once it
-    would step onto a dart below the start, so each walk is generated from
-    its least dart only.  Branches also end at free slots, which makes the
-    same engine usable on partial graphs.
+    A branch is cut once it would step onto a dart below its start, so with
+    ascending starts each walk comes from its least dart only.  Branches
+    also end at free slots, so the same engine runs on partial graphs.
 
     A walk is the state (last dart, a, b, c, d, length) on an explicit
     stack, (a, b, c, d) being its matrix; a closing walk's word is the
@@ -114,13 +119,12 @@ def _enumerate(g: CubicRibbonGraph, max_trace: int, max_len: int) -> dict[tuple[
     start dart along the word.
     """
     pair = g.pair_table()
-    n_slots = len(pair)
-    succ, pred = ribbon.turn_tables(n_slots)
+    succ, pred = ribbon.turn_tables(len(pair))
     found: dict[tuple[int, ...], str] = {}
     if max_len < 1:
         return found
 
-    for d0 in range(n_slots):
+    for d0 in starts:
         if pair[d0] < 0:
             continue
         stack = [(d0, 1, 0, 0, 1, 1)]
@@ -186,7 +190,7 @@ def low_trace_cycles(g: CubicRibbonGraph, bound: int) -> list[CycleClass]:
         raise ValueError("graph is not 3-regular: scan the completed graph")
     if bound < 3:
         raise ValueError(f"bound {bound} is below 3, the least essential trace")
-    raw = _enumerate(g, bound, bound - 1)
+    raw = _enumerate(g, bound, bound - 1, range(g.num_slots))
     return _group_classes(raw)
 
 
@@ -196,7 +200,7 @@ def scan_partial(g: CubicRibbonGraph, k: int) -> list[CycleClass]:
     with fewer than k edges.  Free slots simply end branches."""
     if k < 3:
         raise ValueError(f"floor {k} is below 3")
-    raw = _enumerate(g, k - 1, k - 1)
+    raw = _enumerate(g, k - 1, k - 1, range(g.num_slots))
     violations = []
     for canon_darts, word in raw.items():
         if words.is_letter_power(word):
@@ -216,53 +220,46 @@ def scan_partial(g: CubicRibbonGraph, k: int) -> list[CycleClass]:
     return violations
 
 
-def _essential_trace_cap(g: CubicRibbonGraph) -> int:
-    """Trace of one concrete essential cycle, found by walking alternating
-    turns until a (dart, next-turn) state repeats.  The repeat period p is
-    even, the walk between the repeats reads (LR)^(p/2) and is primitive as
-    a dart sequence, so its trace, the Lucas number of p, is an upper bound
-    for the systole trace; it certifies that iterative deepening
-    terminates."""
-    pair = g.pair_table()
-    succ, pred = ribbon.turn_tables(len(pair))
-    seen: dict[tuple[int, str], int] = {}
-    dart = 0
-    letter = "L"
-    while (dart, letter) not in seen:
-        seen[(dart, letter)] = len(seen)
-        t = pair[dart]
-        dart = succ[t] if letter == "L" else pred[t]
-        letter = "R" if letter == "L" else "L"
-    return words.lucas(len(seen) - seen[(dart, letter)])
+def _probe_bound(g: CubicRibbonGraph) -> int:
+    """Least trace of an essential class through dart 0, an upper bound for
+    the systole trace, found by deepening a scan from dart 0 alone.
+
+    It ends: the alternating (dart, next-turn) map is a permutation, so the
+    orbit of (dart 0, L) closes after an even period p into a walk that reads
+    (LR)^(p/2), primitive as a dart sequence, of trace ``words.lucas(p)``.
+    """
+    bound = 3
+    while not _group_classes(_enumerate(g, bound, bound - 1, (0,))):
+        bound += 1
+    return bound
 
 
 def _first_classes(g: CubicRibbonGraph, start: int) -> list[CycleClass]:
     """``low_trace_cycles(g, bound)`` at the least bound >= start that finds
-    a class, by iterative deepening on the trace.
+    a class: the systole first, then every class up to max(start, systole).
 
-    The first class found is the systole, and the list holds every class up
-    to max(start, systole trace).  The deepening runs at least once, even
-    when start lies beyond the essential-cycle cap.
+    If the scan at ``start`` finds nothing, the scan at the probe bound U is
+    cut to its least trace s.  An essential word of trace t has at most
+    t - 1 letters, so that cut is exactly the bound-s scan.
     """
     if not g.is_complete():
         raise ValueError("graph is not 3-regular")
     if g.num_vertices == 0:
         # the one complete graph whose every class is peripheral (vacuously)
         raise ValueError("graph has no cycles, so no essential class exists")
-    cap = _essential_trace_cap(g)
-    for bound in range(start, max(start, cap) + 1):
-        found = low_trace_cycles(g, bound)
-        if found:
-            return found
-    raise RuntimeError("internal error: essential cycle bound exceeded without a find")
+    found = low_trace_cycles(g, start)
+    if found:
+        return found
+    found = low_trace_cycles(g, _probe_bound(g))
+    return [cls for cls in found if cls.trace == found[0].trace]
 
 
 def systole(g: CubicRibbonGraph) -> CycleClass:
-    """Shortest essential cycle class, by iterative deepening on the trace.
+    """Shortest essential cycle class: one scan at trace 3 and, if that
+    finds nothing, one at the probe bound (see ``_first_classes``).
 
     Letter-power classes are peripheral (cusp cycles and their reversals);
-    everything else has trace at least 3, so essential means trace >= 3 and
-    the deepening starts there.
+    everything else has trace at least 3, so essential means trace >= 3.
     """
     return _first_classes(g, 3)[0]
 
@@ -392,8 +389,9 @@ def report(g: CubicRibbonGraph, *, spectrum_max: int | None = None) -> SurfaceRe
     """Full surface report: topology, girth, systole, bottom spectrum, and
     the exact genus bound check (summed per component on disconnected input).
 
-    One deepening scan from max(3, spectrum_max) yields both the systole (its
-    least class) and the spectrum up to max(spectrum_max, systole trace).
+    One scan at max(3, spectrum_max), or when that finds nothing one scan at
+    the probe bound, yields both the systole (its least class) and the
+    spectrum up to max(spectrum_max, systole trace).
 
     Lengths are those of the cusped surface; the compactified surface's
     lengths converge to them as the cusp neighbourhoods grow, but no

@@ -102,6 +102,19 @@ def naive_cycle_classes(g, max_len, max_trace):
     return scanner._group_classes(raw)
 
 
+def deepening_first_classes(g: CubicRibbonGraph, start: int):
+    """The first non-empty ``low_trace_cycles(g, b)`` for b = start,
+    start + 1, ...: the systole search by iterative deepening on the trace,
+    one full scan per bound, with no probe.  Loops forever when g has no
+    essential class, so call it on non-empty complete graphs only."""
+    bound = start
+    while True:
+        found = scanner.low_trace_cycles(g, bound)
+        if found:
+            return found
+        bound += 1
+
+
 # -- forbidden-path oracle ----------------------------------------------------
 
 
@@ -180,6 +193,18 @@ def small_complete_corpus():
     ]
     for shape in shapes:
         yield from completions_of_shape(shape)
+
+
+def random_complete_graph(rng: random.Random, max_vertices: int) -> CubicRibbonGraph:
+    """A complete graph on an even number (2..max_vertices) of vertices whose
+    edges are a uniformly random perfect matching of all slots."""
+    n = 2 * rng.randint(1, max_vertices // 2)
+    slots = list(range(3 * n))
+    rng.shuffle(slots)
+    g = CubicRibbonGraph(n)
+    for a, b in zip(slots[::2], slots[1::2]):
+        g.add_edge(a, b)
+    return g
 
 
 def theta_graph(twisted: bool) -> CubicRibbonGraph:

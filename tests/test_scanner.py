@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -20,8 +21,10 @@ from systolic.scanner import (
 
 from _oracles import (
     circuit_graph,
+    deepening_first_classes,
     naive_cycle_classes,
     naive_walk_classes,
+    random_complete_graph,
     small_complete_corpus,
     theta_graph,
 )
@@ -196,9 +199,31 @@ print(len(scanner.low_trace_cycles(g, 100)))
     assert int(done.stdout) == 378
 
 
-def test_essential_trace_cap_bounds_the_systole():
+def test_probe_bound_bounds_the_systole():
     for g in [theta_graph(False), theta_graph(True), *small_complete_corpus()]:
-        assert scanner._essential_trace_cap(g) >= systole(g).trace
+        assert scanner._probe_bound(g) >= deepening_first_classes(g, 3)[0].trace
+
+
+def test_first_classes_match_the_deepening_oracle():
+    k5, k8 = (builder.build(builder.SeedSpec(k=k))[0] for k in (5, 8))
+    rng = random.Random(7)
+    graphs = [
+        theta_graph(False),
+        theta_graph(True),
+        *small_complete_corpus(),
+        k5,
+        k8,
+        _disjoint_union(k5, theta_graph(True)),
+        *(random_complete_graph(rng, 12) for _ in range(100)),
+    ]
+    probe_overshoots = False
+    for g in graphs:
+        s = deepening_first_classes(g, 3)[0].trace
+        for start in (3, max(3, s - 1), s, s + 2):
+            assert scanner._first_classes(g, start) == deepening_first_classes(g, start)
+        probe_overshoots = probe_overshoots or scanner._probe_bound(g) > s
+    # the scan at the probe bound is cut back to the systole's trace
+    assert probe_overshoots
 
 
 def test_primitive_walks_with_power_words_are_kept():
@@ -324,3 +349,10 @@ def test_report_scans_once_when_the_spectrum_reaches_the_systole(monkeypatch):
         calls.clear()
         report(g, spectrum_max=spectrum_max)
         assert calls == [(spectrum_max,)]
+    # below the systole: the scan at 3 finds nothing, the probe scans no
+    # whole graph, and one scan at the probe bound finishes
+    u = scanner._probe_bound(g)
+    for run in (lambda: report(g, spectrum_max=None), lambda: systole(g)):
+        calls.clear()
+        run()
+        assert calls == [(3,), (u,)]
