@@ -140,14 +140,10 @@ class SeedSpec:
                 raise SeedSpecError(f"size {self.size} is below the least admissible count {bound}")
 
     def _check_plant_word(self, word: str) -> None:
-        t = words.trace_of(word)
-        if t >= self.k:
-            return
-        if not self.strict_seed_trace and words.is_letter_power(word) and len(word) >= self.k:
-            # a letter-power circuit of k or more edges is a legal cusp cycle
+        if _meets_floor(word, self.k, self.strict_seed_trace):
             return
         raise SeedSpecError(
-            f"planted word {word!r} has trace {t}, below the floor {self.k}"
+            f"planted word {word!r} has trace {words.trace_of(word)}, below the floor {self.k}"
             + ("" if self.strict_seed_trace else f", and is not a letter power of length >= {self.k}")
         )
 
@@ -162,6 +158,14 @@ class SeedSpec:
             "rng_seed": self.rng_seed,
             "strict_seed_trace": self.strict_seed_trace,
         }
+
+
+def _meets_floor(word: str, k: int, strict: bool) -> bool:
+    """The floor rule for a seed circuit: trace at least k or, unless strict,
+    a letter power of k or more edges (a legal cusp cycle)."""
+    return words.trace_of(word) >= k or (
+        not strict and words.is_letter_power(word) and len(word) >= k
+    )
 
 
 def _resolve_layout(spec: SeedSpec) -> tuple[int, int, bool]:
@@ -339,14 +343,11 @@ def _validate_seed_graph(g: CubicRibbonGraph, k: int, strict: bool) -> None:
     for comp in g.components():
         v = comp[0]
         word = _circuit_word(g, v)
-        t = words.trace_of(word)
-        if t >= k:
-            continue
-        if not strict and words.is_letter_power(word) and len(word) >= k:
-            continue
-        raise HypothesisError(
-            f"circuit through vertex {v} carries {word!r} with trace {t}, below the floor {k}"
-        )
+        if not _meets_floor(word, k, strict):
+            raise HypothesisError(
+                f"circuit through vertex {v} carries {word!r} with trace "
+                f"{words.trace_of(word)}, below the floor {k}"
+            )
 
 
 @dataclass
@@ -393,15 +394,9 @@ def _run_completion(
     deg2 = work.degree2_vertices()
     while deg2:
         reaches: dict[int, ForbiddenReach] = {}
-
-        def reach(v: int) -> ForbiddenReach:
-            if v not in reaches:
-                reaches[v] = forbidden_reach(work, v, k)
-                stats.max_forbidden_set = max(stats.max_forbidden_set, len(reaches[v]))
-            return reaches[v]
-
         for x in deg2:
-            fx = reach(x)
+            fx = reaches[x] = forbidden_reach(work, x, k)
+            stats.max_forbidden_set = max(stats.max_forbidden_set, len(fx))
             y = next((v for v in deg2 if v != x and v not in fx), None)
             if y is not None:
                 # Case 1: the first x, in ascending order, with a partner outside F(x).

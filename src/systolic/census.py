@@ -9,7 +9,10 @@ the determinant relation forces b*c = a*d - 1, so b runs over the divisors
 of a*(m-a) - 1.  The same count can be reproduced a third way by walking
 the binary tree of words in L and R, pruning on the monotone trace, which
 is what ``count_words_by_trace`` does; the three routes are compared by
-``CensusTable.build(check=True)``.
+``CensusTable.build(check=True)``.  ``CensusTable.to_csv`` is the one view
+of the growth of N(m): its last two columns are N/(m^2 log m) and
+N/(m^2 log log m), reported and never judged, since the growth statements
+hide unspecified constants.
 
 Trace 2 is the infinite family of pure powers of L and of R and is
 represented by the ``INFINITE`` sentinel, never by a number.
@@ -37,9 +40,6 @@ __all__ = [
     "CensusMismatch",
     "CensusRow",
     "CensusTable",
-    "GrowthRow",
-    "GrowthReport",
-    "growth_report",
 ]
 
 
@@ -245,24 +245,6 @@ class CensusRow:
     checked: bool
 
 
-@dataclass(frozen=True)
-class GrowthRow:
-    m: int
-    n: int
-    N: int
-    ratio_mlogm: float
-    ratio_mloglogm: float
-    quad_ratio: float
-
-
-@dataclass(frozen=True)
-class GrowthReport:
-    rows: tuple[GrowthRow, ...]
-    #: traces where N(m)/m^2 dropped below the previous row (report only,
-    #: never asserted: the growth statements hide unspecified constants).
-    quad_ratio_violations: tuple[int, ...]
-
-
 @dataclass
 class CensusTable:
     """Rows n(m), N(m) for 3 <= m <= m_max with optional triple cross-check."""
@@ -296,38 +278,13 @@ class CensusTable:
             rows.append(CensusRow(m, n_formula, running, checked))
         return cls(m_max=m_max, rows=rows)
 
-    def growth(self) -> GrowthReport:
-        grows: list[GrowthRow] = []
-        violations: list[int] = []
-        prev_quad = None
-        for row in self.rows:
-            m = row.m
-            quad = row.N / (m * m)
-            grows.append(
-                GrowthRow(
-                    m=m,
-                    n=row.n,
-                    N=row.N,
-                    ratio_mlogm=row.N / (m * m * math.log(m)),
-                    ratio_mloglogm=row.N / (m * m * math.log(math.log(m))),
-                    quad_ratio=quad,
-                )
-            )
-            if prev_quad is not None and quad < prev_quad:
-                violations.append(m)
-            prev_quad = quad
-        return GrowthReport(rows=tuple(grows), quad_ratio_violations=tuple(violations))
-
     def to_csv(self) -> str:
         """CSV with header m,n,N,ratio_mlogm,ratio_mloglogm and one row per trace."""
         lines = ["m,n,N,ratio_mlogm,ratio_mloglogm"]
-        for g in self.growth().rows:
-            lines.append(f"{g.m},{g.n},{g.N},{g.ratio_mlogm:.12g},{g.ratio_mloglogm:.12g}")
+        for r in self.rows:
+            m = r.m
+            mlogm = r.N / (m * m * math.log(m))
+            mloglogm = r.N / (m * m * math.log(math.log(m)))
+            lines.append(f"{m},{r.n},{r.N},{mlogm:.12g},{mloglogm:.12g}")
         return "\n".join(lines) + "\n"
 
-
-def growth_report(m_max: int, sieve: DivisorSieve | None = None) -> GrowthReport:
-    """Diagnostic growth ratios for N(m); values are reported, never judged."""
-    if m_max < 10:
-        raise ValueError(f"growth report needs m_max >= 10, got {m_max}")
-    return CensusTable.build(m_max, sieve=sieve).growth()

@@ -316,26 +316,23 @@ def genus_closed(g: CubicRibbonGraph) -> list[ComponentSurface]:
 def girth(g: CubicRibbonGraph, vertices: list[int] | None = None) -> int | None:
     """Length of the shortest cycle of the underlying multigraph, or None.
 
-    A loop gives 1 and a parallel pair gives 2; beyond that the graph is
-    simple and a truncated breadth-first search from every vertex finds the
-    shortest cycle.  ``vertices`` restricts the search to one component.
+    A truncated breadth-first search from every vertex, over edges named by
+    their lower slot, so a loop closes at length 1 and a parallel pair at 2
+    with no special case.  ``vertices`` restricts the search to the subgraph
+    induced on them (a component, say); only their own slots are read, and
+    ids outside the graph are ignored.
     """
-    allowed = None if vertices is None else set(vertices)
-    adj: dict[int, list[tuple[int, int]]] = {}
-    pair_count: dict[tuple[int, int], int] = {}
-    edge_id = 0
-    for s, p in sorted((s, p) for s, p in enumerate(g.pair_table()) if p > s):
-        u, v = s // 3, p // 3
-        if allowed is not None and (u not in allowed or v not in allowed):
-            continue
-        if u == v:
-            return 1
-        pair_count[(min(u, v), max(u, v))] = pair_count.get((min(u, v), max(u, v)), 0) + 1
-        adj.setdefault(u, []).append((v, edge_id))
-        adj.setdefault(v, []).append((u, edge_id))
-        edge_id += 1
-    if any(c >= 2 for c in pair_count.values()):
-        return 2
+    pair = g.pair_table()
+    n = g.num_vertices
+    keep = range(n) if vertices is None else {v for v in vertices if 0 <= v < n}
+    adj = {
+        v: [
+            (p // 3, min(s, p))
+            for s in range(3 * v, 3 * v + 3)
+            if (p := pair[s]) >= 0 and p // 3 in keep
+        ]
+        for v in keep
+    }
     best: int | None = None
     for src in adj:
         dist = {src: 0}

@@ -78,20 +78,10 @@ def walk_word(g: CubicRibbonGraph, darts: tuple[int, ...]) -> str:
 
 
 def canonical_walk(darts: tuple[int, ...], g: CubicRibbonGraph) -> tuple[int, ...]:
-    """Least rotation of the dart sequence or of its reversal.
-
-    Reversing a walk flips every dart to its partner and reverses the order.
-    """
+    """Least rotation of the dart sequence or of its reversal, which flips
+    every dart to its partner and reverses the order."""
     pair = g.pair_table()
-    n = len(darts)
-    flipped = tuple(pair[d] for d in reversed(darts))
-    best = None
-    for seq in (darts, flipped):
-        for i in range(n):
-            cand = seq[i:] + seq[:i]
-            if best is None or cand < best:
-                best = cand
-    return best
+    return words.least_rotation(darts, tuple(pair[d] for d in reversed(darts)))
 
 
 def _is_proper_power(darts: tuple[int, ...]) -> bool:

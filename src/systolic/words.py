@@ -39,6 +39,7 @@ __all__ = [
     "equivalence_class",
     "equivalent",
     "canonical",
+    "least_rotation",
     "word_of_matrix",
     "insert_letter",
     "insertion_trace",
@@ -195,12 +196,20 @@ def equivalent(w: str, v: str) -> bool:
     return _is_rotation(w, v) or _is_rotation(star(w), v)
 
 
+def least_rotation(seq, mirror):
+    """Least cyclic rotation of ``seq`` or of ``mirror``, a sequence of the
+    same length; works on strings and tuples alike, and an empty ``seq`` is
+    its own least rotation."""
+    return min((s[i:] + s[:i] for s in (seq, mirror) for i in range(len(s))), default=seq)
+
+
 def canonical(word: str) -> str:
-    """Lexicographically least member (L < R) of the word's equivalence class.
+    """Lexicographically least member (L < R) of the word's equivalence class:
+    the least rotation of the word or of its star; the empty word gives "".
 
     Constant on equivalence classes, so it doubles as a class identifier.
     """
-    return min(equivalence_class(word))
+    return least_rotation(word, star(word))
 
 
 def is_letter_power(word: str) -> bool:

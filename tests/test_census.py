@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from systolic import census, words
@@ -9,7 +11,6 @@ from systolic.census import (
     N_of,
     count_words_by_trace,
     divisor_count,
-    growth_report,
     n_by_enumeration,
     n_by_formula,
     n_of,
@@ -123,20 +124,6 @@ def test_check_mode_flags_rows_and_catches_corruption():
         CensusTable.build(30, check=True, sieve=bad)
 
 
-def test_growth_report_rows():
-    rep = growth_report(12)
-    by_m = {row.m: row for row in rep.rows}
-    assert by_m[5].N == 16
-    for row in rep.rows:
-        assert row.ratio_mlogm > 0
-        assert row.ratio_mloglogm > 0
-    # N(9)/81 < N(8)/64, so the quad ratio dip at 9 must be flagged
-    assert by_m[9].quad_ratio < by_m[8].quad_ratio
-    assert 9 in rep.quad_ratio_violations
-    with pytest.raises(ValueError):
-        growth_report(9)
-
-
 def test_csv_shape():
     table = CensusTable.build(50)
     lines = table.to_csv().strip().split("\n")
@@ -144,3 +131,10 @@ def test_csv_shape():
     assert len(lines) == 1 + 48
     first = lines[1].split(",")
     assert first[0] == "3" and first[1] == "2" and first[2] == "2"
+    for line in lines[1:]:
+        _, _, _, ratio_mlogm, ratio_mloglogm = line.split(",")
+        assert float(ratio_mlogm) > 0 and float(ratio_mloglogm) > 0
+    # the m = 5 row: N(5) = 16 divided by m^2 log m and by m^2 log log m
+    mlogm = 16 / (25 * math.log(5))
+    mloglogm = 16 / (25 * math.log(math.log(5)))
+    assert lines[3] == f"5,8,16,{mlogm:.12g},{mloglogm:.12g}"

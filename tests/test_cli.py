@@ -115,6 +115,9 @@ def test_malformed_file_is_exit_3(tmp_path, capsys):
     assert "malformed" in err
     code, _, err = run(capsys, "report", str(tmp_path / "missing.crg"))
     assert code == 3
+    code, _, err = run(capsys, "construct", "--k", "5", "-o", str(tmp_path / "no" / "g.crg"))
+    assert code == 3
+    assert "cannot read or write file" in err
     latin = tmp_path / "latin.crg"
     latin.write_bytes(b"CRG 1\n2\n0: 1.0 \xe9 -\n")
     code, _, err = run(capsys, "verify", "--k", "5", str(latin))

@@ -19,7 +19,7 @@ from systolic.ribbon import (
     turn_letter,
 )
 
-from _oracles import small_complete_corpus, theta_graph
+from _oracles import random_complete_graph, small_complete_corpus, theta_graph
 
 
 def test_slot_arithmetic():
@@ -143,6 +143,45 @@ def test_girth_on_simple_cubic_graphs_against_networkx():
     assert checked >= 5
 
 
+def _random_partial_graph(rng: random.Random, max_vertices: int) -> CubicRibbonGraph:
+    """A random matching of a random share of the slots, loops and parallel
+    pairs included."""
+    n = rng.randint(1, max_vertices)
+    slots = rng.sample(range(3 * n), 2 * rng.randint(0, 3 * n // 2))
+    g = CubicRibbonGraph(n)
+    for a, b in zip(slots[::2], slots[1::2]):
+        g.add_edge(a, b)
+    return g
+
+
+def test_girth_on_multigraphs_and_vertex_subsets_against_networkx():
+    nx = pytest.importorskip("networkx")
+
+    def oracle(G):
+        if nx.number_of_selfloops(G):
+            return 1
+        if any(G.number_of_edges(u, v) > 1 for u, v in G.edges()):
+            return 2
+        h = nx.girth(nx.Graph(G))
+        return None if h == float("inf") else h
+
+    rng = random.Random(13)
+    graphs = [random_complete_graph(rng, 24) for _ in range(60)]
+    graphs += [_random_partial_graph(rng, 16) for _ in range(120)]
+    seen = set()
+    for g in graphs:
+        G = nx.MultiGraph()
+        G.add_nodes_from(range(g.num_vertices))
+        G.add_edges_from((a // 3, b // 3) for a, b in g.edges())
+        subsets = [None] + g.components()
+        subsets.append(sorted(rng.sample(range(g.num_vertices), rng.randint(1, g.num_vertices))))
+        for vs in subsets:
+            want = oracle(G if vs is None else G.subgraph(vs))
+            assert girth(g, vertices=vs) == want, (g.edges(), vs)
+            seen.add(want if want is None else min(want, 3))
+    assert seen == {None, 1, 2, 3}  # acyclic, loop, parallel pair and simple cases all ran
+
+
 def test_girth_restricted_to_component():
     g = CubicRibbonGraph(3)
     g.add_edge(0, 1)  # loop at vertex 0
@@ -150,6 +189,7 @@ def test_girth_restricted_to_component():
     g.add_edge(slot(1, 1), slot(2, 1))
     assert girth(g) == 1
     assert girth(g, vertices=[1, 2]) == 2
+    assert girth(g, vertices=[-1, 1, 2, 7]) == 2  # ids outside the graph are ignored
 
 
 def test_beineke_harary_examples():

@@ -49,6 +49,10 @@ def test_canonical_walk_is_rotation_and_reversal_invariant():
             assert canonical_walk(rotated, g) == darts
         reversed_walk = tuple(g.pair_table()[d] for d in reversed(darts))
         assert canonical_walk(reversed_walk, g) == darts
+        every_rotation = [
+            seq[i:] + seq[:i] for seq in (darts, reversed_walk) for i in range(len(darts))
+        ]
+        assert darts == min(every_rotation)
 
 
 def test_two_vertex_classes_match_bruteforce():

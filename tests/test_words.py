@@ -122,6 +122,7 @@ def test_equivalence_soundness_exhaustive_to_14():
         cls = equivalence_class(w)
         canon = canon_cache[w]
         assert canon in cls
+        assert canon == min(cls)
         t = trace_cache[w]
         for v in cls:
             assert trace_cache[v] == t
