@@ -47,6 +47,7 @@ __all__ = [
     "padding_word",
     "parity_word",
     "seed_size_bound",
+    "check_planted_budget",
     "forbidden_set_bound",
     "make_seed",
     "ForbiddenReach",
@@ -91,6 +92,17 @@ def seed_size_bound(k: int) -> int:
     return 2 * census.N_of(max(k - 2, 2)) + 4 * k - 4
 
 
+def check_planted_budget(k: int, planted_vertices: int) -> None:
+    """Raise SeedSpecError when planted circuits need more vertices than the
+    least admissible seed, ``seed_size_bound(k)``."""
+    bound = seed_size_bound(k)
+    if planted_vertices > bound:
+        raise SeedSpecError(
+            f"planted circuits need {planted_vertices} vertices, above the "
+            f"admissible budget 2*N({k - 2}) + 4*{k} - 4 = {bound}"
+        )
+
+
 def forbidden_set_bound(k: int) -> int:
     """Cap N(k-2) + 2k - 3 on the size of any forbidden set."""
     return census.N_of(max(k - 2, 2)) + 2 * k - 3
@@ -127,15 +139,11 @@ class SeedSpec:
                 raise SeedSpecError(f"multiplicity {plant.multiplicity!r} must be a positive integer")
             self._check_plant_word(plant.word)
             planted_vertices += plant.multiplicity * len(plant.word)
-        bound = seed_size_bound(self.k)
-        if planted_vertices > bound:
-            raise SeedSpecError(
-                f"planted circuits need {planted_vertices} vertices, above the "
-                f"admissible budget 2*N({self.k - 2}) + 4*{self.k} - 4 = {bound}"
-            )
+        check_planted_budget(self.k, planted_vertices)
         if self.size is not None:
             if self.size % 2:
                 raise SeedSpecError(f"size {self.size} must be even")
+            bound = seed_size_bound(self.k)
             if self.size < bound:
                 raise SeedSpecError(f"size {self.size} is below the least admissible count {bound}")
 

@@ -60,9 +60,10 @@ def _parse_plants(args) -> tuple[builder.Plant, ...]:
         trace = _positive_int(trace_s, text)
         if trace < 3:
             raise ValueError(f"--plant-trace {text!r}: trace must be at least 3")
-        plants.append(
-            builder.Plant(word=builder.word_for_trace(trace), multiplicity=_positive_int(mult, text))
-        )
+        multiplicity = _positive_int(mult, text)
+        # the word L^(t-2) R has t - 1 letters: check the budget before spelling it
+        builder.check_planted_budget(args.k, (trace - 1) * multiplicity)
+        plants.append(builder.Plant(word=builder.word_for_trace(trace), multiplicity=multiplicity))
     return tuple(plants)
 
 

@@ -7,9 +7,12 @@ letter.  Cycle classes are identified up to rotation and reversal of the
 dart sequence; two vertex-disjoint cycles carrying the same word therefore
 count separately, which is what planted-multiplicity accounting needs.
 
-The search keeps only (dart, matrix, length) per walk, on an explicit stack
-with no recursion; the word of a closing walk is recovered from its matrix
-by unique factorization over L and R, and its darts by replaying the word.
+The search walks the tree of words once, on an explicit stack with no
+recursion.  A node holds the word's matrix and length and the vector of
+live start darts with the current dart of each, so one letter steps every
+walk that reads the word at once.  The word of a closing walk is recovered
+from its matrix by unique factorization over L and R, and its darts by
+replaying the word.
 It prunes on two exact facts: appending a letter never lowers the trace,
 and a word that is not a pure letter power has trace at least its length
 plus one.  Pure letter powers (the faces and their reversals) are
@@ -29,6 +32,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import eq, ge, itemgetter
 
 from . import ribbon, words
 from .ribbon import CubicRibbonGraph
@@ -92,57 +97,78 @@ def _is_proper_power(darts: tuple[int, ...]) -> bool:
     return False
 
 
+def _step_tables(g: CubicRibbonGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The dart after each dart along an L turn (succ of its partner) and
+    along an R turn (pred of its partner); -1 where either the dart or the
+    dart it would step onto is a free slot."""
+    pair = g.pair_table()
+    succ, pred = ribbon.turn_tables(len(pair))
+
+    def table(turn):
+        return tuple(-1 if t < 0 or pair[turn[t]] < 0 else turn[t] for t in pair)
+
+    return table(succ), table(pred)
+
+
 def _enumerate(
-    g: CubicRibbonGraph, max_trace: int, max_len: int, starts
+    g: CubicRibbonGraph, max_trace: int, max_len: int, starts, steps=None
 ) -> dict[tuple[int, ...], str]:
     """Closed-walk classes with word trace <= max_trace and <= max_len darts,
     started at the darts of ``starts``, as {canonical dart sequence:
     canonical word}.
 
-    A branch is cut once it would step onto a dart below its start, so with
-    ascending starts each walk comes from its least dart only.  Branches
-    also end at free slots, so the same engine runs on partial graphs.
-
-    A walk is the state (last dart, a, b, c, d, length) on an explicit
-    stack, (a, b, c, d) being its matrix; a closing walk's word is the
-    unique factorization of that matrix, and its darts are replayed from the
-    start dart along the word.
+    One walk of the tree of words carries, per node, the matrix (a, b, c,
+    d) and length of the word with the tuple of start darts still alive and
+    the current dart of each; a letter steps them all at once.  A start is
+    dropped once its walk steps onto a dart below it, so with ascending
+    starts each walk comes from its least dart only; steps onto free slots
+    read -1 and are dropped by the same test, so the same engine runs on
+    partial graphs.  At a node where some walks close, the word is the
+    unique factorization of the matrix, and each closing walk's darts are
+    replayed from its start along the word.  The nodes wait on one explicit
+    stack.  ``steps`` is ``_step_tables(g)``, passed by callers that scan
+    one graph repeatedly.
     """
-    pair = g.pair_table()
-    succ, pred = ribbon.turn_tables(len(pair))
     found: dict[tuple[int, ...], str] = {}
     if max_len < 1:
         return found
-
-    for d0 in starts:
-        if pair[d0] < 0:
-            continue
-        stack = [(d0, 1, 0, 0, 1, 1)]
-        while stack:
-            last, a, b, c, d, n = stack.pop()
-            t = pair[last]
-            for e, na, nb, nc, nd in (
-                (succ[t], a, a + b, c, c + d),
-                (pred[t], a + b, b, c + d, d),
-            ):
-                tr = na + nd
-                if tr > max_trace:
-                    continue
-                if e == d0:
-                    word = words.word_of_matrix(words.UniMat(na, nb, nc, nd))
+    pair = g.pair_table()
+    step_l, step_r = steps or _step_tables(g)
+    live = tuple(d0 for d0 in starts if pair[d0] >= 0)
+    stack = [(live, live, 1, 0, 0, 1, 1)] if live else []
+    while stack:
+        st, cur, a, b, c, d, n = stack.pop()
+        # itemgetter of one index returns a bare dart; a slice keeps a tuple
+        get = itemgetter(*cur) if len(cur) > 1 else itemgetter(slice(cur[0], cur[0] + 1))
+        for step, na, nb, nc, nd in ((step_l, a, a + b, c, c + d), (step_r, a + b, b, c + d, d)):
+            tr = na + nd
+            if tr > max_trace:
+                continue
+            e = get(step)
+            if any(map(eq, e, st)):
+                word = words.word_of_matrix(words.UniMat(na, nb, nc, nd))
+                cw = None
+                for d0, x in zip(st, e):
+                    if x != d0:
+                        continue
                     darts = [d0]
                     for letter in word[:-1]:
-                        s = pair[darts[-1]]
-                        darts.append(succ[s] if letter == "L" else pred[s])
+                        darts.append((step_l if letter == "L" else step_r)[darts[-1]])
                     canon = canonical_walk(tuple(darts), g)
                     if canon not in found:
-                        found[canon] = words.canonical(word)
-                if e < d0 or pair[e] < 0 or n >= max_len:
-                    continue
-                # a non-letter-power at the bound can only close above it
-                if tr == max_trace and nb > 0 and nc > 0:
-                    continue
-                stack.append((e, na, nb, nc, nd, n + 1))
+                        cw = cw or words.canonical(word)
+                        found[canon] = cw
+            if n >= max_len:
+                continue
+            # a non-letter-power at the bound can only close above it
+            if tr == max_trace and nb > 0 and nc > 0:
+                continue
+            keep = tuple(map(ge, e, st))
+            if all(keep):
+                stack.append((st, e, na, nb, nc, nd, n + 1))
+            elif any(keep):
+                kept = tuple(compress(st, keep)), tuple(compress(e, keep))
+                stack.append((*kept, na, nb, nc, nd, n + 1))
     return found
 
 
@@ -218,8 +244,9 @@ def _probe_bound(g: CubicRibbonGraph) -> int:
     orbit of (dart 0, L) closes after an even period p into a walk that reads
     (LR)^(p/2), primitive as a dart sequence, of trace ``words.lucas(p)``.
     """
+    steps = _step_tables(g)
     bound = 3
-    while not _group_classes(_enumerate(g, bound, bound - 1, (0,))):
+    while not _group_classes(_enumerate(g, bound, bound - 1, (0,), steps)):
         bound += 1
     return bound
 

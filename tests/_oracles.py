@@ -2,9 +2,9 @@
 
 Everything here recomputes results through a different route than the
 library code it checks: matrix counts by bounded quadruple search, closed
-walks by composing per-letter dart maps and reading off fixed points, and
-graph corpora by exhausting perfect matchings over the free slots of fixed
-circuit shapes.
+walks by composing per-letter dart maps and reading off fixed points or by
+walking the word tree once per start dart, and graph corpora by exhausting
+perfect matchings over the free slots of fixed circuit shapes.
 """
 
 from __future__ import annotations
@@ -93,6 +93,51 @@ def naive_walk_classes(
                 visit(word + ch, [step[ch][x] if x >= 0 else -1 for x in dmap])
 
     visit("", identity)
+    return found
+
+
+def dart_major_enumerate(
+    g: CubicRibbonGraph, max_trace: int, max_len: int, starts
+) -> dict[tuple[int, ...], str]:
+    """``scanner._enumerate`` walked dart by dart: one pruned walk of the
+    word tree per start dart, each state (last dart, a, b, c, d, length) on
+    its own explicit stack, with the same prune rules and the same
+    {canonical dart sequence: canonical word} result."""
+    pair = g.pair_table()
+    succ, pred = ribbon.turn_tables(len(pair))
+    found: dict[tuple[int, ...], str] = {}
+    if max_len < 1:
+        return found
+
+    for d0 in starts:
+        if pair[d0] < 0:
+            continue
+        stack = [(d0, 1, 0, 0, 1, 1)]
+        while stack:
+            last, a, b, c, d, n = stack.pop()
+            t = pair[last]
+            for e, na, nb, nc, nd in (
+                (succ[t], a, a + b, c, c + d),
+                (pred[t], a + b, b, c + d, d),
+            ):
+                tr = na + nd
+                if tr > max_trace:
+                    continue
+                if e == d0:
+                    word = words.word_of_matrix(words.UniMat(na, nb, nc, nd))
+                    darts = [d0]
+                    for letter in word[:-1]:
+                        s = pair[darts[-1]]
+                        darts.append(succ[s] if letter == "L" else pred[s])
+                    canon = scanner.canonical_walk(tuple(darts), g)
+                    if canon not in found:
+                        found[canon] = words.canonical(word)
+                if e < d0 or pair[e] < 0 or n >= max_len:
+                    continue
+                # a non-letter-power at the bound can only close above it
+                if tr == max_trace and nb > 0 and nc > 0:
+                    continue
+                stack.append((e, na, nb, nc, nd, n + 1))
     return found
 
 

@@ -77,6 +77,13 @@ def test_construct_usage_errors(tmp_path, capsys):
     assert code == 2
     code, _, err = run(capsys, "construct", "--k", "5", "--plant-trace", "11:x", "-o", str(crg))
     assert code == 2
+    # rejected against the seed budget before its 10^14-letter word is built
+    code, _, err = run(
+        capsys, "construct", "--k", "5", "--plant-trace", "99999999999999:1", "-o", str(crg)
+    )
+    assert code == 2
+    assert "above the admissible budget 2*N(3) + 4*5 - 4 = 20" in err
+    assert not crg.exists()
 
 
 def test_verify_failure_lists_findings(tmp_path, capsys):

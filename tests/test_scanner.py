@@ -21,6 +21,7 @@ from systolic.scanner import (
 
 from _oracles import (
     circuit_graph,
+    dart_major_enumerate,
     deepening_first_classes,
     naive_cycle_classes,
     naive_walk_classes,
@@ -185,6 +186,38 @@ def test_scan_partial_matches_the_walk_oracle_on_seeds():
             assert got == sorted((words.trace_of(w), w, darts) for darts, w in raw.items())
             found_any = found_any or bool(got)
     assert found_any
+
+
+def test_word_major_scan_matches_the_dart_major_oracle():
+    # complete graphs from every start and from dart 0 alone, then seeds and
+    # half-matched seeds, whose free slots end walks, at the scan_partial bounds
+    rng = random.Random(11)
+    complete = [
+        theta_graph(False),
+        theta_graph(True),
+        *small_complete_corpus(),
+        *(random_complete_graph(rng, 14) for _ in range(100)),
+    ]
+    cases = []
+    for g in complete:
+        for bound in (3, 6, 10, 13):
+            cases += [(g, bound, bound - 1, range(g.num_slots)), (g, bound, bound - 1, (0,))]
+    for shape in (["LLLR"] * 3, ["LR"] * 4, ["LLL", "LLR"], ["L" * 12]):
+        seed = circuit_graph(shape)
+        half = seed.copy()
+        free = seed.free_slots()
+        for a, b in zip(free[: len(free) // 2 : 2], free[1 : len(free) // 2 : 2]):
+            half.add_edge(a, b)
+        for g in (seed, half):
+            cases += [(g, k - 1, k - 1, range(g.num_slots)) for k in (3, 5, 7, 9)]
+    k8, _ = builder.build(builder.SeedSpec(k=8))
+    cases.append((k8, 12, 11, range(k8.num_slots)))
+    closures = 0
+    for g, max_trace, max_len, starts in cases:
+        got = scanner._enumerate(g, max_trace, max_len, starts)
+        assert got == dart_major_enumerate(g, max_trace, max_len, starts)
+        closures += len(got)
+    assert closures
 
 
 def test_scan_depth_is_not_limited_by_the_recursion_limit():
