@@ -19,9 +19,9 @@ cycle with at least k edges:
 A forbidden path starts at the free slot of its degree-2 source: its word
 counts the turn at the source and at every interior vertex but not at the
 endpoint, so closing an edge appends exactly one letter.  Paths are
-forbidden when they have at most k - 2 edges and trace at most k - 2 or
-exactly 2 (the pure letter-power runs; for k >= 4 the first condition
-already covers them).
+forbidden when they have at most k - 2 edges and trace at most
+max(k - 2, 2); every trace is at least 2, so at k = 3 that bound admits
+exactly the pure letter-power runs.
 
 Everything is deterministic: vertices are scanned in ascending id, the
 random seed only shuffles which ids the padding circuits receive, so equal
@@ -34,7 +34,7 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 
-from . import census, ribbon, scanner, words
+from . import census, ribbon, words
 from .ribbon import CubicRibbonGraph
 
 __all__ = [
@@ -290,8 +290,8 @@ def forbidden_reach(g: CubicRibbonGraph, x: int, k: int) -> ForbiddenReach:
     A path is the state (arrival slot, a, b, c, d, length) on an explicit
     stack, (a, b, c, d) its matrix.  It starts as if arrived at x through
     x's free slot, so x is a member by the empty path.  A branch ends once
-    its trace is neither 2 nor at most k - 2 (appending letters never lowers
-    a trace), at k - 2 edges, or at a free slot.
+    its trace exceeds max(k - 2, 2) (appending letters never lowers a
+    trace), at k - 2 edges, or at a free slot.
     """
     if g.degree(x) != 2:
         raise ValueError(f"vertex {x} has degree {g.degree(x)}, expected 2")
@@ -299,7 +299,8 @@ def forbidden_reach(g: CubicRibbonGraph, x: int, k: int) -> ForbiddenReach:
         raise ValueError(f"floor {k} is below 3")
     pair = g.pair_table()
     succ, pred = ribbon.turn_tables(len(pair))
-    max_len = max_trace = k - 2
+    max_len = k - 2
+    max_trace = max(k - 2, 2)
     reached: dict[int, tuple[int, int, int, int]] = {}
     stack = [(g.free_slots_of(x)[0], 1, 0, 0, 1, 0)]
     while stack:
@@ -314,7 +315,7 @@ def forbidden_reach(g: CubicRibbonGraph, x: int, k: int) -> ForbiddenReach:
             (pred[t], a + b, b, c + d, d),
         ):
             tr = na + nd
-            if pair[e] >= 0 and (tr <= max_trace or tr == 2):
+            if pair[e] >= 0 and tr <= max_trace:
                 stack.append((pair[e], na, nb, nc, nd, n + 1))
     return ForbiddenReach(source=x, k=k, members=frozenset(reached), matrices=reached)
 
@@ -388,11 +389,7 @@ def _non_seed_edge(g: CubicRibbonGraph, v: int) -> tuple[int, int]:
 
 
 def _run_completion(
-    g: CubicRibbonGraph,
-    k: int,
-    *,
-    strict_seed_trace: bool = False,
-    slow_checks: bool = False,
+    g: CubicRibbonGraph, k: int, *, strict_seed_trace: bool = False
 ) -> tuple[CubicRibbonGraph, _CompletionStats]:
     _validate_seed_graph(g, k, strict_seed_trace)
     work = g.copy()
@@ -438,28 +435,19 @@ def _run_completion(
         _require(work.degree(x) == work.degree(y) == 3, work, f"step left {x} or {y} below degree 3")
         deg2.remove(x)
         deg2.remove(y)
-        if slow_checks:
-            bad = scanner.scan_partial(work, k)
-            _require(not bad, work, f"floor violated after iteration {stats.iterations}: {bad[:3]}")
     _require(work.is_complete(), work, "completion left free slots")
     return work, stats
 
 
 def complete(
-    g: CubicRibbonGraph,
-    k: int,
-    *,
-    strict_seed_trace: bool = False,
-    slow_checks: bool = False,
+    g: CubicRibbonGraph, k: int, *, strict_seed_trace: bool = False
 ) -> CubicRibbonGraph:
     """Complete a circuit seed to a 3-regular graph preserving the floor k.
 
     The input graph is left untouched.  The completion is fully
     deterministic; randomness only enters when the seed graph is laid out.
     """
-    done, _ = _run_completion(
-        g, k, strict_seed_trace=strict_seed_trace, slow_checks=slow_checks
-    )
+    done, _ = _run_completion(g, k, strict_seed_trace=strict_seed_trace)
     return done
 
 
@@ -487,12 +475,10 @@ class BuildReport:
         }
 
 
-def build(spec: SeedSpec, *, slow_checks: bool = False) -> tuple[CubicRibbonGraph, BuildReport]:
+def build(spec: SeedSpec) -> tuple[CubicRibbonGraph, BuildReport]:
     """Lay out the seed for a spec and complete it; returns graph and report."""
     seed = make_seed(spec)
-    done, stats = _run_completion(
-        seed, spec.k, strict_seed_trace=spec.strict_seed_trace, slow_checks=slow_checks
-    )
+    done, stats = _run_completion(seed, spec.k, strict_seed_trace=spec.strict_seed_trace)
     sha = hashlib.sha256(ribbon.serialize(done).encode("ascii")).hexdigest()
     report = BuildReport(
         spec=spec,

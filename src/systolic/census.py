@@ -31,6 +31,7 @@ from .words import UniMat
 __all__ = [
     "INFINITE",
     "divisor_count",
+    "MAX_SIEVE_LIMIT",
     "DivisorSieve",
     "n_by_formula",
     "n_by_enumeration",
@@ -59,6 +60,13 @@ class _InfiniteCount:
 
 INFINITE = _InfiniteCount()
 
+# Largest sieve the library will allocate.  A trace-m census needs about
+# m*m/4 entries, so 10**7 covers traces up to 6,324 (and a construct floor
+# k up to 6,326); as a Python list it takes about 0.4 GB.  A larger request
+# is refused with ValueError before anything is allocated, rather than
+# ending in MemoryError or exhausting the host.
+MAX_SIEVE_LIMIT = 10**7
+
 
 def divisor_count(n: int) -> int:
     """Number of positive divisors, by trial division (one-off queries)."""
@@ -83,6 +91,11 @@ class DivisorSieve:
     def __init__(self, limit: int):
         if limit < 1:
             raise ValueError(f"sieve limit must be >= 1, got {limit}")
+        if limit > MAX_SIEVE_LIMIT:
+            raise ValueError(
+                f"sieve limit {limit} exceeds the cap of {MAX_SIEVE_LIMIT} entries "
+                f"(traces above 6324 or floors above 6326)"
+            )
         self.limit = limit
         spf = list(range(limit + 1))
         for p in range(2, math.isqrt(limit) + 1):

@@ -7,10 +7,12 @@ letter.  Cycle classes are identified up to rotation and reversal of the
 dart sequence; two vertex-disjoint cycles carrying the same word therefore
 count separately, which is what planted-multiplicity accounting needs.
 
-The search walks the tree of words once, on an explicit stack with no
-recursion.  A node holds the word's matrix and length and the vector of
-live start darts with the current dart of each, so one letter steps every
-walk that reads the word at once.  The word of a closing walk is recovered
+Only complete (3-regular) graphs are scanned: every entry point that scans
+raises ValueError on a graph with free slots.  The search walks the tree of
+words once, on an explicit stack with no recursion.  A node holds the
+word's matrix and length and the vector of live start darts with the
+current dart of each, so one letter steps every walk that reads the word
+at once.  The word of a closing walk is recovered
 from its matrix by unique factorization over L and R, and its darts by
 replaying the word.
 It prunes on two exact facts: appending a letter never lowers the trace,
@@ -43,7 +45,6 @@ __all__ = [
     "walk_word",
     "canonical_walk",
     "low_trace_cycles",
-    "scan_partial",
     "systole",
     "bottom_spectrum",
     "CertificationResult",
@@ -98,44 +99,36 @@ def _is_proper_power(darts: tuple[int, ...]) -> bool:
 
 
 def _step_tables(g: CubicRibbonGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The dart after each dart along an L turn (succ of its partner) and
-    along an R turn (pred of its partner); -1 where either the dart or the
-    dart it would step onto is a free slot."""
+    """The dart after each dart of a complete graph along an L turn (succ
+    of its partner) and along an R turn (pred of its partner)."""
     pair = g.pair_table()
     succ, pred = ribbon.turn_tables(len(pair))
-
-    def table(turn):
-        return tuple(-1 if t < 0 or pair[turn[t]] < 0 else turn[t] for t in pair)
-
-    return table(succ), table(pred)
+    return tuple(succ[t] for t in pair), tuple(pred[t] for t in pair)
 
 
 def _enumerate(
     g: CubicRibbonGraph, max_trace: int, max_len: int, starts, steps=None
 ) -> dict[tuple[int, ...], str]:
-    """Closed-walk classes with word trace <= max_trace and <= max_len darts,
-    started at the darts of ``starts``, as {canonical dart sequence:
-    canonical word}.
+    """Closed-walk classes of a complete graph with word trace <= max_trace
+    and <= max_len darts, started at the darts of ``starts``, as {canonical
+    dart sequence: canonical word}.
 
     One walk of the tree of words carries, per node, the matrix (a, b, c,
     d) and length of the word with the tuple of start darts still alive and
     the current dart of each; a letter steps them all at once.  A start is
     dropped once its walk steps onto a dart below it, so with ascending
-    starts each walk comes from its least dart only; steps onto free slots
-    read -1 and are dropped by the same test, so the same engine runs on
-    partial graphs.  At a node where some walks close, the word is the
-    unique factorization of the matrix, and each closing walk's darts are
-    replayed from its start along the word.  The nodes wait on one explicit
-    stack.  ``steps`` is ``_step_tables(g)``, passed by callers that scan
+    starts each walk comes from its least dart only.  At a node where some
+    walks close, the word is the unique factorization of the matrix, and
+    each closing walk's darts are replayed from its start along the word.
+    The nodes wait on one explicit stack.  ``steps`` is ``_step_tables(g)``, passed by callers that scan
     one graph repeatedly.
     """
     found: dict[tuple[int, ...], str] = {}
     if max_len < 1:
         return found
-    pair = g.pair_table()
     step_l, step_r = steps or _step_tables(g)
-    live = tuple(d0 for d0 in starts if pair[d0] >= 0)
-    stack = [(live, live, 1, 0, 0, 1, 1)] if live else []
+    starts = tuple(starts)
+    stack = [(starts, starts, 1, 0, 0, 1, 1)] if starts else []
     while stack:
         st, cur, a, b, c, d, n = stack.pop()
         # itemgetter of one index returns a bare dart; a slice keeps a tuple
@@ -208,32 +201,6 @@ def low_trace_cycles(g: CubicRibbonGraph, bound: int) -> list[CycleClass]:
         raise ValueError(f"bound {bound} is below 3, the least essential trace")
     raw = _enumerate(g, bound, bound - 1, range(g.num_slots))
     return _group_classes(raw)
-
-
-def scan_partial(g: CubicRibbonGraph, k: int) -> list[CycleClass]:
-    """Cycle classes of a (possibly partial) graph violating the floor k:
-    either trace below k and not a letter power, or a letter-power cycle
-    with fewer than k edges.  Free slots simply end branches."""
-    if k < 3:
-        raise ValueError(f"floor {k} is below 3")
-    raw = _enumerate(g, k - 1, k - 1, range(g.num_slots))
-    violations = []
-    for canon_darts, word in raw.items():
-        if words.is_letter_power(word):
-            if len(word) >= k:
-                continue
-        t = words.trace_of(word)
-        violations.append(
-            CycleClass(
-                word=word,
-                trace=t,
-                length=words.geodesic_length(t),
-                multiplicity=1,
-                witness=canon_darts,
-            )
-        )
-    violations.sort(key=CycleClass.sort_key)
-    return violations
 
 
 def _probe_bound(g: CubicRibbonGraph) -> int:

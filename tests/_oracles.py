@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from systolic import ribbon, scanner, words
+from systolic import builder, ribbon, scanner, words
 from systolic.builder import _install_circuit
 from systolic.ribbon import CubicRibbonGraph
 
@@ -110,8 +110,6 @@ def dart_major_enumerate(
         return found
 
     for d0 in starts:
-        if pair[d0] < 0:
-            continue
         stack = [(d0, 1, 0, 0, 1, 1)]
         while stack:
             last, a, b, c, d, n = stack.pop()
@@ -132,7 +130,7 @@ def dart_major_enumerate(
                     canon = scanner.canonical_walk(tuple(darts), g)
                     if canon not in found:
                         found[canon] = words.canonical(word)
-                if e < d0 or pair[e] < 0 or n >= max_len:
+                if e < d0 or n >= max_len:
                     continue
                 # a non-letter-power at the bound can only close above it
                 if tr == max_trace and nb > 0 and nc > 0:
@@ -188,6 +186,32 @@ def naive_forbidden_reach(g: CubicRibbonGraph, x: int, k: int) -> set[int]:
             if end is not None:
                 out.add(end)
     return out
+
+
+def floor_checked_build(monkeypatch, run):
+    """Return ``run()``, a build or completion, with every graph the
+    completion hands ``builder.forbidden_reach`` checked against its floor
+    k: ``naive_walk_classes(g, k - 1, k - 1)`` must find no closed walk.
+    Free slots end walks, so this is the floor of a partial graph; a letter
+    power of up to k - 1 darts is a face below the floor and fails too.
+    The completion calls the search once per candidate x on an unchanged
+    graph, so each graph state is checked once."""
+    real = builder.forbidden_reach
+    checked: set[str] = set()
+
+    def checking(g, x, k):
+        text = ribbon.serialize(g)
+        if text not in checked:
+            checked.add(text)
+            bad = naive_walk_classes(g, k - 1, k - 1)
+            assert not bad, f"floor {k} broken mid-completion: {sorted(bad.items())[:3]}"
+        return real(g, x, k)
+
+    with monkeypatch.context() as m:
+        m.setattr(builder, "forbidden_reach", checking)
+        result = run()
+    assert checked, "the completion never searched for forbidden paths"
+    return result
 
 
 # -- graph corpora ----------------------------------------------------------

@@ -25,7 +25,12 @@ from systolic.builder import (
     word_for_trace,
 )
 
-from _oracles import circuit_graph, free_slot_path_end, naive_forbidden_reach
+from _oracles import (
+    circuit_graph,
+    floor_checked_build,
+    free_slot_path_end,
+    naive_forbidden_reach,
+)
 
 
 def test_padding_words():
@@ -178,9 +183,9 @@ def test_forbidden_reach_requires_degree_two():
         forbidden_reach(g, 0, 5)
 
 
-def test_complete_minimum_k5_with_slow_checks():
+def test_complete_minimum_k5_with_floor_checks(monkeypatch):
     seed = make_seed(SeedSpec(k=5))
-    done = complete(seed, 5, slow_checks=True)
+    done = floor_checked_build(monkeypatch, lambda: complete(seed, 5))
     assert done.is_complete()
     assert done.num_edges() == 30
     assert seed.edges() == done.seed_edges()  # original circuits preserved
@@ -208,9 +213,9 @@ def test_complete_rejects_bad_seeds():
         complete(unflagged, 5)
 
 
-def test_letter_power_seed_allowed_but_not_in_strict_mode():
+def test_letter_power_seed_allowed_but_not_in_strict_mode(monkeypatch):
     g = circuit_graph(["L" * 5] * 4)
-    done = complete(g, 5, slow_checks=True)
+    done = floor_checked_build(monkeypatch, lambda: complete(g, 5))
     assert scanner.certify(done, 5).passed
     with pytest.raises(HypothesisError):
         complete(g, 5, strict_seed_trace=True)
@@ -231,11 +236,11 @@ CASE_TWO_SHAS = {
 }
 
 
-def test_case_two_swap_occurs_and_certifies():
+def test_case_two_swap_occurs_and_certifies(monkeypatch):
     # frozen layout seeds that force the swap branch at least once
     for (k, rng_seed), sha in CASE_TWO_SHAS.items():
         spec = SeedSpec(k=k, rng_seed=rng_seed)
-        graph, report = build(spec, slow_checks=True)
+        graph, report = floor_checked_build(monkeypatch, lambda: build(spec))
         assert report.case2 >= 1
         assert report.output_sha == sha
         assert scanner.certify(graph, k).passed
@@ -301,13 +306,26 @@ def test_no_bare_asserts_under_src():
     assert not hits
 
 
-def test_plants_at_full_budget_leave_no_padding():
+def test_builder_does_not_import_the_scanner():
+    # the scanner certifies the builder's output, so it must not be its helper
+    with open(builder.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported |= {node.module or ""} | {alias.name for alias in node.names}
+    assert not {name for name in imported if "scanner" in name}
+
+
+def test_plants_at_full_budget_leave_no_padding(monkeypatch):
     # 4 copies of a 5-vertex circuit exactly fill the k=5 budget of 20
     spec = SeedSpec(k=5, plants=(Plant("LLLLR", 4),))
     seed = make_seed(spec)
     assert seed.num_vertices == 20
     assert len(seed.components()) == 4  # no padding circuits at all
-    graph, _ = build(spec, slow_checks=True)
+    graph, _ = floor_checked_build(monkeypatch, lambda: build(spec))
     assert scanner.certify(graph, 5).passed
 
 
@@ -345,7 +363,7 @@ def test_build_report_contents():
     json.dumps(payload)  # schema must be JSON-serializable as is
 
 
-def test_randomized_specs_certify_and_honor_plants():
+def test_randomized_specs_certify_and_honor_plants(monkeypatch):
     import random
 
     rng = random.Random(99)
@@ -361,7 +379,7 @@ def test_randomized_specs_certify_and_honor_plants():
                     plants.append(Plant(word, mult))
                     used += mult * len(word)
             spec = SeedSpec(k=k, plants=tuple(plants), rng_seed=rng_seed)
-            graph, report = build(spec, slow_checks=True)
+            graph, report = floor_checked_build(monkeypatch, lambda: build(spec))
             assert scanner.certify(graph, k).passed
             assert report.max_forbidden_set <= forbidden_set_bound(k)
             want: dict[int, int] = {}

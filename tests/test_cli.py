@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -175,3 +178,59 @@ def test_outputs_are_byte_identical_across_runs_and_threads(tmp_path, capsys):
         assert code == 0
         texts.append(out)
     assert texts[0] == texts[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["construct", "--k", "200000", "-o", "x.crg"], ["census", "--max-trace", "1000000"]],
+)
+def test_oversized_sieves_exit_two_under_an_address_space_limit(tmp_path, argv):
+    # the sieve cap refuses before allocating, so a 1 GiB limit is never hit
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = os.path.dirname(os.path.dirname(scanner.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "systolic.cli", *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, preexec_fn=limit, timeout=60,
+    )
+    assert done.returncode == 2, done.stderr
+    assert "exceeds the cap" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "x.crg").exists()
+
+
+def test_fuzzed_crg_text_never_raises(tmp_path, capsys):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    crg = tmp_path / "g.crg"
+    assert main(["construct", "--k", "5", "-o", str(crg)]) == 0
+    base = crg.read_text()
+    alphabet = "0123456789.-: \nSEEDCRG"
+    edit = st.tuples(
+        st.sampled_from(["insert", "replace", "delete"]),
+        st.integers(0, len(base)),
+        st.sampled_from(alphabet),
+    )
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.lists(edit, min_size=1, max_size=4))
+    def check(edits):
+        text = base
+        for op, at, ch in edits:
+            at = min(at, len(text))
+            if op == "insert":
+                text = text[:at] + ch + text[at:]
+            elif op == "replace":
+                text = text[:at] + ch + text[at + 1 :]
+            else:
+                text = text[:at] + text[at + 1 :]
+        crg.write_text(text)
+        assert main(["verify", "--k", "3", str(crg)]) in {0, 1, 2, 3}
+        assert main(["report", str(crg)]) in {0, 1, 2, 3}
+        capsys.readouterr()
+
+    check()

@@ -14,7 +14,6 @@ from systolic.scanner import (
     certify,
     low_trace_cycles,
     report,
-    scan_partial,
     systole,
     walk_word,
 )
@@ -95,6 +94,17 @@ def test_low_trace_cycles_preconditions():
         low_trace_cycles(ribbon.CubicRibbonGraph(2), 5)
     with pytest.raises(ValueError, match="bound"):
         low_trace_cycles(theta_graph(False), 2)
+    # the scan has no free-slot mode: every entry refuses a partial graph
+    seed = circuit_graph(["LLLR"] * 5)
+    for scan in (
+        lambda: low_trace_cycles(seed, 5),
+        lambda: systole(seed),
+        lambda: bottom_spectrum(seed, 5),
+        lambda: certify(seed, 5),
+        lambda: report(seed),
+    ):
+        with pytest.raises(ValueError, match="3-regular"):
+            scan()
 
 
 def test_empty_graph_has_the_distinguished_no_cycle_result():
@@ -157,40 +167,8 @@ def test_certify_passes_on_builds_and_fails_on_counterexamples():
     assert not res.passed and not res.short_cycles and res.short_faces
 
 
-def test_scan_partial_on_seeds():
-    good = circuit_graph(["LLLR"] * 5)
-    assert scan_partial(good, 5) == []
-    low = circuit_graph(["LR"] * 10)  # trace 3 circuits below floor 5
-    bad = scan_partial(low, 5)
-    assert bad and all(cls.trace == 3 for cls in bad)
-    shortface = circuit_graph(["LLL"] * 4)  # 3-edge left-turn cycles
-    assert scan_partial(shortface, 5)
-    assert scan_partial(shortface, 3) == []
-
-
-def test_scan_partial_matches_the_walk_oracle_on_seeds():
-    # seeds and half-matched seeds: free slots end walks on both routes
-    graphs = []
-    for shape in (["LLLR"] * 3, ["LR"] * 4, ["LLL", "LLR"]):
-        seed = circuit_graph(shape)
-        half = seed.copy()
-        free = seed.free_slots()
-        for a, b in zip(free[: len(free) // 2 : 2], free[1 : len(free) // 2 : 2]):
-            half.add_edge(a, b)
-        graphs += [seed, half]
-    found_any = False
-    for g in graphs:
-        for k in (3, 5, 7):
-            got = [(c.trace, c.word, c.witness) for c in scan_partial(g, k)]
-            raw = naive_walk_classes(g, k - 1, k - 1)
-            assert got == sorted((words.trace_of(w), w, darts) for darts, w in raw.items())
-            found_any = found_any or bool(got)
-    assert found_any
-
-
 def test_word_major_scan_matches_the_dart_major_oracle():
-    # complete graphs from every start and from dart 0 alone, then seeds and
-    # half-matched seeds, whose free slots end walks, at the scan_partial bounds
+    # complete graphs from every start and from dart 0 alone
     rng = random.Random(11)
     complete = [
         theta_graph(False),
@@ -202,14 +180,6 @@ def test_word_major_scan_matches_the_dart_major_oracle():
     for g in complete:
         for bound in (3, 6, 10, 13):
             cases += [(g, bound, bound - 1, range(g.num_slots)), (g, bound, bound - 1, (0,))]
-    for shape in (["LLLR"] * 3, ["LR"] * 4, ["LLL", "LLR"], ["L" * 12]):
-        seed = circuit_graph(shape)
-        half = seed.copy()
-        free = seed.free_slots()
-        for a, b in zip(free[: len(free) // 2 : 2], free[1 : len(free) // 2 : 2]):
-            half.add_edge(a, b)
-        for g in (seed, half):
-            cases += [(g, k - 1, k - 1, range(g.num_slots)) for k in (3, 5, 7, 9)]
     k8, _ = builder.build(builder.SeedSpec(k=8))
     cases.append((k8, 12, 11, range(k8.num_slots)))
     closures = 0
