@@ -30,9 +30,10 @@ seeds reproduce equal graphs byte for byte.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import census, ribbon, words
 from .ribbon import CubicRibbonGraph
@@ -284,39 +285,58 @@ class ForbiddenReach:
         return words.word_of_matrix(words.UniMat(*self.matrices[vertex]))
 
 
-def forbidden_reach(g: CubicRibbonGraph, x: int, k: int) -> ForbiddenReach:
-    """Depth-first search for every vertex reachable by a forbidden path.
+@functools.lru_cache(maxsize=4)
+def _admissible_tree(k: int):
+    """Preorder arrays (letter, depth, subtree end, matrix) of the words of
+    at most k - 2 letters and trace at most max(k - 2, 2), R subtrees before
+    L; letter 0 is L and 1 is R, as in ``ribbon.turn_tables``."""
+    max_trace = max(k - 2, 2)
+    nodes = []
+    stack = [(0, 0, 1, 0, 0, 1)]
+    while stack:
+        lt, n, a, b, c, d = stack.pop()
+        nodes.append((lt, n, (a, b, c, d)))
+        if n < k - 2:
+            # pushed L then R, so the R subtree is laid out first
+            if a + c + d <= max_trace:
+                stack.append((0, n + 1, a, a + b, c, c + d))
+            if a + b + d <= max_trace:
+                stack.append((1, n + 1, a + b, b, c + d, d))
+    letter, depth, mats = zip(*nodes)
+    end, open_nodes = [len(nodes)] * len(nodes), []
+    for i, n in enumerate(depth):
+        while open_nodes and depth[open_nodes[-1]] >= n:
+            end[open_nodes.pop()] = i
+        open_nodes.append(i)
+    return letter, depth, tuple(end), mats
 
-    A path is the state (arrival slot, a, b, c, d, length) on an explicit
-    stack, (a, b, c, d) its matrix.  It starts as if arrived at x through
-    x's free slot, so x is a member by the empty path.  A branch ends once
-    its trace exceeds max(k - 2, 2) (appending letters never lowers a
-    trace), at k - 2 edges, or at a free slot.
-    """
+
+def forbidden_reach(g: CubicRibbonGraph, x: int, k: int) -> ForbiddenReach:
+    """Every vertex reachable by a forbidden path, with the matrix of the
+    first one found when R is tried before L: a replay of
+    ``_admissible_tree(k)`` from x's free slot (x is reached by the empty
+    path) that keeps one arrival slot per depth and skips a node's subtree
+    at a free slot.  It does no matrix arithmetic."""
     if g.degree(x) != 2:
         raise ValueError(f"vertex {x} has degree {g.degree(x)}, expected 2")
     if k < 3:
         raise ValueError(f"floor {k} is below 3")
+    letter, depth, end, mats = _admissible_tree(k)
     pair = g.pair_table()
-    succ, pred = ribbon.turn_tables(len(pair))
-    max_len = k - 2
-    max_trace = max(k - 2, 2)
-    reached: dict[int, tuple[int, int, int, int]] = {}
-    stack = [(g.free_slots_of(x)[0], 1, 0, 0, 1, 0)]
-    while stack:
-        t, a, b, c, d, n = stack.pop()
-        y = t // 3
-        if y not in reached:
-            reached[y] = (a, b, c, d)
-        if n == max_len:
+    steps = ribbon.turn_tables(len(pair))
+    slot = [g.free_slots_of(x)[0]] * (k - 1)
+    reached = {x: mats[0]}
+    first = reached.setdefault
+    i, n = 1, len(mats)
+    while i < n:
+        dep = depth[i]
+        p = pair[steps[letter[i]][slot[dep - 1]]]
+        if p < 0:
+            i = end[i]
             continue
-        for e, na, nb, nc, nd in (
-            (succ[t], a, a + b, c, c + d),
-            (pred[t], a + b, b, c + d, d),
-        ):
-            tr = na + nd
-            if pair[e] >= 0 and tr <= max_trace:
-                stack.append((pair[e], na, nb, nc, nd, n + 1))
+        slot[dep] = p
+        first(p // 3, mats[i])
+        i += 1
     return ForbiddenReach(source=x, k=k, members=frozenset(reached), matrices=reached)
 
 

@@ -25,12 +25,13 @@ kept: it is primitive in the surface group, so its geodesic is a primitive
 one of that trace.  Free homotopy between distinct graph cycles is not
 quotiented, so multiplicities are upper bounds for geodesic multiplicities.
 
-The systole comes from a probe that walks from dart 0 alone, which bounds
-it from above, and one full scan at that bound.
+The systole comes from a probe that walks from dart 0 alone in order of
+trace, which bounds it from above, and one full scan at that bound.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -205,17 +206,25 @@ def low_trace_cycles(g: CubicRibbonGraph, bound: int) -> list[CycleClass]:
 
 def _probe_bound(g: CubicRibbonGraph) -> int:
     """Least trace of an essential class through dart 0, an upper bound for
-    the systole trace, found by deepening a scan from dart 0 alone.
+    the systole trace, from one walk of the word tree from dart 0 alone.
 
-    It ends: the alternating (dart, next-turn) map is a permutation, so the
-    orbit of (dart 0, L) closes after an even period p into a walk that reads
-    (LR)^(p/2), primitive as a dart sequence, of trace ``words.lucas(p)``.
+    Walks leave a heap in order of max(trace, darts + 1), the least scan
+    bound that finds them.  An essential walk of trace T has at most T - 1
+    darts, so the first closure popped that is not a letter power has the
+    least trace; it is primitive, since a proper power repeats a prefix
+    that closes, is no letter power either and was popped first.  It ends:
+    every key is passed after finitely many pops, and the orbit of (dart 0,
+    L) under the alternating (dart, next-turn) permutation closes into a
+    walk reading (LR)^(p/2) of trace ``words.lucas(p)``.
     """
-    steps = _step_tables(g)
-    bound = 3
-    while not _group_classes(_enumerate(g, bound, bound - 1, (0,), steps)):
-        bound += 1
-    return bound
+    step_l, step_r = _step_tables(g)
+    heap = [(2, 0, 0, 1, 0, 0, 1)]  # (key, darts, dart, a, b, c, d)
+    while True:
+        _, n, e, a, b, c, d = heapq.heappop(heap)
+        if e == 0 and b and c:  # a closed walk, not a letter power
+            return a + d
+        heapq.heappush(heap, (max(a + c + d, n + 2), n + 1, step_l[e], a, a + b, c, c + d))
+        heapq.heappush(heap, (max(a + b + d, n + 2), n + 1, step_r[e], a + b, b, c + d, d))
 
 
 def _first_classes(g: CubicRibbonGraph, start: int) -> list[CycleClass]:

@@ -3,8 +3,10 @@
 Everything here recomputes results through a different route than the
 library code it checks: matrix counts by bounded quadruple search, closed
 walks by composing per-letter dart maps and reading off fixed points or by
-walking the word tree once per start dart, and graph corpora by exhausting
-perfect matchings over the free slots of fixed circuit shapes.
+walking the word tree once per start dart, the probe bound by deepening,
+forbidden paths by a stack search that does its own matrix arithmetic, and
+graph corpora by exhausting perfect matchings over the free slots of fixed
+circuit shapes.
 """
 
 from __future__ import annotations
@@ -139,6 +141,17 @@ def dart_major_enumerate(
     return found
 
 
+def deepening_probe_bound(g: CubicRibbonGraph) -> int:
+    """``scanner._probe_bound`` by iterative deepening: one scan from dart 0
+    alone per bound 3, 4, ..., each walking the word tree afresh, until one
+    finds an essential class."""
+    steps = scanner._step_tables(g)
+    bound = 3
+    while not scanner._group_classes(scanner._enumerate(g, bound, bound - 1, (0,), steps)):
+        bound += 1
+    return bound
+
+
 def naive_cycle_classes(g, max_len, max_trace):
     """The oracle's answer shaped like low_trace_cycles output."""
     raw = naive_walk_classes(g, max_len, max_trace)
@@ -186,6 +199,34 @@ def naive_forbidden_reach(g: CubicRibbonGraph, x: int, k: int) -> set[int]:
             if end is not None:
                 out.add(end)
     return out
+
+
+def stack_forbidden_reach(g: CubicRibbonGraph, x: int, k: int) -> builder.ForbiddenReach:
+    """``builder.forbidden_reach`` as a depth-first search that does its own
+    matrix arithmetic: each path is the state (arrival slot, a, b, c, d,
+    length) on an explicit stack, pruned by trace and length as it grows,
+    instead of a replay of a precomputed word tree."""
+    pair = g.pair_table()
+    succ, pred = ribbon.turn_tables(len(pair))
+    max_len = k - 2
+    max_trace = max(k - 2, 2)
+    reached: dict[int, tuple[int, int, int, int]] = {}
+    stack = [(g.free_slots_of(x)[0], 1, 0, 0, 1, 0)]
+    while stack:
+        t, a, b, c, d, n = stack.pop()
+        y = t // 3
+        if y not in reached:
+            reached[y] = (a, b, c, d)
+        if n == max_len:
+            continue
+        for e, na, nb, nc, nd in (
+            (succ[t], a, a + b, c, c + d),
+            (pred[t], a + b, b, c + d, d),
+        ):
+            tr = na + nd
+            if pair[e] >= 0 and tr <= max_trace:
+                stack.append((pair[e], na, nb, nc, nd, n + 1))
+    return builder.ForbiddenReach(source=x, k=k, members=frozenset(reached), matrices=reached)
 
 
 def floor_checked_build(monkeypatch, run):

@@ -30,6 +30,7 @@ from _oracles import (
     floor_checked_build,
     free_slot_path_end,
     naive_forbidden_reach,
+    stack_forbidden_reach,
 )
 
 
@@ -151,15 +152,20 @@ def _check_reach_against_oracle(g, x, k):
         assert free_slot_path_end(g, x, w) == v
 
 
+SEED_SHAPES = (["LLLR"] * 3, ["LR"] * 4, ["LLL", "LLR"], ["L" * 12])
+
+
 def test_forbidden_reach_matches_the_path_oracle_on_seeds():
-    for shape in (["LLLR"] * 3, ["LR"] * 4, ["LLL", "LLR"], ["L" * 12]):
+    for shape in SEED_SHAPES:
         g = circuit_graph(shape)
         for k in (3, 4, 5, 7):
             for x in g.degree2_vertices():
                 _check_reach_against_oracle(g, x, k)
 
 
-def test_forbidden_reach_matches_the_path_oracle_mid_completion(monkeypatch):
+def _recorded_reach_calls(monkeypatch, specs):
+    """(graph copy, x, k) of every forbidden_reach call of the builds at the
+    given (k, rng_seed) pairs."""
     calls = []
     real = builder.forbidden_reach
 
@@ -167,13 +173,80 @@ def test_forbidden_reach_matches_the_path_oracle_mid_completion(monkeypatch):
         calls.append((g.copy(), x, k))
         return real(g, x, k)
 
-    monkeypatch.setattr(builder, "forbidden_reach", recording)
-    for k, rng_seed in ((3, 0), (4, 5), (5, 0), (6, 1), (7, 2)):
-        build(SeedSpec(k=k, rng_seed=rng_seed))
-    monkeypatch.undo()
+    with monkeypatch.context() as m:
+        m.setattr(builder, "forbidden_reach", recording)
+        for k, rng_seed in specs:
+            build(SeedSpec(k=k, rng_seed=rng_seed))
+    return calls
+
+
+def test_forbidden_reach_matches_the_path_oracle_mid_completion(monkeypatch):
+    calls = _recorded_reach_calls(monkeypatch, ((3, 0), (4, 5), (5, 0), (6, 1), (7, 2)))
     assert len(calls) > 50  # 70 calls across the five builds
     for g, x, k in calls:
         _check_reach_against_oracle(g, x, k)
+
+
+def test_tree_replay_matches_the_stack_search_oracle(monkeypatch):
+    calls = _recorded_reach_calls(monkeypatch, ((3, 0), (4, 5), (5, 0), (6, 1), (7, 2), (10, 0)))
+    assert len(calls) > 100
+    for shape in SEED_SHAPES:
+        g = circuit_graph(shape)
+        calls += [(g, x, k) for k in (3, 4, 5, 7) for x in g.degree2_vertices()]
+    for g, x, k in calls:
+        got, want = forbidden_reach(g, x, k), stack_forbidden_reach(g, x, k)
+        assert got.members == want.members
+        assert got.matrices == want.matrices
+        # the first-found witness of each member, so the build's choices
+        assert list(got.matrices) == list(want.matrices)
+        assert all(got.witness(v) == want.witness(v) for v in got.members)
+
+
+def test_forbidden_reach_matches_the_path_oracle_on_partial_graphs():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def partial_graphs(draw):
+        n = draw(st.integers(1, 10))
+        slots = draw(st.permutations(range(3 * n)))
+        edges = draw(st.integers(0, 3 * n // 2))
+        g = ribbon.CubicRibbonGraph(n)
+        for a, b in zip(slots[: 2 * edges : 2], slots[1 : 2 * edges : 2]):
+            g.add_edge(a, b)
+        return g
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(partial_graphs(), st.integers(3, 8))
+    def check(g, k):
+        hypothesis.assume(g.degree2_vertices())
+        for x in g.degree2_vertices():
+            _check_reach_against_oracle(g, x, k)
+
+    check()
+
+
+def test_admissible_tree_is_lazy_bounded_and_not_limited_by_the_recursion_limit():
+    code = """
+import sys
+from systolic import builder
+print(builder._admissible_tree.cache_info().currsize)
+sys.setrecursionlimit(80)
+print(len(builder._admissible_tree(60)[0]))
+print(builder.build(builder.SeedSpec(k=10))[1].output_sha)
+"""
+    src = os.path.dirname(os.path.dirname(builder.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    cached, nodes, sha = done.stdout.split()
+    assert cached == "0"  # importing the builder builds no tree
+    assert int(nodes) == len(builder._admissible_tree(60)[0])
+    assert sha == build(SeedSpec(k=10))[1].output_sha
+    for k in range(3, 13):
+        builder._admissible_tree(k)
+    info = builder._admissible_tree.cache_info()
+    assert info.currsize <= info.maxsize <= 8
 
 
 def test_forbidden_reach_requires_degree_two():

@@ -22,6 +22,7 @@ from _oracles import (
     circuit_graph,
     dart_major_enumerate,
     deepening_first_classes,
+    deepening_probe_bound,
     naive_cycle_classes,
     naive_walk_classes,
     random_complete_graph,
@@ -211,10 +212,10 @@ def test_probe_bound_bounds_the_systole():
         assert scanner._probe_bound(g) >= deepening_first_classes(g, 3)[0].trace
 
 
-def test_first_classes_match_the_deepening_oracle():
+def _systole_corpus():
     k5, k8 = (builder.build(builder.SeedSpec(k=k))[0] for k in (5, 8))
     rng = random.Random(7)
-    graphs = [
+    return [
         theta_graph(False),
         theta_graph(True),
         *small_complete_corpus(),
@@ -223,8 +224,18 @@ def test_first_classes_match_the_deepening_oracle():
         _disjoint_union(k5, theta_graph(True)),
         *(random_complete_graph(rng, 12) for _ in range(100)),
     ]
+
+
+def test_probe_bound_matches_the_deepening_oracle():
+    graphs = _systole_corpus()
+    bounds = [scanner._probe_bound(g) for g in graphs]
+    assert bounds == [deepening_probe_bound(g) for g in graphs]
+    assert len(set(bounds)) > 3
+
+
+def test_first_classes_match_the_deepening_oracle():
     probe_overshoots = False
-    for g in graphs:
+    for g in _systole_corpus():
         s = deepening_first_classes(g, 3)[0].trace
         for start in (3, max(3, s - 1), s, s + 2):
             assert scanner._first_classes(g, start) == deepening_first_classes(g, start)
