@@ -45,7 +45,6 @@ __all__ = [
     "Plant",
     "SeedSpec",
     "word_for_trace",
-    "padding_word",
     "parity_word",
     "seed_size_bound",
     "check_planted_budget",
@@ -76,11 +75,6 @@ def word_for_trace(t: int) -> str:
     if t < 3:
         raise ValueError(f"trace {t} is below 3")
     return "L" * (t - 2) + "R"
-
-
-def padding_word(k: int) -> str:
-    """Bulk padding circuit: trace k on k - 1 vertices."""
-    return word_for_trace(k)
 
 
 def parity_word(k: int) -> str:
@@ -131,7 +125,6 @@ class SeedSpec:
             raise SeedSpecError(f"floor k={self.k!r} must be an integer >= 3")
         if not isinstance(self.rng_seed, int) or not 0 <= self.rng_seed < 2**64:
             raise SeedSpecError(f"rng_seed {self.rng_seed!r} must fit in 64 bits")
-        planted_vertices = 0
         for plant in self.plants:
             words.check_word(plant.word)
             if not plant.word:
@@ -139,8 +132,7 @@ class SeedSpec:
             if not isinstance(plant.multiplicity, int) or plant.multiplicity < 1:
                 raise SeedSpecError(f"multiplicity {plant.multiplicity!r} must be a positive integer")
             self._check_plant_word(plant.word)
-            planted_vertices += plant.multiplicity * len(plant.word)
-        check_planted_budget(self.k, planted_vertices)
+        check_planted_budget(self.k, self.planted_vertices())
         if self.size is not None:
             if self.size % 2:
                 raise SeedSpecError(f"size {self.size} must be even")
@@ -257,7 +249,7 @@ def make_seed(spec: SeedSpec) -> CubicRibbonGraph:
     padding_ids = list(range(cursor, size))
     random.Random(spec.rng_seed).shuffle(padding_ids)
     offset = 0
-    for word in [padding_word(spec.k)] * n_padding + ([parity_word(spec.k)] if use_parity else []):
+    for word in [word_for_trace(spec.k)] * n_padding + ([parity_word(spec.k)] if use_parity else []):
         _install_circuit(g, padding_ids[offset : offset + len(word)], word)
         offset += len(word)
     return g
@@ -400,9 +392,9 @@ def _require(ok: bool, g: CubicRibbonGraph, note: str) -> None:
 def _non_seed_edge(g: CubicRibbonGraph, v: int) -> tuple[int, int]:
     """The unique non-seed edge at a degree-3 vertex, as (slot at v, partner slot)."""
     out = [
-        (s, g.pair(s))
+        (s, p)
         for s in (ribbon.slot(v, i) for i in range(3))
-        if not g.is_free(s) and not g.is_seed_slot(s)
+        if (p := g.pair(s)) is not None and not g.is_seed_slot(s)
     ]
     _require(len(out) == 1, g, f"vertex {v} has {len(out)} non-seed edges, expected 1")
     return out[0]

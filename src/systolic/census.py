@@ -14,9 +14,6 @@ of the growth of N(m): its last two columns are N/(m^2 log m) and
 N/(m^2 log log m), reported and never judged, since the growth statements
 hide unspecified constants.
 
-Trace 2 is the infinite family of pure powers of L and of R and is
-represented by the ``INFINITE`` sentinel, never by a number.
-
 The divisor sieve is built once and then read-only; table rows are
 independent and assembled in deterministic order.
 """
@@ -29,13 +26,11 @@ from dataclasses import dataclass, field
 from .words import UniMat
 
 __all__ = [
-    "INFINITE",
     "divisor_count",
     "MAX_SIEVE_LIMIT",
     "DivisorSieve",
     "n_by_formula",
     "n_by_enumeration",
-    "n_of",
     "N_of",
     "count_words_by_trace",
     "CensusMismatch",
@@ -43,22 +38,6 @@ __all__ = [
     "CensusTable",
 ]
 
-
-class _InfiniteCount:
-    """Sentinel for the infinitely many trace-2 elements (powers of L or R)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "infinite"
-
-
-INFINITE = _InfiniteCount()
 
 # Largest sieve the library will allocate.  A trace-m census needs about
 # m*m/4 entries, so 10**7 covers traces up to 6,324 (and a construct floor
@@ -186,15 +165,6 @@ def n_by_enumeration(
     if with_matrices:
         return count, matrices
     return count
-
-
-def n_of(m: int, sieve: DivisorSieve | None = None):
-    """n(m) for m >= 3; the INFINITE sentinel for the trace-2 families."""
-    if m < 2:
-        raise ValueError(f"trace {m} rejected: traces start at 2")
-    if m == 2:
-        return INFINITE
-    return n_by_formula(m, sieve)
 
 
 def N_of(m: int, sieve: DivisorSieve | None = None) -> int:

@@ -26,7 +26,6 @@ from fractions import Fraction
 
 __all__ = [
     "slot",
-    "vertex_of",
     "succ",
     "pred",
     "turn_tables",
@@ -52,10 +51,6 @@ def slot(v: int, i: int) -> int:
     return 3 * v + i
 
 
-def vertex_of(s: int) -> int:
-    return s // 3
-
-
 def succ(s: int) -> int:
     """Cyclic successor of a slot within its vertex."""
     return s - s % 3 + (s % 3 + 1) % 3
@@ -76,7 +71,7 @@ def turn_tables(n_slots: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def turn_letter(arrival: int, exit_slot: int) -> str:
     """Letter of the turn that enters a vertex at ``arrival`` and leaves at
     ``exit_slot``; exiting by the same slot (backtracking) is not a turn."""
-    if vertex_of(arrival) != vertex_of(exit_slot):
+    if arrival // 3 != exit_slot // 3:
         raise ValueError(f"slots {arrival} and {exit_slot} are not at the same vertex")
     if exit_slot == succ(arrival):
         return "L"
@@ -124,9 +119,6 @@ class CubicRibbonGraph:
     def pair_table(self) -> list[int]:
         """Raw pairing array (-1 marks a free slot); callers must not mutate."""
         return self._pair
-
-    def is_free(self, s: int) -> bool:
-        return self.pair(s) is None
 
     def is_seed_slot(self, s: int) -> bool:
         self._check_slot(s)
@@ -295,7 +287,7 @@ def genus_closed(g: CubicRibbonGraph) -> list[ComponentSurface]:
             comp_index[v] = idx
     face_lengths: list[list[int]] = [[] for _ in comps]
     for face in faces(g):
-        face_lengths[comp_index[vertex_of(face[0])]].append(len(face))
+        face_lengths[comp_index[face[0] // 3]].append(len(face))
     out = []
     for vs, lengths in zip(comps, face_lengths):
         if len(vs) % 2:
@@ -458,20 +450,14 @@ def deserialize(text: str) -> CubicRibbonGraph:
             claimed[s] = t
 
     for s, t in enumerate(claimed):
-        if t < 0:
-            continue
-        if claimed[t] != s:
+        if t >= 0 and claimed[t] != s:
             raise CrgParseError(
                 f"slot {_slot_token(s)} pairs {_slot_token(t)} but "
                 f"{_slot_token(t)} does not pair back (slot paired twice or left free)"
             )
-    if sum(1 for t in claimed if t >= 0) % 2:
-        raise CrgParseError("odd number of paired slots")
 
     g = CubicRibbonGraph(num_vertices)
-    for s, t in enumerate(claimed):
-        if 0 <= t and s < t:
-            g.add_edge(s, t)
+    g._pair = claimed  # a fixed-point-free partial involution by now
 
     rest = lines[2 + num_vertices:]
     if rest:

@@ -108,7 +108,7 @@ def _step_tables(g: CubicRibbonGraph) -> tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def _enumerate(
-    g: CubicRibbonGraph, max_trace: int, max_len: int, starts, steps=None
+    g: CubicRibbonGraph, max_trace: int, max_len: int, starts
 ) -> dict[tuple[int, ...], str]:
     """Closed-walk classes of a complete graph with word trace <= max_trace
     and <= max_len darts, started at the darts of ``starts``, as {canonical
@@ -121,13 +121,12 @@ def _enumerate(
     starts each walk comes from its least dart only.  At a node where some
     walks close, the word is the unique factorization of the matrix, and
     each closing walk's darts are replayed from its start along the word.
-    The nodes wait on one explicit stack.  ``steps`` is ``_step_tables(g)``, passed by callers that scan
-    one graph repeatedly.
+    The nodes wait on one explicit stack.
     """
     found: dict[tuple[int, ...], str] = {}
     if max_len < 1:
         return found
-    step_l, step_r = steps or _step_tables(g)
+    step_l, step_r = _step_tables(g)
     starts = tuple(starts)
     stack = [(starts, starts, 1, 0, 0, 1, 1)] if starts else []
     while stack:

@@ -13,7 +13,7 @@ Two words are equivalent when one is a cyclic rotation of the other or of
 its ``star`` (read backwards with L and R interchanged).  Rotation is a
 trace-preserving conjugation and ``star`` is transposition, so the trace,
 and hence the hyperbolic length 2*arccosh(trace/2), is well defined on
-equivalence classes.
+equivalence classes; ``canonical`` names each class by its least member.
 
 All trace decisions are made on exact integers; floating point enters only
 in ``geodesic_length``, which is presentation-layer by design.  Everything
@@ -28,21 +28,15 @@ from dataclasses import dataclass
 __all__ = [
     "GOLDEN_RATIO",
     "UniMat",
-    "L_MAT",
-    "R_MAT",
     "check_word",
     "matrix_of",
     "trace_of",
     "geodesic_length",
     "star",
-    "rotations",
-    "equivalence_class",
-    "equivalent",
     "canonical",
     "least_rotation",
     "word_of_matrix",
     "insert_letter",
-    "insertion_trace",
     "is_letter_power",
     "lucas",
     "phi_power_floor",
@@ -89,10 +83,6 @@ class UniMat:
             raise ValueError(f"matrix {self.as_tuple()} does not have determinant 1")
 
     @staticmethod
-    def identity() -> "UniMat":
-        return UniMat(1, 0, 0, 1)
-
-    @staticmethod
     def parse(text: str) -> "UniMat":
         """Parse the external "a,b,c,d" row-major comma list."""
         parts = text.split(",")
@@ -121,10 +111,6 @@ class UniMat:
 
     def __str__(self) -> str:
         return f"{self.a},{self.b},{self.c},{self.d}"
-
-
-L_MAT = UniMat(1, 1, 0, 1)
-R_MAT = UniMat(1, 0, 1, 1)
 
 
 def _product(word: str) -> tuple[int, int, int, int]:
@@ -170,30 +156,6 @@ def star(word: str) -> str:
     """Reverse the word and interchange L and R (matrix transposition)."""
     check_word(word)
     return word[::-1].translate(_STAR)
-
-
-def rotations(word: str) -> list[str]:
-    """All cyclic rotations; the empty word has itself as its only rotation."""
-    check_word(word)
-    if not word:
-        return [""]
-    return [word[i:] + word[:i] for i in range(len(word))]
-
-
-def equivalence_class(word: str) -> set[str]:
-    """Rotations of the word together with rotations of its star."""
-    return set(rotations(word)) | set(rotations(star(word)))
-
-
-def _is_rotation(w: str, v: str) -> bool:
-    return len(w) == len(v) and (not w or v in w + w)
-
-
-def equivalent(w: str, v: str) -> bool:
-    """True iff v is a cyclic rotation of w or of star(w)."""
-    check_word(w)
-    check_word(v)
-    return _is_rotation(w, v) or _is_rotation(star(w), v)
 
 
 def least_rotation(seq, mirror):
@@ -256,11 +218,6 @@ def insert_letter(word: str, position: int, letter: str) -> str:
     if not 0 <= position <= len(word):
         raise ValueError(f"position {position} outside [0, {len(word)}]")
     return word[:position] + letter + word[position:]
-
-
-def insertion_trace(word: str, position: int, letter: str) -> tuple[int, int]:
-    """Traces (before, after) for an insertion; handy for monotonicity checks."""
-    return trace_of(word), trace_of(insert_letter(word, position, letter))
 
 
 def lucas(n: int) -> int:

@@ -1,7 +1,8 @@
 """Independent oracles and small-graph corpora shared by the test modules.
 
 Everything here recomputes results through a different route than the
-library code it checks: matrix counts by bounded quadruple search, closed
+library code it checks: matrix counts by bounded quadruple search, word
+classes by listing every rotation of a word and of its star, closed
 walks by composing per-letter dart maps and reading off fixed points or by
 walking the word tree once per start dart, the probe bound by deepening,
 forbidden paths by a stack search that does its own matrix arithmetic, and
@@ -52,6 +53,20 @@ def all_words(max_len: int):
     for length in range(max_len + 1):
         for bits in range(2**length):
             yield "".join("L" if bits >> i & 1 else "R" for i in range(length))
+
+
+def rotations(word: str) -> list[str]:
+    """All cyclic rotations; the empty word has itself as its only rotation."""
+    words.check_word(word)
+    if not word:
+        return [""]
+    return [word[i:] + word[:i] for i in range(len(word))]
+
+
+def equivalence_class(word: str) -> set[str]:
+    """Rotations of the word together with rotations of its star: the class
+    that ``words.canonical`` names by its least member, listed in full."""
+    return set(rotations(word)) | set(rotations(words.star(word)))
 
 
 # -- closed-walk oracle -----------------------------------------------------
@@ -145,9 +160,8 @@ def deepening_probe_bound(g: CubicRibbonGraph) -> int:
     """``scanner._probe_bound`` by iterative deepening: one scan from dart 0
     alone per bound 3, 4, ..., each walking the word tree afresh, until one
     finds an essential class."""
-    steps = scanner._step_tables(g)
     bound = 3
-    while not scanner._group_classes(scanner._enumerate(g, bound, bound - 1, (0,), steps)):
+    while not scanner._group_classes(scanner._enumerate(g, bound, bound - 1, (0,))):
         bound += 1
     return bound
 

@@ -1,13 +1,16 @@
 import ast
 import glob
 import hashlib
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
 import pytest
 
+import systolic
 from systolic import builder, census, ribbon, scanner, words
 from systolic.builder import (
     HypothesisError,
@@ -19,7 +22,6 @@ from systolic.builder import (
     forbidden_reach,
     forbidden_set_bound,
     make_seed,
-    padding_word,
     parity_word,
     seed_size_bound,
     word_for_trace,
@@ -35,12 +37,11 @@ from _oracles import (
 
 
 def test_padding_words():
-    assert word_for_trace(5) == "LLLR"
-    assert padding_word(5) == "LLLR" and words.trace_of(padding_word(5)) == 5
+    assert word_for_trace(5) == "LLLR" and words.trace_of(word_for_trace(5)) == 5
     assert parity_word(5) == "LLLRR" and words.trace_of(parity_word(5)) == 8
     for k in range(3, 20):
-        assert words.trace_of(padding_word(k)) == k
-        assert len(padding_word(k)) == k - 1
+        assert words.trace_of(word_for_trace(k)) == k
+        assert len(word_for_trace(k)) == k - 1
         assert words.trace_of(parity_word(k)) == 2 * k - 2
         assert len(parity_word(k)) == k
 
@@ -377,6 +378,17 @@ def test_no_bare_asserts_under_src():
         name = os.path.basename(path)
         hits += [f"{name}:{n.lineno}" for n in ast.walk(tree) if isinstance(n, ast.Assert)]
     assert not hits
+
+
+def test_every_export_resolves_once():
+    # a name deleted from a module must also leave every __all__ that lists it
+    modules = [systolic] + [
+        importlib.import_module(f"systolic.{m.name}") for m in pkgutil.iter_modules(systolic.__path__)
+    ]
+    for module in modules:
+        exports = getattr(module, "__all__", [])
+        assert len(exports) == len(set(exports)), module.__name__
+        assert [e for e in exports if not hasattr(module, e)] == [], module.__name__
 
 
 def test_builder_does_not_import_the_scanner():

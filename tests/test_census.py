@@ -4,7 +4,6 @@ import pytest
 
 from systolic import census, words
 from systolic.census import (
-    INFINITE,
     CensusMismatch,
     CensusTable,
     DivisorSieve,
@@ -13,7 +12,6 @@ from systolic.census import (
     divisor_count,
     n_by_enumeration,
     n_by_formula,
-    n_of,
 )
 
 from _oracles import brute_force_matrices, brute_force_trace_count
@@ -58,17 +56,12 @@ def test_counts_match_bruteforce_search():
         assert n_by_enumeration(m) == expected
 
 
-def test_trace_two_is_infinite_sentinel():
-    assert n_of(2) is INFINITE
-    assert repr(INFINITE) == "infinite"
-    assert not isinstance(n_of(2), int)
-    assert n_of(3) == 2
-    for bad in (0, 1):
-        with pytest.raises(ValueError):
-            n_of(bad)
+def test_traces_two_and_below_are_rejected():
+    # trace 2 is the infinite family of letter powers: no count exists
     for fn in (n_by_formula, n_by_enumeration):
-        with pytest.raises(ValueError):
-            fn(2)
+        for bad in (0, 1, 2):
+            with pytest.raises(ValueError):
+                fn(bad)
 
 
 def test_enumerated_matrices_are_exactly_the_bruteforce_set():
