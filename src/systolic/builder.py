@@ -257,55 +257,42 @@ def make_seed(spec: SeedSpec) -> CubicRibbonGraph:
 
 @dataclass(frozen=True)
 class ForbiddenReach:
-    """Endpoints of forbidden paths out of the free slot of one vertex, each
-    with the matrix of the first path found to it; the path's word is read
-    back from that matrix, since every product of L and R factors uniquely."""
+    """Endpoints of forbidden paths out of the free slot of one vertex; the
+    completion reads only ``members``, and so does the benchmark tracer's
+    member counter."""
 
-    source: int
-    k: int
     members: frozenset[int]
-    matrices: dict[int, tuple[int, int, int, int]]  # one path matrix per member
-
-    def __contains__(self, vertex: int) -> bool:
-        return vertex in self.members
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def witness(self, vertex: int) -> str:
-        """Word of the first forbidden path found from the source to ``vertex``."""
-        return words.word_of_matrix(words.UniMat(*self.matrices[vertex]))
 
 
 @functools.lru_cache(maxsize=4)
 def _admissible_tree(k: int):
-    """Preorder arrays (letter, depth, subtree end, matrix) of the words of
-    at most k - 2 letters and trace at most max(k - 2, 2), R subtrees before
-    L; letter 0 is L and 1 is R, as in ``ribbon.turn_tables``."""
+    """Preorder arrays (letter, depth, subtree end) of the words of at most
+    k - 2 letters and trace at most max(k - 2, 2), R subtrees before L;
+    letter 0 is L and 1 is R, as in ``ribbon.turn_tables``.  Each word's
+    matrix lives only on the build stack, to prune by trace."""
     max_trace = max(k - 2, 2)
     nodes = []
     stack = [(0, 0, 1, 0, 0, 1)]
     while stack:
         lt, n, a, b, c, d = stack.pop()
-        nodes.append((lt, n, (a, b, c, d)))
+        nodes.append((lt, n))
         if n < k - 2:
             # pushed L then R, so the R subtree is laid out first
             if a + c + d <= max_trace:
                 stack.append((0, n + 1, a, a + b, c, c + d))
             if a + b + d <= max_trace:
                 stack.append((1, n + 1, a + b, b, c + d, d))
-    letter, depth, mats = zip(*nodes)
+    letter, depth = zip(*nodes)
     end, open_nodes = [len(nodes)] * len(nodes), []
     for i, n in enumerate(depth):
         while open_nodes and depth[open_nodes[-1]] >= n:
             end[open_nodes.pop()] = i
         open_nodes.append(i)
-    return letter, depth, tuple(end), mats
+    return letter, depth, tuple(end)
 
 
 def forbidden_reach(g: CubicRibbonGraph, x: int, k: int) -> ForbiddenReach:
-    """Every vertex reachable by a forbidden path, with the matrix of the
-    first one found when R is tried before L: a replay of
+    """Every vertex reachable by a forbidden path: a replay of
     ``_admissible_tree(k)`` from x's free slot (x is reached by the empty
     path) that keeps one arrival slot per depth and skips a node's subtree
     at a free slot.  It does no matrix arithmetic."""
@@ -313,13 +300,13 @@ def forbidden_reach(g: CubicRibbonGraph, x: int, k: int) -> ForbiddenReach:
         raise ValueError(f"vertex {x} has degree {g.degree(x)}, expected 2")
     if k < 3:
         raise ValueError(f"floor {k} is below 3")
-    letter, depth, end, mats = _admissible_tree(k)
+    letter, depth, end = _admissible_tree(k)
     pair = g.pair_table()
     steps = ribbon.turn_tables(len(pair))
     slot = [g.free_slots_of(x)[0]] * (k - 1)
-    reached = {x: mats[0]}
-    first = reached.setdefault
-    i, n = 1, len(mats)
+    reached = {x}
+    add = reached.add
+    i, n = 1, len(letter)
     while i < n:
         dep = depth[i]
         p = pair[steps[letter[i]][slot[dep - 1]]]
@@ -327,9 +314,9 @@ def forbidden_reach(g: CubicRibbonGraph, x: int, k: int) -> ForbiddenReach:
             i = end[i]
             continue
         slot[dep] = p
-        first(p // 3, mats[i])
+        add(p // 3)
         i += 1
-    return ForbiddenReach(source=x, k=k, members=frozenset(reached), matrices=reached)
+    return ForbiddenReach(frozenset(reached))
 
 
 def _circuit_word(g: CubicRibbonGraph, start: int) -> str:
@@ -410,9 +397,9 @@ def _run_completion(
     # exactly x and y to degree 3 (a swap's w and w' drop and recover in-step).
     deg2 = work.degree2_vertices()
     while deg2:
-        reaches: dict[int, ForbiddenReach] = {}
+        reaches: dict[int, frozenset[int]] = {}
         for x in deg2:
-            fx = reaches[x] = forbidden_reach(work, x, k)
+            fx = reaches[x] = forbidden_reach(work, x, k).members
             stats.max_forbidden_set = max(stats.max_forbidden_set, len(fx))
             y = next((v for v in deg2 if v != x and v not in fx), None)
             if y is not None:
@@ -424,8 +411,8 @@ def _run_completion(
             # Case 2: every ordered degree-2 pair is mutually forbidden.
             x, y = deg2[0], deg2[1]
             fx, fy = reaches[x], reaches[y]
-            union = fx.members | fy.members
-            inter = fx.members & fy.members
+            union = fx | fy
+            inter = fx & fy
             outside = [v for v in range(work.num_vertices) if v not in union]
             for v in outside:
                 _require(work.degree(v) == 3, work, f"degree-2 vertex {v} escaped both forbidden sets")

@@ -167,13 +167,13 @@ def n_by_enumeration(
     return count
 
 
-def N_of(m: int, sieve: DivisorSieve | None = None) -> int:
+def N_of(m: int) -> int:
     """Cumulative count over traces 3..m; empty (0) at m = 2."""
     if m < 2:
         raise ValueError(f"N is defined for m >= 2, got {m}")
     if m == 2:
         return 0
-    sieve = _sieve_for(m, sieve)
+    sieve = _sieve_for(m, None)
     return sum(n_by_formula(j, sieve) for j in range(3, m + 1))
 
 

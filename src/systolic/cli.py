@@ -95,7 +95,7 @@ def _cmd_construct(args) -> int:
             strict_seed_trace=args.strict_seed_trace,
         )
         graph, report = builder.build(spec)
-    except (builder.SeedSpecError, builder.HypothesisError, ValueError) as exc:
+    except ValueError as exc:
         print(f"construct: {exc}", file=sys.stderr)
         return EXIT_USAGE
     _write_output(ribbon.serialize(graph), args.output)
@@ -140,11 +140,11 @@ def _cmd_report(args) -> int:
 
 def _cmd_recover(args) -> int:
     try:
-        mat = words.UniMat.parse(args.matrix)
+        word = words.word_of_matrix(words.UniMat.parse(args.matrix))
     except ValueError as exc:
         print(f"recover: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    sys.stdout.write(words.word_of_matrix(mat) + "\n")
+    sys.stdout.write(word + "\n")
     return EXIT_OK
 
 

@@ -29,7 +29,6 @@ __all__ = [
     "succ",
     "pred",
     "turn_tables",
-    "turn_letter",
     "CubicRibbonGraph",
     "faces",
     "ComponentSurface",
@@ -66,18 +65,6 @@ def turn_tables(n_slots: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(succ, pred) of every slot below ``n_slots``, for hot loops to index
     instead of calling ``succ``/``pred`` per step; cached per slot count."""
     return tuple(map(succ, range(n_slots))), tuple(map(pred, range(n_slots)))
-
-
-def turn_letter(arrival: int, exit_slot: int) -> str:
-    """Letter of the turn that enters a vertex at ``arrival`` and leaves at
-    ``exit_slot``; exiting by the same slot (backtracking) is not a turn."""
-    if arrival // 3 != exit_slot // 3:
-        raise ValueError(f"slots {arrival} and {exit_slot} are not at the same vertex")
-    if exit_slot == succ(arrival):
-        return "L"
-    if exit_slot == pred(arrival):
-        return "R"
-    raise ValueError(f"exit {exit_slot} backtracks the arrival {arrival}")
 
 
 class CubicRibbonGraph:
@@ -131,9 +118,6 @@ class CubicRibbonGraph:
 
     def is_complete(self) -> bool:
         return all(p >= 0 for p in self._pair)
-
-    def free_slots(self) -> list[int]:
-        return [s for s, p in enumerate(self._pair) if p < 0]
 
     def free_slots_of(self, v: int) -> list[int]:
         base = slot(v, 0)
@@ -204,19 +188,6 @@ class CubicRibbonGraph:
         g = CubicRibbonGraph(self.num_vertices)
         g._pair = list(self._pair)
         g._seed = list(self._seed)
-        return g
-
-    def relabeled(self, perm: list[int]) -> "CubicRibbonGraph":
-        """New graph with vertex v renamed perm[v]; slot indices ride along."""
-        n = self.num_vertices
-        if sorted(perm) != list(range(n)):
-            raise ValueError("perm is not a permutation of the vertices")
-        g = CubicRibbonGraph(n)
-        move = lambda s: 3 * perm[s // 3] + s % 3
-        for s, p in enumerate(self._pair):
-            if p >= 0:
-                g._pair[move(s)] = move(p)
-                g._seed[move(s)] = self._seed[s]
         return g
 
     def __eq__(self, other: object) -> bool:

@@ -43,7 +43,6 @@ from .ribbon import CubicRibbonGraph
 
 __all__ = [
     "CycleClass",
-    "walk_word",
     "canonical_walk",
     "low_trace_cycles",
     "systole",
@@ -69,21 +68,6 @@ class CycleClass:
         return (self.trace, self.word, self.witness)
 
 
-def walk_word(g: CubicRibbonGraph, darts: tuple[int, ...]) -> str:
-    """Word read along a closed dart sequence (letter i is the turn into
-    dart i+1, wrapping at the end)."""
-    if not darts:
-        raise ValueError("empty walk")
-    pair = g.pair_table()
-    letters = []
-    for i, d in enumerate(darts):
-        t = pair[d]
-        if t < 0:
-            raise ValueError(f"dart {d} has no edge")
-        letters.append(ribbon.turn_letter(t, darts[(i + 1) % len(darts)]))
-    return "".join(letters)
-
-
 def canonical_walk(darts: tuple[int, ...], g: CubicRibbonGraph) -> tuple[int, ...]:
     """Least rotation of the dart sequence or of its reversal, which flips
     every dart to its partner and reverses the order."""
@@ -107,27 +91,25 @@ def _step_tables(g: CubicRibbonGraph) -> tuple[tuple[int, ...], tuple[int, ...]]
     return tuple(succ[t] for t in pair), tuple(pred[t] for t in pair)
 
 
-def _enumerate(
-    g: CubicRibbonGraph, max_trace: int, max_len: int, starts
-) -> dict[tuple[int, ...], str]:
-    """Closed-walk classes of a complete graph with word trace <= max_trace
-    and <= max_len darts, started at the darts of ``starts``, as {canonical
-    dart sequence: canonical word}.
+def _enumerate(g: CubicRibbonGraph, max_trace: int) -> dict[tuple[int, ...], str]:
+    """Closed-walk classes of a complete graph with word trace <= max_trace,
+    as {canonical dart sequence: canonical word}.  Every dart is a start,
+    and walks stop at max_trace - 1 darts: a word that is not a letter
+    power has at most trace - 1 letters, and letter powers are dropped.
 
     One walk of the tree of words carries, per node, the matrix (a, b, c,
     d) and length of the word with the tuple of start darts still alive and
     the current dart of each; a letter steps them all at once.  A start is
-    dropped once its walk steps onto a dart below it, so with ascending
-    starts each walk comes from its least dart only.  At a node where some
-    walks close, the word is the unique factorization of the matrix, and
-    each closing walk's darts are replayed from its start along the word.
-    The nodes wait on one explicit stack.
+    dropped once its walk steps onto a dart below it, so each walk comes
+    from its least dart only.  At a node where some walks close, the word
+    is the unique factorization of the matrix, and each closing walk's
+    darts are replayed from its start along the word.  The nodes wait on
+    one explicit stack.
     """
     found: dict[tuple[int, ...], str] = {}
-    if max_len < 1:
-        return found
+    max_len = max_trace - 1
     step_l, step_r = _step_tables(g)
-    starts = tuple(starts)
+    starts = tuple(range(g.num_slots))
     stack = [(starts, starts, 1, 0, 0, 1, 1)] if starts else []
     while stack:
         st, cur, a, b, c, d, n = stack.pop()
@@ -190,17 +172,14 @@ def _group_classes(raw: dict[tuple[int, ...], str]) -> list[CycleClass]:
 def low_trace_cycles(g: CubicRibbonGraph, bound: int) -> list[CycleClass]:
     """All cycle classes with word trace <= bound, letter powers excluded.
 
-    A non-letter-power word of trace t has at most t - 1 letters, so walks
-    longer than bound - 1 darts never qualify and the walk length is capped
-    there.  The walk is iterative, so no bound is limited by the Python
-    recursion depth.
+    The walk is iterative, so no bound is limited by the Python recursion
+    depth.
     """
     if not g.is_complete():
         raise ValueError("graph is not 3-regular: scan the completed graph")
     if bound < 3:
         raise ValueError(f"bound {bound} is below 3, the least essential trace")
-    raw = _enumerate(g, bound, bound - 1, range(g.num_slots))
-    return _group_classes(raw)
+    return _group_classes(_enumerate(g, bound))
 
 
 def _probe_bound(g: CubicRibbonGraph) -> int:

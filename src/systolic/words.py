@@ -35,6 +35,7 @@ __all__ = [
     "star",
     "canonical",
     "least_rotation",
+    "MAX_WORD_LETTERS",
     "word_of_matrix",
     "insert_letter",
     "is_letter_power",
@@ -48,6 +49,12 @@ __all__ = [
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 
 _STAR = str.maketrans("LR", "RL")
+
+# Longest word ``word_of_matrix`` will spell.  The factorization peels one
+# letter per step, so a matrix such as 1,10**12,0,1 would otherwise spend
+# its memory or its hours on a single word; above the cap it raises
+# ValueError instead.
+MAX_WORD_LETTERS = 10**6
 
 
 def check_word(word: str) -> None:
@@ -100,14 +107,6 @@ class UniMat:
     @property
     def trace(self) -> int:
         return self.a + self.d
-
-    def __matmul__(self, other: "UniMat") -> "UniMat":
-        return UniMat(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
 
     def __str__(self) -> str:
         return f"{self.a},{self.b},{self.c},{self.d}"
@@ -188,13 +187,15 @@ def word_of_matrix(mat: UniMat) -> str:
 
     Peels generators from the left: while the trace exceeds 2, exactly one
     of L^-1 * M and R^-1 * M stays non-negative, which picks the next
-    letter; the trace-2 remainder is a pure power of L or of R.
+    letter; the trace-2 remainder is a pure power of L or of R, of b + c
+    letters.  A word longer than ``MAX_WORD_LETTERS`` raises ValueError.
     """
     if not isinstance(mat, UniMat):
         raise ValueError(f"expected a UniMat, got {type(mat).__name__}")
     a, b, c, d = mat.as_tuple()
     out: list[str] = []
-    while a + d > 2:
+    # peeling stops one letter past the cap, so the check below raises
+    while a + d > 2 and len(out) <= MAX_WORD_LETTERS:
         if a > c and b >= d:
             out.append("L")
             a, b = a - c, b - d
@@ -202,6 +203,8 @@ def word_of_matrix(mat: UniMat) -> str:
             # determinant 1 and a + d > 2 leave only c >= a and d > b
             out.append("R")
             c, d = c - a, d - b
+    if len(out) + b + c > MAX_WORD_LETTERS:
+        raise ValueError(f"the matrix factors into more than {MAX_WORD_LETTERS} letters")
     if c == 0:
         out.append("L" * b)
     else:

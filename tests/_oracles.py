@@ -1,13 +1,16 @@
-"""Independent oracles and small-graph corpora shared by the test modules.
+"""Independent oracles, small-graph corpora and test-only helpers shared by
+the test modules.
 
 Everything here recomputes results through a different route than the
 library code it checks: matrix counts by bounded quadruple search, word
 classes by listing every rotation of a word and of its star, closed
 walks by composing per-letter dart maps and reading off fixed points or by
-walking the word tree once per start dart, the probe bound by deepening,
-forbidden paths by a stack search that does its own matrix arithmetic, and
-graph corpora by exhausting perfect matchings over the free slots of fixed
-circuit shapes.
+walking the word tree once per start dart, the probe bound by deepening
+over that dart-major walk, forbidden sets by a stack search that does its
+own matrix arithmetic, and graph corpora by exhausting perfect matchings
+over the free slots of fixed circuit shapes.  The helpers that only tests
+call live here too: the matrix product, the turn letter between two slots
+and the word of a dart sequence, the free-slot list and vertex relabelling.
 """
 
 from __future__ import annotations
@@ -44,6 +47,16 @@ def brute_force_matrices(m: int) -> set[tuple[int, int, int, int]]:
     return out
 
 
+def matmul(u: words.UniMat, v: words.UniMat) -> words.UniMat:
+    """The product u @ v, row by column."""
+    return words.UniMat(
+        u.a * v.a + u.b * v.c,
+        u.a * v.b + u.b * v.d,
+        u.c * v.a + u.d * v.c,
+        u.c * v.b + u.d * v.d,
+    )
+
+
 def random_word(rng: random.Random, max_len: int, min_len: int = 0) -> str:
     return "".join(rng.choice("LR") for _ in range(rng.randint(min_len, max_len)))
 
@@ -67,6 +80,53 @@ def equivalence_class(word: str) -> set[str]:
     """Rotations of the word together with rotations of its star: the class
     that ``words.canonical`` names by its least member, listed in full."""
     return set(rotations(word)) | set(rotations(words.star(word)))
+
+
+# -- graph helpers ------------------------------------------------------------
+
+
+def turn_letter(arrival: int, exit_slot: int) -> str:
+    """Letter of the turn that enters a vertex at ``arrival`` and leaves at
+    ``exit_slot``; exiting by the same slot (backtracking) is not a turn."""
+    if arrival // 3 != exit_slot // 3:
+        raise ValueError(f"slots {arrival} and {exit_slot} are not at the same vertex")
+    if exit_slot == ribbon.succ(arrival):
+        return "L"
+    if exit_slot == ribbon.pred(arrival):
+        return "R"
+    raise ValueError(f"exit {exit_slot} backtracks the arrival {arrival}")
+
+
+def walk_word(g: CubicRibbonGraph, darts: tuple[int, ...]) -> str:
+    """Word read along a closed dart sequence (letter i is the turn into
+    dart i+1, wrapping at the end)."""
+    if not darts:
+        raise ValueError("empty walk")
+    pair = g.pair_table()
+    letters = []
+    for i, d in enumerate(darts):
+        t = pair[d]
+        if t < 0:
+            raise ValueError(f"dart {d} has no edge")
+        letters.append(turn_letter(t, darts[(i + 1) % len(darts)]))
+    return "".join(letters)
+
+
+def free_slots(g: CubicRibbonGraph) -> list[int]:
+    """Every unpaired slot, ascending."""
+    return [s for s, p in enumerate(g.pair_table()) if p < 0]
+
+
+def relabeled(g: CubicRibbonGraph, perm: list[int]) -> CubicRibbonGraph:
+    """New graph with vertex v renamed perm[v]; slot indices ride along."""
+    n = g.num_vertices
+    if sorted(perm) != list(range(n)):
+        raise ValueError("perm is not a permutation of the vertices")
+    h = CubicRibbonGraph(n)
+    move = lambda s: 3 * perm[s // 3] + s % 3
+    for a, b in g.edges():
+        h.add_edge(move(a), move(b), seed=g.is_seed_slot(a))
+    return h
 
 
 # -- closed-walk oracle -----------------------------------------------------
@@ -157,11 +217,11 @@ def dart_major_enumerate(
 
 
 def deepening_probe_bound(g: CubicRibbonGraph) -> int:
-    """``scanner._probe_bound`` by iterative deepening: one scan from dart 0
-    alone per bound 3, 4, ..., each walking the word tree afresh, until one
-    finds an essential class."""
+    """``scanner._probe_bound`` by iterative deepening: one dart-major scan
+    from dart 0 alone per bound 3, 4, ..., each walking the word tree
+    afresh, until one finds an essential class."""
     bound = 3
-    while not scanner._group_classes(scanner._enumerate(g, bound, bound - 1, (0,))):
+    while not scanner._group_classes(dart_major_enumerate(g, bound, bound - 1, (0,))):
         bound += 1
     return bound
 
@@ -215,22 +275,20 @@ def naive_forbidden_reach(g: CubicRibbonGraph, x: int, k: int) -> set[int]:
     return out
 
 
-def stack_forbidden_reach(g: CubicRibbonGraph, x: int, k: int) -> builder.ForbiddenReach:
-    """``builder.forbidden_reach`` as a depth-first search that does its own
-    matrix arithmetic: each path is the state (arrival slot, a, b, c, d,
-    length) on an explicit stack, pruned by trace and length as it grows,
-    instead of a replay of a precomputed word tree."""
+def stack_forbidden_reach(g: CubicRibbonGraph, x: int, k: int) -> set[int]:
+    """The members of ``builder.forbidden_reach`` by a depth-first search
+    that does its own matrix arithmetic: each path is the state (arrival
+    slot, a, b, c, d, length) on an explicit stack, pruned by trace and
+    length as it grows, instead of a replay of a precomputed word tree."""
     pair = g.pair_table()
     succ, pred = ribbon.turn_tables(len(pair))
     max_len = k - 2
     max_trace = max(k - 2, 2)
-    reached: dict[int, tuple[int, int, int, int]] = {}
+    reached: set[int] = set()
     stack = [(g.free_slots_of(x)[0], 1, 0, 0, 1, 0)]
     while stack:
         t, a, b, c, d, n = stack.pop()
-        y = t // 3
-        if y not in reached:
-            reached[y] = (a, b, c, d)
+        reached.add(t // 3)
         if n == max_len:
             continue
         for e, na, nb, nc, nd in (
@@ -240,7 +298,7 @@ def stack_forbidden_reach(g: CubicRibbonGraph, x: int, k: int) -> builder.Forbid
             tr = na + nd
             if pair[e] >= 0 and tr <= max_trace:
                 stack.append((pair[e], na, nb, nc, nd, n + 1))
-    return builder.ForbiddenReach(source=x, k=k, members=frozenset(reached), matrices=reached)
+    return reached
 
 
 def floor_checked_build(monkeypatch, run):
@@ -298,7 +356,7 @@ def completions_of_shape(words_list: list[str]):
     """Every completion of the shape: one graph per perfect matching of the
     free slots (each vertex of a circuit seed has exactly one)."""
     base = circuit_graph(words_list)
-    free = base.free_slots()
+    free = free_slots(base)
     for matching in perfect_matchings(free):
         g = base.copy()
         for a, b in matching:

@@ -2,6 +2,7 @@ import ast
 import glob
 import hashlib
 import importlib
+import importlib.util
 import json
 import os
 import pkgutil
@@ -30,9 +31,9 @@ from systolic.builder import (
 from _oracles import (
     circuit_graph,
     floor_checked_build,
-    free_slot_path_end,
     naive_forbidden_reach,
     stack_forbidden_reach,
+    theta_graph,
 )
 
 
@@ -125,32 +126,21 @@ def test_forbidden_reach_on_a_hand_circuit():
     g = circuit_graph(["LLLR"])
     reach = forbidden_reach(g, 0, 5)
     assert reach.members == {0, 1, 2, 3}
-    assert reach.witness(0) == ""
-    assert all(
-        words.trace_of(reach.witness(v)) <= 3 or words.trace_of(reach.witness(v)) == 2
-        for v in reach.members
-    )
-    assert len(reach) <= forbidden_set_bound(5)
+    assert len(reach.members) <= forbidden_set_bound(5)
 
 
 def test_forbidden_reach_budget_cuts():
     # a long letter-power circuit: only length <= k - 2 runs stay forbidden
     g = circuit_graph(["L" * 12])
     reach = forbidden_reach(g, 0, 5)
-    assert 0 in reach
-    assert len(reach) <= forbidden_set_bound(5)
-    far = {v for v in range(12) if v not in reach}
+    assert 0 in reach.members
+    assert len(reach.members) <= forbidden_set_bound(5)
+    far = {v for v in range(12) if v not in reach.members}
     assert far  # the far side of the circuit is out of reach
 
 
 def _check_reach_against_oracle(g, x, k):
-    reach = forbidden_reach(g, x, k)
-    assert reach.members == naive_forbidden_reach(g, x, k)
-    for v in reach.members:
-        w = reach.witness(v)
-        assert len(w) <= k - 2
-        assert words.trace_of(w) <= k - 2 or words.trace_of(w) == 2
-        assert free_slot_path_end(g, x, w) == v
+    assert forbidden_reach(g, x, k).members == naive_forbidden_reach(g, x, k)
 
 
 SEED_SHAPES = (["LLLR"] * 3, ["LR"] * 4, ["LLL", "LLR"], ["L" * 12])
@@ -195,12 +185,7 @@ def test_tree_replay_matches_the_stack_search_oracle(monkeypatch):
         g = circuit_graph(shape)
         calls += [(g, x, k) for k in (3, 4, 5, 7) for x in g.degree2_vertices()]
     for g, x, k in calls:
-        got, want = forbidden_reach(g, x, k), stack_forbidden_reach(g, x, k)
-        assert got.members == want.members
-        assert got.matrices == want.matrices
-        # the first-found witness of each member, so the build's choices
-        assert list(got.matrices) == list(want.matrices)
-        assert all(got.witness(v) == want.witness(v) for v in got.members)
+        assert forbidden_reach(g, x, k).members == stack_forbidden_reach(g, x, k)
 
 
 def test_forbidden_reach_matches_the_path_oracle_on_partial_graphs():
@@ -389,6 +374,29 @@ def test_every_export_resolves_once():
         exports = getattr(module, "__all__", [])
         assert len(exports) == len(set(exports)), module.__name__
         assert [e for e in exports if not hasattr(module, e)] == [], module.__name__
+
+
+def test_benchmark_tracer_targets_resolve(monkeypatch):
+    # the benchmark's tracer wraps these names and counts these results, so
+    # deleting or renaming one breaks ``perfbench/run.py --trace 1``
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.path.join(root, "perfbench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("_benchmark_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)
+    spec.loader.exec_module(tracer)
+    for module_name, owner_name, attr, _ in tracer.TARGETS:
+        owner = importlib.import_module(f"systolic.{module_name}")
+        if owner_name is not None:
+            owner = getattr(owner, owner_name)
+        assert callable(getattr(owner, attr)), (module_name, owner_name, attr)
+    counters = {counter for *_, counter in tracer.TARGETS} - {None}
+    assert counters == {tracer._members, tracer._classes, tracer._word_nodes}
+    g = circuit_graph(["LLLR"])
+    assert tracer._members(forbidden_reach(g, 0, 5)) == {"members": 4}
+    found = scanner.low_trace_cycles(theta_graph(twisted=False), 3)
+    assert tracer._classes(found) == {"classes": 1, "empty": 0}
+    assert tracer._word_nodes(census.count_words_by_trace(5)) == {"word_nodes": 16}
 
 
 def test_builder_does_not_import_the_scanner():

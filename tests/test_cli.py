@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from systolic import ribbon, scanner
+from systolic import ribbon, scanner, words
 from systolic.cli import main
 
 from _oracles import theta_graph
@@ -180,12 +180,8 @@ def test_outputs_are_byte_identical_across_runs_and_threads(tmp_path, capsys):
     assert texts[0] == texts[1]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["construct", "--k", "200000", "-o", "x.crg"], ["census", "--max-trace", "1000000"]],
-)
-def test_oversized_sieves_exit_two_under_an_address_space_limit(tmp_path, argv):
-    # the sieve cap refuses before allocating, so a 1 GiB limit is never hit
+def _run_under_an_address_space_limit(tmp_path, argv):
+    """``systolic *argv`` in a child process limited to 1 GiB of address space."""
     resource = pytest.importorskip("resource")
 
     def limit():
@@ -193,14 +189,37 @@ def test_oversized_sieves_exit_two_under_an_address_space_limit(tmp_path, argv):
 
     src = os.path.dirname(os.path.dirname(scanner.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "systolic.cli", *argv],
         cwd=tmp_path, env=env, capture_output=True, text=True, preexec_fn=limit, timeout=60,
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["construct", "--k", "200000", "-o", "x.crg"], ["census", "--max-trace", "1000000"]],
+)
+def test_oversized_sieves_exit_two_under_an_address_space_limit(tmp_path, argv):
+    # the sieve cap refuses before allocating, so a 1 GiB limit is never hit
+    done = _run_under_an_address_space_limit(tmp_path, argv)
     assert done.returncode == 2, done.stderr
     assert "exceeds the cap" in done.stderr
     assert "Traceback" not in done.stderr
     assert not (tmp_path / "x.crg").exists()
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    # L^(10^12), spelled whole; L^(10^12) R, peeled one letter at a time
+    ["1,1000000000000,0,1", "1000000000001,1000000000000,1,1"],
+)
+def test_huge_words_exit_two_under_an_address_space_limit(tmp_path, matrix):
+    # the word cap refuses both long before memory or the timeout runs out
+    done = _run_under_an_address_space_limit(tmp_path, ["recover", "--matrix", matrix])
+    assert done.returncode == 2, done.stderr
+    assert f"more than {words.MAX_WORD_LETTERS} letters" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stdout == ""
 
 
 def test_fuzzed_crg_text_never_raises(tmp_path, capsys):

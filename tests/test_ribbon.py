@@ -16,10 +16,16 @@ from systolic.ribbon import (
     serialize,
     slot,
     succ,
-    turn_letter,
 )
 
-from _oracles import random_complete_graph, small_complete_corpus, theta_graph
+from _oracles import (
+    free_slots,
+    random_complete_graph,
+    relabeled,
+    small_complete_corpus,
+    theta_graph,
+    turn_letter,
+)
 
 
 def test_slot_arithmetic():
@@ -264,11 +270,11 @@ def test_parse_error_carries_line_number():
 
 def test_relabeled_permutes_vertices():
     g = theta_graph(True)
-    h = g.relabeled([1, 0])
+    h = relabeled(g, [1, 0])
     assert h.pair(slot(1, 0)) == slot(0, 0)
     assert sorted(len(f) for f in faces(h)) == [2, 2, 2]
     with pytest.raises(ValueError):
-        g.relabeled([0, 0])
+        relabeled(g, [0, 0])
 
 
 def test_components():
@@ -282,7 +288,7 @@ def test_serialize_roundtrip_fuzzed_partial_graphs():
     rng = random.Random(11)
     for _ in range(60):
         g = CubicRibbonGraph(rng.randint(1, 9))
-        free = g.free_slots()
+        free = free_slots(g)
         rng.shuffle(free)
         while len(free) >= 2:
             a, b = free.pop(), free.pop()
