@@ -2,12 +2,9 @@
 hyperbolic surfaces, plus the exact machinery to verify the guarantee."""
 
 from .words import (
-    GOLDEN_RATIO,
     UniMat,
     canonical,
     geodesic_length,
-    insert_letter,
-    log_phi_ceil,
     matrix_of,
     star,
     trace_of,
@@ -50,12 +47,9 @@ from .scanner import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "GOLDEN_RATIO",
     "UniMat",
     "canonical",
     "geodesic_length",
-    "insert_letter",
-    "log_phi_ceil",
     "matrix_of",
     "star",
     "trace_of",

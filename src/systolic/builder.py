@@ -48,7 +48,6 @@ __all__ = [
     "parity_word",
     "seed_size_bound",
     "check_planted_budget",
-    "forbidden_set_bound",
     "make_seed",
     "ForbiddenReach",
     "forbidden_reach",
@@ -96,11 +95,6 @@ def check_planted_budget(k: int, planted_vertices: int) -> None:
             f"planted circuits need {planted_vertices} vertices, above the "
             f"admissible budget 2*N({k - 2}) + 4*{k} - 4 = {bound}"
         )
-
-
-def forbidden_set_bound(k: int) -> int:
-    """Cap N(k-2) + 2k - 3 on the size of any forbidden set."""
-    return census.N_of(max(k - 2, 2)) + 2 * k - 3
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,16 @@ of the growth of N(m): its last two columns are N/(m^2 log m) and
 N/(m^2 log log m), reported and never judged, since the growth statements
 hide unspecified constants.
 
+Each route does half the work through a symmetry.  The summand
+a*(m-a) - 1 is unchanged under a <-> m-a, so the formula and the
+enumeration visit a <= m // 2 only, counting each a < m - a twice and the
+centre a = m/2 of an even m once.  Swapping L and R is conjugation by
+[[0, 1], [1, 0]], which maps (a, b, c, d) to (d, c, b, a) and keeps the
+trace, so the word walk descends from the root L alone and counts each
+node twice.  The routes stay independent: the formula and the enumeration
+each read the sieve on their own (divisor counts against divisor lists
+checked by the determinant), and the walk reads no sieve at all.
+
 The divisor sieve is built once and then read-only; table rows are
 independent and assembled in deterministic order.
 """
@@ -22,8 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-from .words import UniMat
 
 __all__ = [
     "divisor_count",
@@ -131,39 +139,40 @@ def _sieve_for(m: int, sieve: DivisorSieve | None) -> DivisorSieve:
 
 
 def n_by_formula(m: int, sieve: DivisorSieve | None = None) -> int:
-    """Count of trace-m elements via the divisor-sum formula."""
+    """Count of trace-m elements via the divisor-sum formula.
+
+    The summand is unchanged under a <-> m-a, so each a < m - a counts
+    twice and the centre a = m/2 of an even m once.
+    """
     _require_trace(m)
     sieve = _sieve_for(m, sieve)
-    return sum(sieve.divisor_count(a * (m - a) - 1) for a in range(1, m))
+    total = 2 * sum(sieve.divisor_count(a * (m - a) - 1) for a in range(1, (m + 1) // 2))
+    if m % 2 == 0:
+        total += sieve.divisor_count((m // 2) ** 2 - 1)
+    return total
 
 
-def n_by_enumeration(
-    m: int,
-    sieve: DivisorSieve | None = None,
-    with_matrices: bool = False,
-):
+def n_by_enumeration(m: int, sieve: DivisorSieve | None = None) -> int:
     """Count trace-m elements by constructing them.
 
-    For each diagonal (a, m-a) the off-diagonal entries run over the
-    factorizations b*c = a*(m-a) - 1.  Every constructed quadruple is
-    checked against the determinant relation.
+    For each diagonal (a, m-a) with a <= m - a the off-diagonal entries run
+    over the factorizations b*c = a*(m-a) - 1.  Every constructed quadruple
+    is checked against the determinant relation, which also covers its
+    mirror (m-a, b, c, a) counted with it.
     """
     _require_trace(m)
     sieve = _sieve_for(m, sieve)
     count = 0
-    matrices: list[UniMat] = []
-    for a in range(1, m):
+    for a in range(1, m // 2 + 1):
         d = m - a
         k = a * d - 1
+        found = 0
         for b in sieve.divisors(k):
             c = k // b
             if a * d - b * c != 1:
                 raise AssertionError(f"enumeration produced a bad matrix ({a},{b},{c},{d})")
-            count += 1
-            if with_matrices:
-                matrices.append(UniMat(a, b, c, d))
-    if with_matrices:
-        return count, matrices
+            found += 1
+        count += found if a == d else 2 * found
     return count
 
 
@@ -182,27 +191,35 @@ def count_words_by_trace(max_trace: int) -> dict[int, int]:
 
     Walks the binary tree of words, abandoning a branch once its trace
     exceeds the bound (appending letters never lowers the trace) and capping
-    the depth at max_trace - 1 (a word that is not a pure letter power has
-    trace at least length + 1, and letter powers stay at trace 2).  Distinct
-    words have distinct matrices, so this is an independent oracle for the
-    divisor-based counts.
+    the length at max_trace - 1 (a word that is not a pure letter power has
+    trace at least length + 1, and letter powers stay at trace 2).  Swapping
+    L and R maps (a, b, c, d) to (d, c, b, a), keeps trace and length and
+    takes the subtree below L onto the one below R, so the walk descends
+    from L alone and counts each node twice.  From a node of trace
+    t = a + d the L child has trace t + c and the R child t + b.  Distinct
+    words have distinct matrices and the walk reads no sieve, so this is an
+    independent oracle for the divisor-based counts.
     """
     if max_trace < 3:
         raise ValueError(f"max_trace must be >= 3, got {max_trace}")
     counts = {m: 0 for m in range(3, max_trace + 1)}
     max_len = max_trace - 1
-    stack = [(1, 0, 0, 1, 0)]
+    stack = [(1, 1, 0, 1, 1)]  # the word L, of length 1
     while stack:
         a, b, c, d, n = stack.pop()
         if n == max_len:
             continue
-        for na, nb, nc, nd in ((a, a + b, c, c + d), (a + b, b, c + d, d)):
-            t = na + nd
-            if t > max_trace:
-                continue
-            if t >= 3:
-                counts[t] += 1
-            stack.append((na, nb, nc, nd, n + 1))
+        n += 1
+        t = a + d
+        t_left = t + c
+        if t_left <= max_trace:
+            if t_left >= 3:
+                counts[t_left] += 2
+            stack.append((a, a + b, c, c + d, n))
+        t_right = t + b  # below L, b >= 1 and t >= 2
+        if t_right <= max_trace:
+            counts[t_right] += 2
+            stack.append((a + b, b, c + d, d, n))
     return counts
 
 

@@ -151,8 +151,10 @@ def _cmd_recover(args) -> int:
 def _selftest_census(fault: str | None) -> str | None:
     sieve = census.DivisorSieve(60 * 60 // 4)
     if fault == "sieve":
-        # poison one composite entry; the cross-checks below must notice
-        sieve._spf[900] = 900
+        # poison one composite entry that the trace-60 table reads:
+        # 538 = 11*49 - 1 = 2*269 feeds the a = 11 term of trace 60 (and its
+        # mirror a = 49), so the triple check below must notice
+        sieve._spf[538] = 538
     try:
         census.CensusTable.build(60, check=True, sieve=sieve)
     except census.CensusMismatch as exc:

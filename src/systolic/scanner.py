@@ -193,7 +193,7 @@ def _probe_bound(g: CubicRibbonGraph) -> int:
     that closes, is no letter power either and was popped first.  It ends:
     every key is passed after finitely many pops, and the orbit of (dart 0,
     L) under the alternating (dart, next-turn) permutation closes into a
-    walk reading (LR)^(p/2) of trace ``words.lucas(p)``.
+    walk reading (LR)^(p/2) of trace L_p, the p-th Lucas number.
     """
     step_l, step_r = _step_tables(g)
     heap = [(2, 0, 0, 1, 0, 0, 1)]  # (key, darts, dart, a, b, c, d)

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 __all__ = [
-    "GOLDEN_RATIO",
     "UniMat",
     "check_word",
     "matrix_of",
@@ -37,16 +36,8 @@ __all__ = [
     "least_rotation",
     "MAX_WORD_LETTERS",
     "word_of_matrix",
-    "insert_letter",
     "is_letter_power",
-    "lucas",
-    "phi_power_floor",
-    "phi_trace_ceiling",
-    "log_phi_ceil",
 ]
-
-#: (1 + sqrt 5) / 2, the growth base of the maximal trace at a given length.
-GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 
 _STAR = str.maketrans("LR", "RL")
 
@@ -210,59 +201,3 @@ def word_of_matrix(mat: UniMat) -> str:
     else:
         out.append("R" * c)
     return "".join(out)
-
-
-def insert_letter(word: str, position: int, letter: str) -> str:
-    """Insert one letter; the trace of the result is never below the input's."""
-    check_word(word)
-    check_word(letter)
-    if len(letter) != 1:
-        raise ValueError(f"expected a single letter, got {letter!r}")
-    if not 0 <= position <= len(word):
-        raise ValueError(f"position {position} outside [0, {len(word)}]")
-    return word[:position] + letter + word[position:]
-
-
-def lucas(n: int) -> int:
-    """Lucas number: 2, 1, 3, 4, 7, 11, ..."""
-    if n < 0:
-        raise ValueError("negative index")
-    a, b = 2, 1
-    for _ in range(n):
-        a, b = b, a + b
-    return a
-
-
-def phi_power_floor(n: int) -> int:
-    """Exact floor of GOLDEN_RATIO**n.
-
-    phi^n = lucas(n) - (-1/phi)^n and the correction lies in (-1, 1), so the
-    floor is lucas(n) - 1 for even n >= 2 and lucas(n) for odd n.
-    """
-    if n < 0:
-        raise ValueError("negative exponent")
-    if n == 0:
-        return 1
-    ln = lucas(n)
-    return ln - 1 if n % 2 == 0 else ln
-
-
-def phi_trace_ceiling(n: int) -> int:
-    """Largest integer trace a word of n letters can have: floor(phi^n) + 1."""
-    return phi_power_floor(n) + 1
-
-
-def log_phi_ceil(m: int) -> int:
-    """Smallest h >= 0 with GOLDEN_RATIO**h >= m, for an integer m >= 1.
-
-    Computed with exact integer arithmetic through ``phi_power_floor``
-    (phi^h is irrational for h >= 1, so floor comparison is equivalent).
-    """
-    if m < 1:
-        raise ValueError(f"m={m} must be at least 1")
-    if m == 1:
-        return 0
-    h = 1
-    while phi_power_floor(h) < m:
-        h += 1
-    return h

@@ -8,16 +8,21 @@ walks by composing per-letter dart maps and reading off fixed points or by
 walking the word tree once per start dart, the probe bound by deepening
 over that dart-major walk, forbidden sets by a stack search that does its
 own matrix arithmetic, and graph corpora by exhausting perfect matchings
-over the free slots of fixed circuit shapes.  The helpers that only tests
-call live here too: the matrix product, the turn letter between two slots
-and the word of a dart sequence, the free-slot list and vertex relabelling.
+over the free slots of fixed circuit shapes.  The census routes the
+library halved by symmetry are kept here whole: the word walk from both
+roots and the enumeration over every diagonal, which also lists its
+matrices.  The helpers that only tests call live here too: the matrix
+product, the turn letter between two slots and the word of a dart sequence,
+the free-slot list and vertex relabelling, letter insertion, the golden-ratio
+bounds on traces and girth, and the forbidden-set cap.
 """
 
 from __future__ import annotations
 
+import math
 import random
 
-from systolic import builder, ribbon, scanner, words
+from systolic import builder, census, ribbon, scanner, words
 from systolic.builder import _install_circuit
 from systolic.ribbon import CubicRibbonGraph
 
@@ -47,6 +52,61 @@ def brute_force_matrices(m: int) -> set[tuple[int, int, int, int]]:
     return out
 
 
+def two_root_word_counts(max_trace: int) -> dict[int, int]:
+    """Histogram of word counts per trace in [3, max_trace] by tree search
+    from the empty word, through both L and R."""
+    if max_trace < 3:
+        raise ValueError(f"max_trace must be >= 3, got {max_trace}")
+    counts = {m: 0 for m in range(3, max_trace + 1)}
+    max_len = max_trace - 1
+    stack = [(1, 0, 0, 1, 0)]
+    while stack:
+        a, b, c, d, n = stack.pop()
+        if n == max_len:
+            continue
+        for na, nb, nc, nd in ((a, a + b, c, c + d), (a + b, b, c + d, d)):
+            t = na + nd
+            if t > max_trace:
+                continue
+            if t >= 3:
+                counts[t] += 1
+            stack.append((na, nb, nc, nd, n + 1))
+    return counts
+
+
+def full_range_enumeration(
+    m: int,
+    sieve: census.DivisorSieve | None = None,
+    with_matrices: bool = False,
+):
+    """Count trace-m elements by constructing them over every diagonal
+    (a, m-a), 1 <= a <= m-1; with ``with_matrices`` also list them."""
+    if m <= 2:
+        raise ValueError(f"trace {m} rejected: the count is only finite for traces >= 3")
+    if sieve is None:
+        sieve = census.DivisorSieve(max(1, (m * m) // 4))
+    count = 0
+    matrices: list[words.UniMat] = []
+    for a in range(1, m):
+        d = m - a
+        k = a * d - 1
+        for b in sieve.divisors(k):
+            c = k // b
+            if a * d - b * c != 1:
+                raise AssertionError(f"enumeration produced a bad matrix ({a},{b},{c},{d})")
+            count += 1
+            if with_matrices:
+                matrices.append(words.UniMat(a, b, c, d))
+    if with_matrices:
+        return count, matrices
+    return count
+
+
+def forbidden_set_bound(k: int) -> int:
+    """Cap N(k-2) + 2k - 3 on the size of any forbidden set."""
+    return census.N_of(max(k - 2, 2)) + 2 * k - 3
+
+
 def matmul(u: words.UniMat, v: words.UniMat) -> words.UniMat:
     """The product u @ v, row by column."""
     return words.UniMat(
@@ -55,6 +115,66 @@ def matmul(u: words.UniMat, v: words.UniMat) -> words.UniMat:
         u.c * v.a + u.d * v.c,
         u.c * v.b + u.d * v.d,
     )
+
+
+def insert_letter(word: str, position: int, letter: str) -> str:
+    """Insert one letter; the trace of the result is never below the input's."""
+    words.check_word(word)
+    words.check_word(letter)
+    if len(letter) != 1:
+        raise ValueError(f"expected a single letter, got {letter!r}")
+    if not 0 <= position <= len(word):
+        raise ValueError(f"position {position} outside [0, {len(word)}]")
+    return word[:position] + letter + word[position:]
+
+
+#: (1 + sqrt 5) / 2, the growth base of the maximal trace at a given length.
+GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
+
+
+def lucas(n: int) -> int:
+    """Lucas number: 2, 1, 3, 4, 7, 11, ..."""
+    if n < 0:
+        raise ValueError("negative index")
+    a, b = 2, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+def phi_power_floor(n: int) -> int:
+    """Exact floor of GOLDEN_RATIO**n.
+
+    phi^n = lucas(n) - (-1/phi)^n and the correction lies in (-1, 1), so the
+    floor is lucas(n) - 1 for even n >= 2 and lucas(n) for odd n.
+    """
+    if n < 0:
+        raise ValueError("negative exponent")
+    if n == 0:
+        return 1
+    ln = lucas(n)
+    return ln - 1 if n % 2 == 0 else ln
+
+
+def phi_trace_ceiling(n: int) -> int:
+    """Largest integer trace a word of n letters can have: floor(phi^n) + 1."""
+    return phi_power_floor(n) + 1
+
+
+def log_phi_ceil(m: int) -> int:
+    """Smallest h >= 0 with GOLDEN_RATIO**h >= m, for an integer m >= 1.
+
+    Computed with exact integer arithmetic through ``phi_power_floor``
+    (phi^h is irrational for h >= 1, so floor comparison is equivalent).
+    """
+    if m < 1:
+        raise ValueError(f"m={m} must be at least 1")
+    if m == 1:
+        return 0
+    h = 1
+    while phi_power_floor(h) < m:
+        h += 1
+    return h
 
 
 def random_word(rng: random.Random, max_len: int, min_len: int = 0) -> str:

@@ -17,7 +17,11 @@ from systolic.cli import main as cli_main
 from _oracles import (
     all_words,
     brute_force_trace_count,
+    forbidden_set_bound,
+    insert_letter,
+    log_phi_ceil,
     naive_cycle_classes,
+    phi_trace_ceiling,
     random_word,
     small_complete_corpus,
 )
@@ -73,7 +77,7 @@ def test_criterion_03_trace_bound_suite():
     # the letter-power classes, and the per-length maximum realized by the
     # alternating words
     max_len = 18
-    ceilings = [words.phi_trace_ceiling(n) for n in range(max_len + 1)]
+    ceilings = [phi_trace_ceiling(n) for n in range(max_len + 1)]
     max_by_len = [2] * (max_len + 1)
     violations = 0
     # stack rows: a, b, c, d, length, is_letter_power
@@ -105,7 +109,7 @@ def test_criterion_03_trace_bound_suite():
         base = words.trace_of(w)
         for pos in range(len(w) + 1):
             for letter in "LR":
-                assert words.trace_of(words.insert_letter(w, pos, letter)) >= base
+                assert words.trace_of(insert_letter(w, pos, letter)) >= base
     _announce(3, "trace bounds exhaustive to 18, insertion monotone to 12")
 
 
@@ -117,7 +121,7 @@ def test_criterion_04_end_to_end_floors():
         assert all(graph.degree(v) == 3 for v in range(graph.num_vertices))
         result = scanner.certify(graph, k)
         assert result.passed, f"k={k}: {result.findings()[:3]}"
-        assert report.max_forbidden_set <= builder.forbidden_set_bound(k)
+        assert report.max_forbidden_set <= forbidden_set_bound(k)
     elapsed = time.perf_counter() - t0
     assert elapsed < 600.0, f"floors took {elapsed:.1f}s"
     sizes = {k: built(k)[0].num_vertices for k in FLOORS}
@@ -145,7 +149,7 @@ def test_criterion_05_structural_identities():
         )
         genus_sum = sum(c.genus for c in comps)
         assert bound <= genus_sum
-        assert ribbon.girth(graph) >= words.log_phi_ceil(k - 1)
+        assert ribbon.girth(graph) >= log_phi_ceil(k - 1)
     _announce(5, "structural identities on all constructions")
 
 

@@ -21,7 +21,6 @@ from systolic.builder import (
     build,
     complete,
     forbidden_reach,
-    forbidden_set_bound,
     make_seed,
     parity_word,
     seed_size_bound,
@@ -31,6 +30,7 @@ from systolic.builder import (
 from _oracles import (
     circuit_graph,
     floor_checked_build,
+    forbidden_set_bound,
     naive_forbidden_reach,
     stack_forbidden_reach,
     theta_graph,

@@ -14,7 +14,12 @@ from systolic.census import (
     n_by_formula,
 )
 
-from _oracles import brute_force_matrices, brute_force_trace_count
+from _oracles import (
+    brute_force_matrices,
+    brute_force_trace_count,
+    full_range_enumeration,
+    two_root_word_counts,
+)
 
 
 def test_divisor_count_examples():
@@ -66,14 +71,14 @@ def test_traces_two_and_below_are_rejected():
 
 def test_enumerated_matrices_are_exactly_the_bruteforce_set():
     for m in range(3, 12):
-        _, mats = n_by_enumeration(m, with_matrices=True)
+        _, mats = full_range_enumeration(m, with_matrices=True)
         assert {mat.as_tuple() for mat in mats} == brute_force_matrices(m)
 
 
 def test_enumerated_matrices_roundtrip_through_words():
     sieve = DivisorSieve(40 * 40 // 4)
     for m in range(3, 41):
-        count, mats = n_by_enumeration(m, sieve, with_matrices=True)
+        count, mats = full_range_enumeration(m, sieve, with_matrices=True)
         assert count == len(mats)
         for mat in mats:
             w = words.word_of_matrix(mat)
@@ -82,9 +87,22 @@ def test_enumerated_matrices_roundtrip_through_words():
 
 
 def test_trace_four_matrices_are_the_length_three_words():
-    _, mats = n_by_enumeration(4, with_matrices=True)
+    _, mats = full_range_enumeration(4, with_matrices=True)
     found = {words.word_of_matrix(mat) for mat in mats}
     assert found == {"LLR", "LRL", "RLL", "RRL", "RLR", "LRR"}
+
+
+def test_halved_routes_match_the_full_range_oracles():
+    # a <-> m-a halves the formula and the enumeration, L <-> R the walk;
+    # m = 3..120 takes both parities, so the weight-1 centre a = m/2 too
+    sieve = DivisorSieve(120 * 120 // 4)
+    full_walk = two_root_word_counts(120)
+    for m in range(3, 121):
+        full = full_range_enumeration(m, sieve)
+        assert full == sum(divisor_count(a * (m - a) - 1) for a in range(1, m))
+        assert n_by_formula(m, sieve) == full
+        assert n_by_enumeration(m, sieve) == full
+        assert count_words_by_trace(m) == {t: full_walk[t] for t in range(3, m + 1)}
 
 
 def test_word_search_matches_formula():
@@ -109,12 +127,18 @@ def test_check_mode_flags_rows_and_catches_corruption():
     assert all(row.checked for row in table.rows)
     assert not any(row.checked for row in CensusTable.build(30).rows)
 
-    # 224 = 15*15 - 1 feeds the trace-30 row; pretending it is prime
-    # collapses d(224) from 12 to 2 and the cross-check must notice
-    bad = DivisorSieve(30 * 30 // 4)
-    bad._spf[224] = 224
-    with pytest.raises(CensusMismatch):
-        CensusTable.build(30, check=True, sieve=bad)
+    # 224 = 15*15 - 1 (the centre a = d = 15, counted once) and
+    # 160 = 7*23 - 1 (a = 7 with its mirror a = 23, counted twice) feed only
+    # the trace-30 row; pretending either is prime collapses its divisor
+    # count to 2, which the formula and the enumeration both read from the
+    # sieve and the word search does not
+    for poisoned in (224, 160):
+        bad = DivisorSieve(30 * 30 // 4)
+        bad._spf[poisoned] = poisoned
+        with pytest.raises(CensusMismatch) as exc:
+            CensusTable.build(30, check=True, sieve=bad)
+        assert exc.value.trace == 30
+        assert exc.value.formula == exc.value.enumeration < exc.value.words
 
 
 def test_csv_shape():

@@ -153,6 +153,7 @@ def test_selftest(capsys):
     code, _, err = run(capsys, "selftest", "--inject-fault", "sieve")
     assert code == 1
     assert "FAIL" in err
+    assert "census mismatch" in err
 
 
 def test_usage_error_exit_code(capsys):

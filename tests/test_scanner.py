@@ -22,6 +22,7 @@ from _oracles import (
     dart_major_enumerate,
     deepening_first_classes,
     deepening_probe_bound,
+    log_phi_ceil,
     naive_cycle_classes,
     naive_walk_classes,
     random_complete_graph,
@@ -276,7 +277,7 @@ def test_report_contents():
     rep = report(g, spectrum_max=7)
     assert rep.vertices == 20 and rep.edges == 30
     assert rep.systole_trace == 5
-    assert rep.girth >= words.log_phi_ceil(4)
+    assert rep.girth >= log_phi_ceil(4)
     assert isinstance(rep.bh_bound, Fraction)
     assert rep.bh_ok and rep.bh_bound <= rep.genus_sum
     assert rep.spectrum[0][0] == 5

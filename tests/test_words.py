@@ -5,22 +5,27 @@ import pytest
 
 from systolic import words
 from systolic.words import (
-    GOLDEN_RATIO,
     UniMat,
     canonical,
     geodesic_length,
-    insert_letter,
     is_letter_power,
-    log_phi_ceil,
     matrix_of,
-    phi_power_floor,
-    phi_trace_ceiling,
     star,
     trace_of,
     word_of_matrix,
 )
 
-from _oracles import all_words, equivalence_class, matmul, random_word
+from _oracles import (
+    GOLDEN_RATIO,
+    all_words,
+    equivalence_class,
+    insert_letter,
+    log_phi_ceil,
+    matmul,
+    phi_power_floor,
+    phi_trace_ceiling,
+    random_word,
+)
 
 
 def test_generator_products_match_hand_computation():
