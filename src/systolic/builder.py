@@ -33,12 +33,13 @@ from __future__ import annotations
 import functools
 import hashlib
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import census, ribbon, words
 from .ribbon import CubicRibbonGraph
 
 __all__ = [
+    "MAX_VERTICES",
     "SeedSpecError",
     "HypothesisError",
     "CompletionError",
@@ -55,6 +56,14 @@ __all__ = [
     "BuildReport",
     "build",
 ]
+
+
+# Largest graph a seed spec may ask for.  A seed of 10**6 vertices, its
+# completion copy and the turn tables take about 0.4 GB (seed floors up to
+# k = 384 fit).  A larger size, or a floor whose least admissible count is
+# larger, is refused with SeedSpecError before anything is allocated,
+# rather than ending in MemoryError or exhausting the host.
+MAX_VERTICES = 10**6
 
 
 class SeedSpecError(ValueError):
@@ -81,8 +90,10 @@ def parity_word(k: int) -> str:
     return "L" * (k - 2) + "RR"
 
 
+@functools.lru_cache(maxsize=16)
 def seed_size_bound(k: int) -> int:
-    """Least admissible vertex count, 2 N(k-2) + 4k - 4 (N(1) is empty)."""
+    """Least admissible vertex count, 2 N(k-2) + 4k - 4 (N(1) is empty);
+    cached, since validation, layout and the seed check all read it."""
     return 2 * census.N_of(max(k - 2, 2)) + 4 * k - 4
 
 
@@ -127,12 +138,19 @@ class SeedSpec:
                 raise SeedSpecError(f"multiplicity {plant.multiplicity!r} must be a positive integer")
             self._check_plant_word(plant.word)
         check_planted_budget(self.k, self.planted_vertices())
-        if self.size is not None:
-            if self.size % 2:
-                raise SeedSpecError(f"size {self.size} must be even")
-            bound = seed_size_bound(self.k)
-            if self.size < bound:
-                raise SeedSpecError(f"size {self.size} is below the least admissible count {bound}")
+        bound = seed_size_bound(self.k)
+        if self.size is None:
+            if bound > MAX_VERTICES:
+                raise SeedSpecError(
+                    f"the least admissible count {bound} exceeds the cap of {MAX_VERTICES} vertices"
+                )
+            return
+        if self.size > MAX_VERTICES:
+            raise SeedSpecError(f"size {self.size} exceeds the cap of {MAX_VERTICES} vertices")
+        if self.size % 2:
+            raise SeedSpecError(f"size {self.size} must be even")
+        if self.size < bound:
+            raise SeedSpecError(f"size {self.size} is below the least admissible count {bound}")
 
     def _check_plant_word(self, word: str) -> None:
         if _meets_floor(word, self.k, self.strict_seed_trace):
@@ -313,38 +331,42 @@ def forbidden_reach(g: CubicRibbonGraph, x: int, k: int) -> ForbiddenReach:
     return ForbiddenReach(frozenset(reached))
 
 
-def _circuit_word(g: CubicRibbonGraph, start: int) -> str:
-    """Word read around the circuit through ``start``; every vertex on the
-    circuit must have degree 2, as in a seed."""
-    pair = g.pair_table()
-    succ, pred = ribbon.turn_tables(len(pair))
-    first = next(s for s in range(3 * start, 3 * start + 3) if pair[s] >= 0)
-    letters = []
-    dart = first
-    while True:
-        t = pair[dart]
-        left = pair[succ[t]] >= 0
-        letters.append("L" if left else "R")
-        dart = succ[t] if left else pred[t]
-        if dart == first:
-            return "".join(letters)
-
-
 def _validate_seed_graph(g: CubicRibbonGraph, k: int, strict: bool) -> None:
+    """Check the completion's preconditions in one pass each: size, degrees
+    read from the pair table, seed flags on every paired slot, then each
+    circuit's word, walked once in ascending order of its least vertex."""
     n = g.num_vertices
     if n % 2:
         raise HypothesisError(f"seed has an odd vertex count {n}")
     bound = seed_size_bound(k)
     if n < bound:
         raise HypothesisError(f"seed has {n} vertices, below the admissible bound {bound}")
+    pair = g.pair_table()
     for v in range(n):
-        if g.degree(v) != 2:
-            raise HypothesisError(f"vertex {v} has degree {g.degree(v)}; a seed is 2-regular")
-    if g.edges() != g.seed_edges():
+        degree = (pair[3 * v] >= 0) + (pair[3 * v + 1] >= 0) + (pair[3 * v + 2] >= 0)
+        if degree != 2:
+            raise HypothesisError(f"vertex {v} has degree {degree}; a seed is 2-regular")
+    seed = g.seed_table()
+    if not all(seed[s] for s, p in enumerate(pair) if p >= 0):
         raise HypothesisError("seed contains edges not flagged as seed edges")
-    for comp in g.components():
-        v = comp[0]
-        word = _circuit_word(g, v)
+    succ, pred = ribbon.turn_tables(len(pair))
+    seen = [False] * n
+    for v in range(n):
+        if seen[v]:
+            continue
+        # v is the least vertex of its circuit; read the circuit from v's
+        # first paired slot, turning L where the slot after arrival is paired
+        first = dart = 3 * v if pair[3 * v] >= 0 else 3 * v + 1
+        letters = []
+        while True:
+            t = pair[dart]
+            seen[t // 3] = True
+            left = pair[succ[t]] >= 0
+            letters.append("L" if left else "R")
+            dart = succ[t] if left else pred[t]
+            if dart == first:
+                break
+        word = "".join(letters)
         if not _meets_floor(word, k, strict):
             raise HypothesisError(
                 f"circuit through vertex {v} carries {word!r} with trace "
@@ -387,9 +409,10 @@ def _run_completion(
     _validate_seed_graph(g, k, strict_seed_trace)
     work = g.copy()
     stats = _CompletionStats()
-    # The ascending degree-2 frontier is kept, not recomputed: both cases raise
+    # The seed check leaves every vertex at degree 2, so the ascending frontier
+    # starts as all of them and is kept, not recomputed: both cases raise
     # exactly x and y to degree 3 (a swap's w and w' drop and recover in-step).
-    deg2 = work.degree2_vertices()
+    deg2 = list(range(work.num_vertices))
     while deg2:
         reaches: dict[int, frozenset[int]] = {}
         for x in deg2:
@@ -454,6 +477,9 @@ class BuildReport:
     vertices: int
     edges: int
     output_sha: str
+    # the .crg text that output_sha digests, for the caller to write as is;
+    # not part of the report's JSON or of its equality
+    crg: str = field(compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -472,7 +498,7 @@ def build(spec: SeedSpec) -> tuple[CubicRibbonGraph, BuildReport]:
     """Lay out the seed for a spec and complete it; returns graph and report."""
     seed = make_seed(spec)
     done, stats = _run_completion(seed, spec.k, strict_seed_trace=spec.strict_seed_trace)
-    sha = hashlib.sha256(ribbon.serialize(done).encode("ascii")).hexdigest()
+    crg = ribbon.serialize(done)
     report = BuildReport(
         spec=spec,
         iterations=stats.iterations,
@@ -481,6 +507,7 @@ def build(spec: SeedSpec) -> tuple[CubicRibbonGraph, BuildReport]:
         max_forbidden_set=stats.max_forbidden_set,
         vertices=done.num_vertices,
         edges=done.num_edges(),
-        output_sha=sha,
+        output_sha=hashlib.sha256(crg.encode("ascii")).hexdigest(),
+        crg=crg,
     )
     return done, report

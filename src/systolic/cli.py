@@ -94,11 +94,11 @@ def _cmd_construct(args) -> int:
             rng_seed=args.seed,
             strict_seed_trace=args.strict_seed_trace,
         )
-        graph, report = builder.build(spec)
+        _, report = builder.build(spec)
     except ValueError as exc:
         print(f"construct: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _write_output(ribbon.serialize(graph), args.output)
+    _write_output(report.crg, args.output)
     if args.report:
         _write_output(_json_text(report.to_json_dict()), args.report)
     print(
@@ -148,13 +148,8 @@ def _cmd_recover(args) -> int:
     return EXIT_OK
 
 
-def _selftest_census(fault: str | None) -> str | None:
+def _selftest_census() -> str | None:
     sieve = census.DivisorSieve(60 * 60 // 4)
-    if fault == "sieve":
-        # poison one composite entry that the trace-60 table reads:
-        # 538 = 11*49 - 1 = 2*269 feeds the a = 11 term of trace 60 (and its
-        # mirror a = 49), so the triple check below must notice
-        sieve._spf[538] = 538
     try:
         census.CensusTable.build(60, check=True, sieve=sieve)
     except census.CensusMismatch as exc:
@@ -223,7 +218,7 @@ def _selftest_scanner() -> str | None:
 
 def _cmd_selftest(args) -> int:
     checks = [
-        ("census triple oracle to trace 60", lambda: _selftest_census(args.inject_fault)),
+        ("census triple oracle to trace 60", _selftest_census),
         ("word/matrix roundtrips", _selftest_words),
         ("scanner on the two-vertex graphs", _selftest_scanner),
     ]
@@ -280,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_recover)
 
     p = sub.add_parser("selftest", help="run the built-in oracle suites")
-    p.add_argument("--inject-fault", choices=["sieve"], default=None, help=argparse.SUPPRESS)
     p.set_defaults(fn=_cmd_selftest)
 
     return parser

@@ -107,6 +107,10 @@ class CubicRibbonGraph:
         """Raw pairing array (-1 marks a free slot); callers must not mutate."""
         return self._pair
 
+    def seed_table(self) -> list[bool]:
+        """Raw seed flag of every slot; callers must not mutate."""
+        return self._seed
+
     def is_seed_slot(self, s: int) -> bool:
         self._check_slot(s)
         return self._seed[s]

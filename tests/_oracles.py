@@ -13,8 +13,9 @@ library halved by symmetry are kept here whole: the word walk from both
 roots and the enumeration over every diagonal, which also lists its
 matrices.  The helpers that only tests call live here too: the matrix
 product, the turn letter between two slots and the word of a dart sequence,
-the free-slot list and vertex relabelling, letter insertion, the golden-ratio
-bounds on traces and girth, and the forbidden-set cap.
+the free-slot list and vertex relabelling, the word of a seed circuit,
+letter insertion, the golden-ratio bounds on traces and girth, and the
+forbidden-set cap.
 """
 
 from __future__ import annotations
@@ -470,6 +471,23 @@ def circuit_graph(words_list: list[str]) -> CubicRibbonGraph:
         _install_circuit(g, list(range(cursor, cursor + len(word))), word)
         cursor += len(word)
     return g
+
+
+def circuit_word(g: CubicRibbonGraph, start: int) -> str:
+    """Word read around the circuit through ``start``, whose vertices all have
+    degree 2: the walk leaves ``start`` by its first paired slot and turns L
+    wherever the slot after arrival is paired."""
+    pair = g.pair_table()
+    first = next(s for s in range(3 * start, 3 * start + 3) if pair[s] >= 0)
+    letters = []
+    dart = first
+    while True:
+        t = pair[dart]
+        left = pair[ribbon.succ(t)] >= 0
+        letters.append("L" if left else "R")
+        dart = ribbon.succ(t) if left else ribbon.pred(t)
+        if dart == first:
+            return "".join(letters)
 
 
 def completions_of_shape(words_list: list[str]):

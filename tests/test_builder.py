@@ -29,6 +29,7 @@ from systolic.builder import (
 
 from _oracles import (
     circuit_graph,
+    circuit_word,
     floor_checked_build,
     forbidden_set_bound,
     naive_forbidden_reach,
@@ -93,7 +94,7 @@ def test_make_seed_minimum_for_k5():
     comps = g.components()
     assert len(comps) == 5
     for comp in comps:
-        word = builder._circuit_word(g, comp[0])
+        word = circuit_word(g, comp[0])
         assert words.canonical(word) == words.canonical("LLLR")
 
 
@@ -102,7 +103,7 @@ def test_make_seed_size_resolution():
     g = make_seed(SeedSpec(k=8))
     assert g.num_vertices == 92
     words_seen = sorted(
-        builder._circuit_word(g, comp[0]) for comp in g.components()
+        circuit_word(g, comp[0]) for comp in g.components()
     )
     assert len(words_seen) == 13
     assert sum(len(w) for w in words_seen) == 92
@@ -118,6 +119,13 @@ def test_make_seed_explicit_size_validation():
         SeedSpec(k=5, size=16).validate()
     with pytest.raises(SeedSpecError, match="not reachable"):
         make_seed(SeedSpec(k=5, size=22))  # 22 = 4a + 5b has no admissible split
+    # the size cap is checked before parity, and covers the least admissible
+    # count of a floor when no size is given
+    SeedSpec(k=5, size=builder.MAX_VERTICES).validate()
+    with pytest.raises(SeedSpecError, match="size 1000001 exceeds the cap of 1000000 vertices"):
+        SeedSpec(k=5, size=builder.MAX_VERTICES + 1).validate()
+    with pytest.raises(SeedSpecError, match="least admissible count 1091576 exceeds the cap"):
+        SeedSpec(k=400).validate()
 
 
 def test_forbidden_reach_on_a_hand_circuit():
@@ -256,8 +264,21 @@ def test_complete_rejects_bad_seeds():
     g = circuit_graph(["LLLR"] * 5)
     bad = g.copy()
     bad.add_edge(bad.free_slots_of(0)[0], bad.free_slots_of(7)[0])
-    with pytest.raises(HypothesisError, match="degree"):
+    with pytest.raises(HypothesisError, match="^vertex 0 has degree 3; a seed is 2-regular$"):
         complete(bad, 5)
+    open_circuit = ribbon.CubicRibbonGraph(20)
+    for a, b in g.edges():
+        if (a, b) != (ribbon.slot(18, 1), ribbon.slot(19, 0)):
+            open_circuit.add_edge(a, b, seed=True)  # 18 and 19 end a path
+    with pytest.raises(HypothesisError, match="^vertex 18 has degree 1; a seed is 2-regular$"):
+        complete(open_circuit, 5)
+    # the first four circuits meet the floor; the error names the first
+    # failing circuit by its least vertex, 16
+    with pytest.raises(
+        HypothesisError,
+        match="^circuit through vertex 16 carries 'LRR' with trace 4, below the floor 5$",
+    ):
+        complete(circuit_graph(["LLLR"] * 4 + ["LLR", "LLR"]), 5)
     with pytest.raises(HypothesisError, match="below the admissible bound"):
         complete(circuit_graph(["LLLR"] * 4), 5)
     with pytest.raises(HypothesisError, match="trace 3"):
@@ -318,8 +339,11 @@ def test_completion_computes_the_degree_two_frontier_once(monkeypatch):
         return original(self)
 
     monkeypatch.setattr(ribbon.CubicRibbonGraph, "degree2_vertices", counting)
+    monkeypatch.setattr(ribbon.CubicRibbonGraph, "components", counting)
     build(SeedSpec(k=5))
-    assert len(calls) == 1
+    # the seed check leaves every vertex at degree 2, so the frontier starts
+    # as all of them: no degree scan and no union-find
+    assert calls == []
 
 
 def test_completion_invariants_hold_under_python_O():
@@ -495,5 +519,5 @@ def test_planted_circuits_survive_completion():
     for a, b in graph.seed_edges():
         seed_only.add_edge(a, b)
     for copy in range(3):
-        circuit = builder._circuit_word(seed_only, copy * 10)
+        circuit = circuit_word(seed_only, copy * 10)
         assert words.canonical(circuit) == words.canonical(word)

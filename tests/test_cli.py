@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -5,7 +6,7 @@ import sys
 
 import pytest
 
-from systolic import ribbon, scanner, words
+from systolic import census, ribbon, scanner, words
 from systolic.cli import main
 
 from _oracles import theta_graph
@@ -146,11 +147,20 @@ def test_recover(capsys):
     assert code == 2 and "determinant" in err
 
 
-def test_selftest(capsys):
+def test_selftest(capsys, monkeypatch):
     code, out, err = run(capsys, "selftest")
     assert code == 0 and out == ""
     assert err.count("ok") == 3
-    code, _, err = run(capsys, "selftest", "--inject-fault", "sieve")
+
+    class PoisonedSieve(census.DivisorSieve):
+        def __init__(self, limit):
+            super().__init__(limit)
+            # 538 = 11*49 - 1 = 2*269 feeds the a = 11 term of trace 60 (and
+            # its mirror a = 49), so the triple check must notice
+            self._spf[538] = 538
+
+    monkeypatch.setattr(census, "DivisorSieve", PoisonedSieve)
+    code, _, err = run(capsys, "selftest")
     assert code == 1
     assert "FAIL" in err
     assert "census mismatch" in err
@@ -181,6 +191,23 @@ def test_outputs_are_byte_identical_across_runs_and_threads(tmp_path, capsys):
     assert texts[0] == texts[1]
 
 
+def test_construct_serializes_once_and_writes_the_hashed_bytes(tmp_path, capsys, monkeypatch):
+    calls = []
+    original = ribbon.serialize
+
+    def counting(g):
+        calls.append(1)
+        return original(g)
+
+    monkeypatch.setattr(ribbon, "serialize", counting)
+    crg, rep = tmp_path / "g.crg", tmp_path / "g.json"
+    code, _, _ = run(capsys, "construct", "--k", "6", "--seed", "3", "-o", str(crg), "--report", str(rep))
+    assert code == 0
+    assert len(calls) == 1
+    report = json.loads(rep.read_text())
+    assert hashlib.sha256(crg.read_bytes()).hexdigest() == report["output_sha"]
+
+
 def _run_under_an_address_space_limit(tmp_path, argv):
     """``systolic *argv`` in a child process limited to 1 GiB of address space."""
     resource = pytest.importorskip("resource")
@@ -198,10 +225,16 @@ def _run_under_an_address_space_limit(tmp_path, argv):
 
 @pytest.mark.parametrize(
     "argv",
-    [["construct", "--k", "200000", "-o", "x.crg"], ["census", "--max-trace", "1000000"]],
+    [
+        ["construct", "--k", "200000", "-o", "x.crg"],
+        ["census", "--max-trace", "1000000"],
+        ["construct", "--k", "5", "--size", "2000000000", "-o", "x.crg"],
+        ["construct", "--k", "1000", "-o", "x.crg"],
+    ],
 )
 def test_oversized_sieves_exit_two_under_an_address_space_limit(tmp_path, argv):
-    # the sieve cap refuses before allocating, so a 1 GiB limit is never hit
+    # the sieve and graph-size caps refuse before allocating, so a 1 GiB
+    # limit is never hit
     done = _run_under_an_address_space_limit(tmp_path, argv)
     assert done.returncode == 2, done.stderr
     assert "exceeds the cap" in done.stderr
