@@ -40,6 +40,7 @@ from .ribbon import CubicRibbonGraph
 
 __all__ = [
     "MAX_VERTICES",
+    "MAX_FLOOR",
     "SeedSpecError",
     "HypothesisError",
     "CompletionError",
@@ -58,12 +59,16 @@ __all__ = [
 ]
 
 
-# Largest graph a seed spec may ask for.  A seed of 10**6 vertices, its
-# completion copy and the turn tables take about 0.4 GB (seed floors up to
-# k = 384 fit).  A larger size, or a floor whose least admissible count is
-# larger, is refused with SeedSpecError before anything is allocated,
-# rather than ending in MemoryError or exhausting the host.
+# Largest graph a seed spec may ask for.  A seed of 10**6 vertices and its
+# turn tables take some hundreds of MB.  A larger size is refused with
+# SeedSpecError before anything is allocated, rather than ending in
+# MemoryError or exhausting the host.
 MAX_VERTICES = 10**6
+
+# Largest floor whose least admissible count fits under MAX_VERTICES (that of
+# 385 is 1002104); checked before seed_size_bound builds its sieve of about
+# (k - 2)**2 / 4 entries.
+MAX_FLOOR = 384
 
 
 class SeedSpecError(ValueError):
@@ -98,8 +103,12 @@ def seed_size_bound(k: int) -> int:
 
 
 def check_planted_budget(k: int, planted_vertices: int) -> None:
-    """Raise SeedSpecError when planted circuits need more vertices than the
-    least admissible seed, ``seed_size_bound(k)``."""
+    """Raise SeedSpecError when k is above ``MAX_FLOOR`` or planted circuits
+    need more vertices than the least admissible seed, ``seed_size_bound(k)``."""
+    if k > MAX_FLOOR:
+        raise SeedSpecError(
+            f"floor {k} exceeds the cap of {MAX_FLOOR}, the last floor that fits in {MAX_VERTICES} vertices"
+        )
     bound = seed_size_bound(k)
     if planted_vertices > bound:
         raise SeedSpecError(
@@ -138,17 +147,13 @@ class SeedSpec:
                 raise SeedSpecError(f"multiplicity {plant.multiplicity!r} must be a positive integer")
             self._check_plant_word(plant.word)
         check_planted_budget(self.k, self.planted_vertices())
-        bound = seed_size_bound(self.k)
         if self.size is None:
-            if bound > MAX_VERTICES:
-                raise SeedSpecError(
-                    f"the least admissible count {bound} exceeds the cap of {MAX_VERTICES} vertices"
-                )
             return
         if self.size > MAX_VERTICES:
             raise SeedSpecError(f"size {self.size} exceeds the cap of {MAX_VERTICES} vertices")
         if self.size % 2:
             raise SeedSpecError(f"size {self.size} must be even")
+        bound = seed_size_bound(self.k)
         if self.size < bound:
             raise SeedSpecError(f"size {self.size} is below the least admissible count {bound}")
 
@@ -376,7 +381,6 @@ def _validate_seed_graph(g: CubicRibbonGraph, k: int, strict: bool) -> None:
 
 @dataclass
 class _CompletionStats:
-    iterations: int = 0
     case1: int = 0
     case2: int = 0
     max_forbidden_set: int = 0
@@ -394,65 +398,59 @@ def _require(ok: bool, g: CubicRibbonGraph, note: str) -> None:
 
 def _non_seed_edge(g: CubicRibbonGraph, v: int) -> tuple[int, int]:
     """The unique non-seed edge at a degree-3 vertex, as (slot at v, partner slot)."""
-    out = [
-        (s, p)
-        for s in (ribbon.slot(v, i) for i in range(3))
-        if (p := g.pair(s)) is not None and not g.is_seed_slot(s)
-    ]
+    pair, seed = g.pair_table(), g.seed_table()
+    out = [(s, pair[s]) for s in range(3 * v, 3 * v + 3) if pair[s] >= 0 and not seed[s]]
     _require(len(out) == 1, g, f"vertex {v} has {len(out)} non-seed edges, expected 1")
     return out[0]
 
 
 def _run_completion(
     g: CubicRibbonGraph, k: int, *, strict_seed_trace: bool = False
-) -> tuple[CubicRibbonGraph, _CompletionStats]:
+) -> _CompletionStats:
+    """Complete the seed g in place; returns the step counts."""
     _validate_seed_graph(g, k, strict_seed_trace)
-    work = g.copy()
     stats = _CompletionStats()
-    # The seed check leaves every vertex at degree 2, so the ascending frontier
-    # starts as all of them and is kept, not recomputed: both cases raise
-    # exactly x and y to degree 3 (a swap's w and w' drop and recover in-step).
-    deg2 = list(range(work.num_vertices))
-    while deg2:
+    pair = g.pair_table()
+    # The seed check leaves one free slot per vertex, so the frontier is the
+    # ascending free slots, in vertex order.  Each step pairs the slots of x
+    # and y; a swap frees one slot at w and at w' and pairs it again at once.
+    free = [s for s, p in enumerate(pair) if p < 0]
+    while free:
         reaches: dict[int, frozenset[int]] = {}
-        for x in deg2:
-            fx = reaches[x] = forbidden_reach(work, x, k).members
+        for sx in free:
+            fx = reaches[sx] = forbidden_reach(g, sx // 3, k).members
             stats.max_forbidden_set = max(stats.max_forbidden_set, len(fx))
-            y = next((v for v in deg2 if v != x and v not in fx), None)
-            if y is not None:
+            sy = next((s for s in free if s != sx and s // 3 not in fx), None)
+            if sy is not None:
                 # Case 1: the first x, in ascending order, with a partner outside F(x).
-                work.add_edge(work.free_slots_of(x)[0], work.free_slots_of(y)[0])
+                g.add_edge(sx, sy)
                 stats.case1 += 1
                 break
         else:
             # Case 2: every ordered degree-2 pair is mutually forbidden.
-            x, y = deg2[0], deg2[1]
-            fx, fy = reaches[x], reaches[y]
+            sx, sy = free[0], free[1]
+            fx, fy = reaches[sx], reaches[sy]
             union = fx | fy
             inter = fx & fy
-            outside = [v for v in range(work.num_vertices) if v not in union]
+            outside = [v for v in range(g.num_vertices) if v not in union]
             for v in outside:
-                _require(work.degree(v) == 3, work, f"degree-2 vertex {v} escaped both forbidden sets")
-            partners = sorted({_non_seed_edge(work, v)[1] // 3 for v in outside})
+                full = min(pair[3 * v : 3 * v + 3]) >= 0
+                _require(full, g, f"degree-2 vertex {v} escaped both forbidden sets")
+            partners = sorted({_non_seed_edge(g, v)[1] // 3 for v in outside})
             candidates = [v for v in partners if v not in inter]
-            _require(bool(candidates), work, "no swap partner outside the intersection")
+            _require(bool(candidates), g, "no swap partner outside the intersection")
             w_prime = candidates[0]
-            slot_wp, slot_w = _non_seed_edge(work, w_prime)
-            w = slot_w // 3
-            _require(w in outside, work, f"swap partner {w_prime} not paired into the outside set")
-            _require(w_prime not in inter, work, f"swap partner {w_prime} is in both forbidden sets")
-            first, second = (x, y) if w_prime not in fx else (y, x)
-            work.remove_edge(slot_wp, slot_w)
-            work.add_edge(work.free_slots_of(first)[0], slot_wp)
-            work.add_edge(work.free_slots_of(second)[0], slot_w)
+            slot_wp, slot_w = _non_seed_edge(g, w_prime)
+            _require(slot_w // 3 in outside, g, f"swap partner {w_prime} not paired into the outside set")
+            first, second = (sx, sy) if w_prime not in fx else (sy, sx)
+            g.remove_edge(slot_wp, slot_w)
+            g.add_edge(first, slot_wp)
+            g.add_edge(second, slot_w)
             stats.case2 += 1
-
-        stats.iterations += 1
-        _require(work.degree(x) == work.degree(y) == 3, work, f"step left {x} or {y} below degree 3")
-        deg2.remove(x)
-        deg2.remove(y)
-    _require(work.is_complete(), work, "completion left free slots")
-    return work, stats
+        free.remove(sx)
+        free.remove(sy)
+    _require(g.is_complete(), g, "completion left free slots")
+    return stats
 
 
 def complete(
@@ -463,7 +461,8 @@ def complete(
     The input graph is left untouched.  The completion is fully
     deterministic; randomness only enters when the seed graph is laid out.
     """
-    done, _ = _run_completion(g, k, strict_seed_trace=strict_seed_trace)
+    done = g.copy()
+    _run_completion(done, k, strict_seed_trace=strict_seed_trace)
     return done
 
 
@@ -496,12 +495,12 @@ class BuildReport:
 
 def build(spec: SeedSpec) -> tuple[CubicRibbonGraph, BuildReport]:
     """Lay out the seed for a spec and complete it; returns graph and report."""
-    seed = make_seed(spec)
-    done, stats = _run_completion(seed, spec.k, strict_seed_trace=spec.strict_seed_trace)
+    done = make_seed(spec)
+    stats = _run_completion(done, spec.k, strict_seed_trace=spec.strict_seed_trace)
     crg = ribbon.serialize(done)
     report = BuildReport(
         spec=spec,
-        iterations=stats.iterations,
+        iterations=stats.case1 + stats.case2,
         case1=stats.case1,
         case2=stats.case2,
         max_forbidden_set=stats.max_forbidden_set,

@@ -48,10 +48,10 @@ __all__ = [
 
 
 # Largest sieve the library will allocate.  A trace-m census needs about
-# m*m/4 entries, so 10**7 covers traces up to 6,324 (and a construct floor
-# k up to 6,326); as a Python list it takes about 0.4 GB.  A larger request
-# is refused with ValueError before anything is allocated, rather than
-# ending in MemoryError or exhausting the host.
+# m*m/4 entries, so 10**7 covers traces up to 6,324; as a Python list it
+# takes about 0.4 GB.  A larger request is refused with ValueError before
+# anything is allocated, rather than ending in MemoryError or exhausting the
+# host.
 MAX_SIEVE_LIMIT = 10**7
 
 
@@ -81,7 +81,7 @@ class DivisorSieve:
         if limit > MAX_SIEVE_LIMIT:
             raise ValueError(
                 f"sieve limit {limit} exceeds the cap of {MAX_SIEVE_LIMIT} entries "
-                f"(traces above 6324 or floors above 6326)"
+                f"(traces above 6324)"
             )
         self.limit = limit
         spf = list(range(limit + 1))

@@ -111,10 +111,6 @@ class CubicRibbonGraph:
         """Raw seed flag of every slot; callers must not mutate."""
         return self._seed
 
-    def is_seed_slot(self, s: int) -> bool:
-        self._check_slot(s)
-        return self._seed[s]
-
     def degree(self, v: int) -> int:
         base = slot(v, 0)
         self._check_slot(base)

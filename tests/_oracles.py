@@ -245,8 +245,9 @@ def relabeled(g: CubicRibbonGraph, perm: list[int]) -> CubicRibbonGraph:
         raise ValueError("perm is not a permutation of the vertices")
     h = CubicRibbonGraph(n)
     move = lambda s: 3 * perm[s // 3] + s % 3
+    seed = g.seed_table()
     for a, b in g.edges():
-        h.add_edge(move(a), move(b), seed=g.is_seed_slot(a))
+        h.add_edge(move(a), move(b), seed=seed[a])
     return h
 
 

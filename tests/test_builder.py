@@ -119,13 +119,26 @@ def test_make_seed_explicit_size_validation():
         SeedSpec(k=5, size=16).validate()
     with pytest.raises(SeedSpecError, match="not reachable"):
         make_seed(SeedSpec(k=5, size=22))  # 22 = 4a + 5b has no admissible split
-    # the size cap is checked before parity, and covers the least admissible
-    # count of a floor when no size is given
+    # the size cap is checked before parity, and the floor cap covers the
+    # least admissible count of a floor when no size is given
     SeedSpec(k=5, size=builder.MAX_VERTICES).validate()
     with pytest.raises(SeedSpecError, match="size 1000001 exceeds the cap of 1000000 vertices"):
         SeedSpec(k=5, size=builder.MAX_VERTICES + 1).validate()
-    with pytest.raises(SeedSpecError, match="least admissible count 1091576 exceeds the cap"):
+    with pytest.raises(SeedSpecError, match="floor 400 exceeds the cap"):
         SeedSpec(k=400).validate()
+
+
+def test_max_floor_is_the_last_floor_under_the_vertex_cap():
+    # exact on both sides: the least admissible count of MAX_FLOOR fits, the
+    # next floor's does not, and the count grows with k
+    assert builder.MAX_FLOOR == 384
+    assert seed_size_bound(384) == 998292 <= builder.MAX_VERTICES
+    assert seed_size_bound(385) == 1002104 > builder.MAX_VERTICES
+    SeedSpec(k=builder.MAX_FLOOR).validate()
+    with pytest.raises(SeedSpecError, match="floor 385 exceeds the cap"):
+        SeedSpec(k=builder.MAX_FLOOR + 1).validate()
+    with pytest.raises(SeedSpecError, match="floor 385 exceeds the cap"):
+        builder.check_planted_budget(builder.MAX_FLOOR + 1, 6)
 
 
 def test_forbidden_reach_on_a_hand_circuit():
@@ -252,7 +265,9 @@ def test_forbidden_reach_requires_degree_two():
 
 def test_complete_minimum_k5_with_floor_checks(monkeypatch):
     seed = make_seed(SeedSpec(k=5))
+    before = ribbon.serialize(seed)
     done = floor_checked_build(monkeypatch, lambda: complete(seed, 5))
+    assert ribbon.serialize(seed) == before  # input untouched
     assert done.is_complete()
     assert done.num_edges() == 30
     assert seed.edges() == done.seed_edges()  # original circuits preserved
@@ -331,19 +346,42 @@ def test_case_two_swap_occurs_and_certifies(monkeypatch):
 
 
 def test_completion_computes_the_degree_two_frontier_once(monkeypatch):
-    calls = []
-    original = ribbon.CubicRibbonGraph.degree2_vertices
+    counts = dict.fromkeys(
+        ["degree2_vertices", "components", "free_slots_of", "degree", "copy", "forbidden_reach"], 0
+    )
 
-    def counting(self):
-        calls.append(1)
-        return original(self)
+    def counting(owner, name):
+        original = getattr(owner, name)
 
-    monkeypatch.setattr(ribbon.CubicRibbonGraph, "degree2_vertices", counting)
-    monkeypatch.setattr(ribbon.CubicRibbonGraph, "components", counting)
-    build(SeedSpec(k=5))
-    # the seed check leaves every vertex at degree 2, so the frontier starts
-    # as all of them: no degree scan and no union-find
-    assert calls == []
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in ("degree2_vertices", "components", "free_slots_of", "degree", "copy"):
+        counting(ribbon.CubicRibbonGraph, name)
+    counting(builder, "forbidden_reach")
+    for rng_seed in (0, 5):  # layout 5 of k=4 takes a Case-2 swap
+        _, report = build(SeedSpec(k=4, rng_seed=rng_seed))
+        # the seed check leaves every vertex at degree 2, so the frontier
+        # starts as all of them: no degree scan and no union-find
+        assert counts["degree2_vertices"] == counts["components"] == 0
+        # the loop pairs the free slots it tracks: the only slot and degree
+        # lookups are forbidden_reach's checks of its input, one per call,
+        # and build completes its fresh seed without copying it
+        assert counts["forbidden_reach"] >= report.iterations
+        assert counts["free_slots_of"] == counts["degree"] == counts["forbidden_reach"]
+        assert counts["copy"] == 0
+    assert report.case2 >= 1
+
+
+def test_complete_leaves_a_case_two_input_untouched():
+    seed = make_seed(SeedSpec(k=4, rng_seed=5))
+    before = ribbon.serialize(seed)
+    done = complete(seed, 4)
+    assert ribbon.serialize(seed) == before
+    assert hashlib.sha256(ribbon.serialize(done).encode("ascii")).hexdigest() == CASE_TWO_SHAS[(4, 5)]
 
 
 def test_completion_invariants_hold_under_python_O():

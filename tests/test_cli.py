@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from systolic import census, ribbon, scanner, words
+from systolic import builder, census, ribbon, scanner, words
 from systolic.cli import main
 
 from _oracles import theta_graph
@@ -240,6 +240,52 @@ def test_oversized_sieves_exit_two_under_an_address_space_limit(tmp_path, argv):
     assert "exceeds the cap" in done.stderr
     assert "Traceback" not in done.stderr
     assert not (tmp_path / "x.crg").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--k", "6000"],
+        ["construct", "--k", "6000", "--plant-trace", "7:1"],
+    ],
+)
+def test_floors_above_the_cap_exit_two_before_any_sieve(tmp_path, capsys, monkeypatch, argv):
+    # the floor cap is checked before seed_size_bound, whose sieve for
+    # k = 6000 would have about 9 million entries
+    class SmallSieve(census.DivisorSieve):
+        def __init__(self, limit):
+            if limit > 40_000:
+                raise AssertionError(f"a sieve of {limit} entries was built")
+            super().__init__(limit)
+
+    monkeypatch.setattr(census, "DivisorSieve", SmallSieve)
+    target = tmp_path / "x.crg"
+    code, out, err = run(capsys, *argv, "-o", str(target))
+    assert code == 2, err
+    assert "exceeds the cap" in err
+    assert out == ""
+    assert not target.exists()
+
+
+def test_readme_states_the_current_caps():
+    # the caps are quoted in the README's usage notes; a changed value must
+    # change the text with it
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        text = " ".join(handle.read().split())
+
+    def spelled(value):
+        exponent = len(str(value)) - 1
+        return f"10^{exponent}" if value == 10**exponent and exponent > 1 else str(value)
+
+    for module, name in [
+        (census, "MAX_SIEVE_LIMIT"),
+        (words, "MAX_WORD_LETTERS"),
+        (builder, "MAX_VERTICES"),
+        (builder, "MAX_FLOOR"),
+    ]:
+        stated = f"`{module.__name__.rsplit('.', 1)[-1]}.{name}` = {spelled(getattr(module, name))}"
+        assert stated in text, stated
 
 
 @pytest.mark.parametrize(
