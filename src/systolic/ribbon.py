@@ -97,12 +97,6 @@ class CubicRibbonGraph:
         if not 0 <= s < len(self._pair):
             raise ValueError(f"slot {s} outside 0..{len(self._pair) - 1}")
 
-    def pair(self, s: int) -> int | None:
-        """Partner slot, or None when the slot is free."""
-        self._check_slot(s)
-        p = self._pair[s]
-        return None if p < 0 else p
-
     def pair_table(self) -> list[int]:
         """Raw pairing array (-1 marks a free slot); callers must not mutate."""
         return self._pair

@@ -25,6 +25,16 @@ kept: it is primitive in the surface group, so its geodesic is a primitive
 one of that trace.  Free homotopy between distinct graph cycles is not
 quotiented, so multiplicities are upper bounds for geodesic multiplicities.
 
+The starts rest on one fact.  If no vertex has three seed slots, a closed
+walk on seed edges alone has one exit to take at every vertex, so it goes
+round one seed circuit; every other primitive class crosses a non-seed
+edge, and the walk or its reversal crosses it from the edge's lower dart.
+So the darts are relabelled edge by edge, non-seed edges first, the tree
+walk starts only from the lower darts of non-seed edges, and each seed
+circuit is walked once on its own.  The fact holds for any flagging, so the
+seed flags only choose starts and a hostile file cannot hide a class; when
+some vertex has three seed slots every edge is a start.
+
 The systole comes from a probe that walks from dart 0 alone in order of
 trace, which bounds it from above, and one full scan at that bound.
 """
@@ -91,25 +101,103 @@ def _step_tables(g: CubicRibbonGraph) -> tuple[tuple[int, ...], tuple[int, ...]]
     return tuple(succ[t] for t in pair), tuple(pred[t] for t in pair)
 
 
+def _edge_major_tables(
+    g: CubicRibbonGraph,
+) -> tuple[list[int], int, tuple[int, ...], tuple[int, ...]]:
+    """Darts relabelled edge-major, non-seed edges first: edge i carries
+    labels 2i (its low slot) and 2i + 1.  Returns the slot of each label,
+    the number of non-seed edges and the L and R step tables over labels.
+    If some vertex has three seed slots, every edge counts as non-seed."""
+    pair = g.pair_table()
+    seed = g.seed_table()
+    order = [s for s, p in enumerate(pair) if p > s]
+    free = len(order)
+    if not any(map(all, zip(seed[0::3], seed[1::3], seed[2::3]))):
+        order.sort(key=seed.__getitem__)  # stable: non-seed edges first
+        free -= sum(map(seed.__getitem__, order))
+    orig = [x for s in order for x in (s, pair[s])]
+    label = [0] * len(orig)
+    for x, s in enumerate(orig):
+        label[s] = x
+    succ, pred = ribbon.turn_tables(len(pair))
+    return (
+        orig,
+        free,
+        tuple([label[succ[pair[s]]] for s in orig]),
+        tuple([label[pred[pair[s]]] for s in orig]),
+    )
+
+
+def _seed_circuits(step_l, step_r, first: int, max_trace: int):
+    """Each seed circuit of trace <= max_trace and at most max_trace - 1
+    darts, walked once in one direction, as (labels, word).  The labels
+    from ``first`` on are the seed darts, and no vertex has three seed
+    slots, so after a seed dart at most one exit is a seed dart: the walk
+    has no choice, and it ends where a seed path does."""
+    max_len = max_trace - 1
+    walked = bytearray(len(step_l) // 2)  # per edge
+    for x0 in range(first, len(step_l), 2):
+        if walked[x0 >> 1]:
+            continue
+        darts, letters = [], []
+        a, b, c, d = 1, 0, 0, 1
+        x = x0
+        while True:
+            walked[x >> 1] = 1
+            darts.append(x)
+            y = step_l[x]
+            if y >= first:
+                letters.append("L")
+                b += a
+                d += c
+            else:
+                y = step_r[x]
+                if y < first:
+                    break
+                letters.append("R")
+                a += b
+                c += d
+            if a + d > max_trace:
+                break
+            if y == x0:
+                yield darts, "".join(letters)
+                break
+            if len(darts) >= max_len or walked[y >> 1]:
+                break
+            x = y
+
+
 def _enumerate(g: CubicRibbonGraph, max_trace: int) -> dict[tuple[int, ...], str]:
     """Closed-walk classes of a complete graph with word trace <= max_trace,
-    as {canonical dart sequence: canonical word}.  Every dart is a start,
-    and walks stop at max_trace - 1 darts: a word that is not a letter
-    power has at most trace - 1 letters, and letter powers are dropped.
+    as {canonical dart sequence: canonical word}.  Walks stop at
+    max_trace - 1 darts: a word that is not a letter power has at most
+    trace - 1 letters, and letter powers are dropped.
+
+    The starts rest on the seed flags.  If no vertex has three seed slots,
+    a closed walk on seed edges alone has no choice at any vertex, so it
+    goes round one seed circuit, and going round more than once makes a
+    proper power, which is dropped.  Every other class crosses a non-seed
+    edge, which the walk or its reversal crosses from the edge's lower
+    dart.  So the darts are relabelled edge-major, non-seed edges first,
+    the scan starts only from the lower darts of non-seed edges, and each
+    seed circuit is walked once and added.  This holds for any flagging,
+    so the flags only choose starts and a hostile file cannot hide a
+    class: with no seed edges, or with three seed slots at some vertex,
+    every edge's lower dart is a start.
 
     One walk of the tree of words carries, per node, the matrix (a, b, c,
     d) and length of the word with the tuple of start darts still alive and
     the current dart of each; a letter steps them all at once.  A start is
-    dropped once its walk steps onto a dart below it, so each walk comes
-    from its least dart only.  At a node where some walks close, the word
-    is the unique factorization of the matrix, and each closing walk's
-    darts are replayed from its start along the word.  The nodes wait on
-    one explicit stack.
+    dropped once its walk steps onto a label below it, so each walk comes
+    from its least non-seed edge only.  At a node where some walks close,
+    the word is the unique factorization of the matrix, and each closing
+    walk's darts are replayed from its start along the word and mapped
+    back to slots.  The nodes wait on one explicit stack.
     """
     found: dict[tuple[int, ...], str] = {}
     max_len = max_trace - 1
-    step_l, step_r = _step_tables(g)
-    starts = tuple(range(g.num_slots))
+    orig, free, step_l, step_r = _edge_major_tables(g)
+    starts = tuple(range(0, 2 * free, 2))
     stack = [(starts, starts, 1, 0, 0, 1, 1)] if starts else []
     while stack:
         st, cur, a, b, c, d, n = stack.pop()
@@ -126,9 +214,10 @@ def _enumerate(g: CubicRibbonGraph, max_trace: int) -> dict[tuple[int, ...], str
                 for d0, x in zip(st, e):
                     if x != d0:
                         continue
-                    darts = [d0]
+                    darts = [orig[d0]]
                     for letter in word[:-1]:
-                        darts.append((step_l if letter == "L" else step_r)[darts[-1]])
+                        d0 = (step_l if letter == "L" else step_r)[d0]
+                        darts.append(orig[d0])
                     canon = canonical_walk(tuple(darts), g)
                     if canon not in found:
                         cw = cw or words.canonical(word)
@@ -144,6 +233,8 @@ def _enumerate(g: CubicRibbonGraph, max_trace: int) -> dict[tuple[int, ...], str
             elif any(keep):
                 kept = tuple(compress(st, keep)), tuple(compress(e, keep))
                 stack.append((*kept, na, nb, nc, nd, n + 1))
+    for labels, word in _seed_circuits(step_l, step_r, 2 * free, max_trace):
+        found[canonical_walk(tuple([orig[x] for x in labels]), g)] = words.canonical(word)
     return found
 
 

@@ -4,8 +4,9 @@ the test modules.
 Everything here recomputes results through a different route than the
 library code it checks: matrix counts by bounded quadruple search, word
 classes by listing every rotation of a word and of its star, closed
-walks by composing per-letter dart maps and reading off fixed points or by
-walking the word tree once per start dart, the probe bound by deepening
+walks by composing per-letter dart maps and reading off fixed points, by
+walking the word tree once per start dart, or by one word-major walk from
+every dart with no regard to seed flags, the probe bound by deepening
 over that dart-major walk, forbidden sets by a stack search that does its
 own matrix arithmetic, and graph corpora by exhausting perfect matchings
 over the free slots of fixed circuit shapes.  The census routes the
@@ -22,6 +23,8 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import compress
+from operator import eq, ge, itemgetter
 
 from systolic import builder, census, ribbon, scanner, words
 from systolic.builder import _install_circuit
@@ -298,7 +301,7 @@ def naive_walk_classes(
 def dart_major_enumerate(
     g: CubicRibbonGraph, max_trace: int, max_len: int, starts
 ) -> dict[tuple[int, ...], str]:
-    """``scanner._enumerate`` walked dart by dart: one pruned walk of the
+    """``all_darts_enumerate`` walked dart by dart: one pruned walk of the
     word tree per start dart, each state (last dart, a, b, c, d, length) on
     its own explicit stack, with the same prune rules and the same
     {canonical dart sequence: canonical word} result."""
@@ -335,6 +338,63 @@ def dart_major_enumerate(
                 if tr == max_trace and nb > 0 and nc > 0:
                     continue
                 stack.append((e, na, nb, nc, nd, n + 1))
+    return found
+
+
+def all_darts_enumerate(g: CubicRibbonGraph, max_trace: int) -> dict[tuple[int, ...], str]:
+    """``scanner._enumerate`` before its starts rested on the seed flags.
+    Closed-walk classes of a complete graph with word trace <= max_trace,
+    as {canonical dart sequence: canonical word}.  Every dart is a start,
+    and walks stop at max_trace - 1 darts: a word that is not a letter
+    power has at most trace - 1 letters, and letter powers are dropped.
+
+    One walk of the tree of words carries, per node, the matrix (a, b, c,
+    d) and length of the word with the tuple of start darts still alive and
+    the current dart of each; a letter steps them all at once.  A start is
+    dropped once its walk steps onto a dart below it, so each walk comes
+    from its least dart only.  At a node where some walks close, the word
+    is the unique factorization of the matrix, and each closing walk's
+    darts are replayed from its start along the word.  The nodes wait on
+    one explicit stack.
+    """
+    found: dict[tuple[int, ...], str] = {}
+    max_len = max_trace - 1
+    step_l, step_r = scanner._step_tables(g)
+    starts = tuple(range(g.num_slots))
+    stack = [(starts, starts, 1, 0, 0, 1, 1)] if starts else []
+    while stack:
+        st, cur, a, b, c, d, n = stack.pop()
+        # itemgetter of one index returns a bare dart; a slice keeps a tuple
+        get = itemgetter(*cur) if len(cur) > 1 else itemgetter(slice(cur[0], cur[0] + 1))
+        for step, na, nb, nc, nd in ((step_l, a, a + b, c, c + d), (step_r, a + b, b, c + d, d)):
+            tr = na + nd
+            if tr > max_trace:
+                continue
+            e = get(step)
+            if any(map(eq, e, st)):
+                word = words.word_of_matrix(words.UniMat(na, nb, nc, nd))
+                cw = None
+                for d0, x in zip(st, e):
+                    if x != d0:
+                        continue
+                    darts = [d0]
+                    for letter in word[:-1]:
+                        darts.append((step_l if letter == "L" else step_r)[darts[-1]])
+                    canon = scanner.canonical_walk(tuple(darts), g)
+                    if canon not in found:
+                        cw = cw or words.canonical(word)
+                        found[canon] = cw
+            if n >= max_len:
+                continue
+            # a non-letter-power at the bound can only close above it
+            if tr == max_trace and nb > 0 and nc > 0:
+                continue
+            keep = tuple(map(ge, e, st))
+            if all(keep):
+                stack.append((st, e, na, nb, nc, nd, n + 1))
+            elif any(keep):
+                kept = tuple(compress(st, keep)), tuple(compress(e, keep))
+                stack.append((*kept, na, nb, nc, nd, n + 1))
     return found
 
 

@@ -9,7 +9,7 @@ import pytest
 from systolic import builder, census, ribbon, scanner, words
 from systolic.cli import main
 
-from _oracles import theta_graph
+from _oracles import circuit_graph, theta_graph
 
 
 def run(capsys, *argv):
@@ -189,6 +189,57 @@ def test_outputs_are_byte_identical_across_runs_and_threads(tmp_path, capsys):
         assert code == 0
         texts.append(out)
     assert texts[0] == texts[1]
+
+
+def _reflagged(g, seed_edges):
+    """A copy of g whose seed edges are exactly ``seed_edges``."""
+    h = ribbon.CubicRibbonGraph(g.num_vertices)
+    for a, b in g.edges():
+        h.add_edge(a, b, seed=(a, b) in seed_edges)
+    return h
+
+
+def _seed_path(g, length):
+    """Edges of a path from vertex 0 that never revisits a vertex."""
+    pair = g.pair_table()
+    path, visited, v = set(), {0}, 0
+    while len(path) < length:
+        s = next(s for s in range(3 * v, 3 * v + 3) if pair[s] // 3 not in visited)
+        path.add((min(s, pair[s]), max(s, pair[s])))
+        v = pair[s] // 3
+        visited.add(v)
+    return path
+
+
+def test_seed_flags_never_change_an_answer(tmp_path, capsys):
+    # the scan reads the SEED section only to choose its starts, so verify
+    # and report give the same bytes and exit code with the section removed
+    builds = {k: builder.build(builder.SeedSpec(k=k))[0] for k in (5, 8, 12)}
+    k8 = builds[8]
+    third_slot = next(e for e in k8.edges() if e[0] // 3 == 0 and e not in k8.seed_edges())
+    three_seed_slots = _reflagged(k8, {*k8.seed_edges(), third_slot})
+    assert all(three_seed_slots.seed_table()[:3])
+    letter_powers = builder.complete(circuit_graph(["L" * 5] * 4), 5)
+    cases = [
+        *((g, k) for k, g in builds.items()),
+        (_reflagged(k8, _seed_path(k8, 6)), 8),
+        (three_seed_slots, 8),
+        (letter_powers, 5),
+    ]
+    crg = tmp_path / "g.crg"
+    for g, k in cases:
+        text = ribbon.serialize(g)
+        assert "\nSEED\n" in text
+        runs = []
+        for variant in (text, text[: text.index("SEED\n")]):
+            crg.write_text(variant, newline="\n")
+            runs.append([
+                run(capsys, "verify", "--k", str(k), str(crg)),
+                run(capsys, "verify", "--k", str(k + 1), str(crg)),
+                run(capsys, "report", str(crg), "--json"),
+            ])
+        assert runs[0] == runs[1]
+        assert [code for code, _, _ in runs[0]] == [0, 1, 0]
 
 
 def test_construct_serializes_once_and_writes_the_hashed_bytes(tmp_path, capsys, monkeypatch):

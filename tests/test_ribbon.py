@@ -52,7 +52,7 @@ def test_add_and_remove_edges():
     g = CubicRibbonGraph(2)
     g.add_edge(0, 3)
     assert g.degree(0) == 1 and g.degree(1) == 1
-    assert g.pair(0) == 3 and g.pair(3) == 0
+    assert g.pair_table()[0] == 3 and g.pair_table()[3] == 0
     with pytest.raises(ValueError):
         g.add_edge(0, 4)  # slot 0 occupied
     with pytest.raises(ValueError):
@@ -235,7 +235,7 @@ def test_deserialize_errors():
         deserialize("CRG 1\n1\n0: 0.0 - -\n")
     # a loop (two distinct slots of one vertex) is legal, not a self-pair
     loop = deserialize("CRG 1\n1\n0: 0.1 0.0 -\n")
-    assert loop.pair(0) == 1
+    assert loop.pair_table()[0] == 1
     # slot pointed to twice: 0.0 -> 1.0 and 0.1 -> 1.0
     with pytest.raises(CrgParseError, match="paired twice|pair back"):
         deserialize("CRG 1\n2\n0: 1.0 1.0 -\n1: 0.0 - -\n")
@@ -271,7 +271,7 @@ def test_parse_error_carries_line_number():
 def test_relabeled_permutes_vertices():
     g = theta_graph(True)
     h = relabeled(g, [1, 0])
-    assert h.pair(slot(1, 0)) == slot(0, 0)
+    assert h.pair_table()[slot(1, 0)] == slot(0, 0)
     assert sorted(len(f) for f in faces(h)) == [2, 2, 2]
     with pytest.raises(ValueError):
         relabeled(g, [0, 0])

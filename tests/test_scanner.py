@@ -18,6 +18,7 @@ from systolic.scanner import (
 )
 
 from _oracles import (
+    all_darts_enumerate,
     circuit_graph,
     dart_major_enumerate,
     deepening_first_classes,
@@ -170,6 +171,22 @@ def test_certify_passes_on_builds_and_fails_on_counterexamples():
     assert not res.passed and not res.short_cycles and res.short_faces
 
 
+def _without_seed_circuit_powers(g, raw):
+    """The oracle's dict less the walks that go round one seed circuit more
+    than once: all darts seed-flagged and the sequence a proper power.  The
+    seed-aware scan walks each seed circuit once, and grouping drops the
+    powers anyway."""
+    seed = g.seed_table()
+    return {
+        darts: word
+        for darts, word in raw.items()
+        if not (
+            all(seed[d] for d in darts)
+            and any(darts == darts[i:] + darts[:i] for i in range(1, len(darts)))
+        )
+    }
+
+
 def test_word_major_scan_matches_the_dart_major_oracle():
     rng = random.Random(11)
     complete = [
@@ -181,12 +198,73 @@ def test_word_major_scan_matches_the_dart_major_oracle():
     cases = [(g, bound) for g in complete for bound in (3, 6, 10, 13)]
     k8, _ = builder.build(builder.SeedSpec(k=8))
     cases.append((k8, 12))
-    closures = 0
+    for k in range(5, 17):
+        g, _ = builder.build(builder.SeedSpec(k=k))
+        cases += [(g, k - 1), (g, k + 3)]
+    # seed circuits that are letter powers of five darts, at the bounds
+    # where they first fit in the dart cap (6) and just miss it (5)
+    letter_powers = builder.complete(circuit_graph(["L" * 5] * 4), 5)
+    cases += [(letter_powers, bound) for bound in (4, 5, 6)]
+    closures = seed_powers = 0
     for g, bound in cases:
         got = scanner._enumerate(g, bound)
-        assert got == dart_major_enumerate(g, bound, bound - 1, range(g.num_slots))
+        every_dart = all_darts_enumerate(g, bound)
+        expected = _without_seed_circuit_powers(g, every_dart)
+        assert got == expected
+        assert expected == _without_seed_circuit_powers(
+            g, dart_major_enumerate(g, bound, bound - 1, range(g.num_slots))
+        )
         closures += len(got)
+        seed_powers += len(every_dart) - len(expected)
     assert closures
+    # the small corpus has a seed circuit short enough to close twice
+    assert seed_powers
+
+
+def test_seed_aware_scan_matches_the_all_darts_oracle_under_any_flagging():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def flagged_graphs(draw):
+        # a random complete graph with seed flags: seed circuits completed
+        # by a random matching, seed edges chosen so that no vertex gets
+        # three seed slots (paths, circuits, loops), or any edge set at all
+        mode = draw(st.sampled_from(["circuits", "paths", "any"]))
+        if mode == "circuits":
+            shape = draw(st.lists(st.text("LR", min_size=2, max_size=4), min_size=1, max_size=3))
+            if sum(map(len, shape)) % 2:
+                shape[0] += "L"
+            g = circuit_graph(shape)
+            free = [s for s in draw(st.permutations(range(g.num_slots))) if g.pair_table()[s] < 0]
+            for a, b in zip(free[::2], free[1::2]):
+                g.add_edge(a, b)
+            return g
+        n = 2 * draw(st.integers(1, 6))
+        slots = draw(st.permutations(range(3 * n)))
+        flags = draw(st.lists(st.booleans(), min_size=3 * n // 2, max_size=3 * n // 2))
+        g = ribbon.CubicRibbonGraph(n)
+        seed_slots = [0] * n
+        for a, b, flag in zip(slots[::2], slots[1::2], flags):
+            if flag and mode == "paths":
+                flag = seed_slots[a // 3] + 1 + (a // 3 == b // 3) <= 2 and seed_slots[b // 3] < 2
+            if flag:
+                seed_slots[a // 3] += 1
+                seed_slots[b // 3] += 1
+            g.add_edge(a, b, seed=flag)
+        return g
+
+    @hypothesis.settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(flagged_graphs(), st.integers(3, 13))
+    def check(g, bound):
+        assert low_trace_cycles(g, bound) == scanner._group_classes(all_darts_enumerate(g, bound))
+        seed = g.seed_table()
+        triple = any(all(seed[s : s + 3]) for s in range(0, len(seed), 3))
+        seen.add("three seed slots" if triple else "seed edges" if any(seed) else "no seed")
+
+    seen: set[str] = set()
+    check()
+    assert seen == {"three seed slots", "seed edges", "no seed"}
 
 
 def test_scan_depth_is_not_limited_by_the_recursion_limit():
