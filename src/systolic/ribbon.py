@@ -111,7 +111,7 @@ class CubicRibbonGraph:
         return sum(1 for i in range(3) if self._pair[base + i] >= 0)
 
     def is_complete(self) -> bool:
-        return all(p >= 0 for p in self._pair)
+        return -1 not in self._pair
 
     def free_slots_of(self, v: int) -> list[int]:
         base = slot(v, 0)
@@ -273,11 +273,15 @@ def genus_closed(g: CubicRibbonGraph) -> list[ComponentSurface]:
 def girth(g: CubicRibbonGraph, vertices: list[int] | None = None) -> int | None:
     """Length of the shortest cycle of the underlying multigraph, or None.
 
-    A truncated breadth-first search from every vertex, over edges named by
-    their lower slot, so a loop closes at length 1 and a parallel pair at 2
-    with no special case.  ``vertices`` restricts the search to the subgraph
-    induced on them (a component, say); only their own slots are read, and
-    ids outside the graph are ignored.
+    A truncated breadth-first search from each vertex in ascending order,
+    over edges named by their lower slot, so a loop closes at length 1 and a
+    parallel pair at 2 with no special case.  Each search steps only to
+    vertices at or above its root: a shortest cycle lies entirely above its
+    least vertex m, so the search from m still closes it, and every length a
+    search reports is that of a closed walk, never below the girth.
+    ``vertices`` restricts the search to the subgraph induced on them (a
+    component, say); only their own slots are read, and ids outside the
+    graph are ignored.
     """
     pair = g.pair_table()
     n = g.num_vertices
@@ -288,7 +292,7 @@ def girth(g: CubicRibbonGraph, vertices: list[int] | None = None) -> int | None:
             for s in range(3 * v, 3 * v + 3)
             if (p := pair[s]) >= 0 and p // 3 in keep
         ]
-        for v in keep
+        for v in sorted(keep)
     }
     best: int | None = None
     for src in adj:
@@ -301,7 +305,7 @@ def girth(g: CubicRibbonGraph, vertices: list[int] | None = None) -> int | None:
                 if best is not None and 2 * dist[u] >= best:
                     continue
                 for w, eid in adj[u]:
-                    if eid == via[u]:
+                    if w < src or eid == via[u]:
                         continue
                     if w in dist:
                         cand = dist[u] + dist[w] + 1

@@ -12,11 +12,12 @@ own matrix arithmetic, and graph corpora by exhausting perfect matchings
 over the free slots of fixed circuit shapes.  The census routes the
 library halved by symmetry are kept here whole: the word walk from both
 roots and the enumeration over every diagonal, which also lists its
-matrices.  The helpers that only tests call live here too: the matrix
-product, the turn letter between two slots and the word of a dart sequence,
-the free-slot list and vertex relabelling, the word of a seed circuit,
-letter insertion, the golden-ratio bounds on traces and girth, and the
-forbidden-set cap.
+matrices.  So is girth: a breadth-first search from every vertex over the
+whole subgraph, where the library searches only above each root.  The
+helpers that only tests call live here too: the matrix product, the turn
+letter between two slots and the word of a dart sequence, the free-slot
+list and vertex relabelling, the word of a seed circuit, letter insertion,
+the golden-ratio bounds on traces and girth, and the forbidden-set cap.
 """
 
 from __future__ import annotations
@@ -427,6 +428,54 @@ def deepening_first_classes(g: CubicRibbonGraph, start: int):
         bound += 1
 
 
+# -- girth oracle -------------------------------------------------------------
+
+
+def all_roots_girth(g: CubicRibbonGraph, vertices: list[int] | None = None) -> int | None:
+    """Length of the shortest cycle of the underlying multigraph, or None.
+
+    A truncated breadth-first search from every vertex, over edges named by
+    their lower slot, so a loop closes at length 1 and a parallel pair at 2
+    with no special case.  ``vertices`` restricts the search to the subgraph
+    induced on them (a component, say); only their own slots are read, and
+    ids outside the graph are ignored.
+    """
+    pair = g.pair_table()
+    n = g.num_vertices
+    keep = range(n) if vertices is None else {v for v in vertices if 0 <= v < n}
+    adj = {
+        v: [
+            (p // 3, min(s, p))
+            for s in range(3 * v, 3 * v + 3)
+            if (p := pair[s]) >= 0 and p // 3 in keep
+        ]
+        for v in keep
+    }
+    best: int | None = None
+    for src in adj:
+        dist = {src: 0}
+        via = {src: -1}
+        frontier = [src]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                if best is not None and 2 * dist[u] >= best:
+                    continue
+                for w, eid in adj[u]:
+                    if eid == via[u]:
+                        continue
+                    if w in dist:
+                        cand = dist[u] + dist[w] + 1
+                        if best is None or cand < best:
+                            best = cand
+                    else:
+                        dist[w] = dist[u] + 1
+                        via[w] = eid
+                        nxt.append(w)
+            frontier = nxt
+    return best
+
+
 # -- forbidden-path oracle ----------------------------------------------------
 
 
@@ -499,13 +548,15 @@ def floor_checked_build(monkeypatch, run):
         if text not in checked:
             checked.add(text)
             bad = naive_walk_classes(g, k - 1, k - 1)
-            assert not bad, f"floor {k} broken mid-completion: {sorted(bad.items())[:3]}"
+            if bad:
+                raise AssertionError(f"floor {k} broken mid-completion: {sorted(bad.items())[:3]}")
         return real(g, x, k)
 
     with monkeypatch.context() as m:
         m.setattr(builder, "forbidden_reach", checking)
         result = run()
-    assert checked, "the completion never searched for forbidden paths"
+    if not checked:
+        raise AssertionError("the completion never searched for forbidden paths")
     return result
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from systolic import ribbon
+from systolic import builder, ribbon
 from systolic.ribbon import (
     CrgParseError,
     CubicRibbonGraph,
@@ -19,6 +19,7 @@ from systolic.ribbon import (
 )
 
 from _oracles import (
+    all_roots_girth,
     free_slots,
     random_complete_graph,
     relabeled,
@@ -186,6 +187,53 @@ def test_girth_on_multigraphs_and_vertex_subsets_against_networkx():
             assert girth(g, vertices=vs) == want, (g.edges(), vs)
             seen.add(want if want is None else min(want, 3))
     assert seen == {None, 1, 2, 3}  # acyclic, loop, parallel pair and simple cases all ran
+
+
+def test_least_vertex_girth_matches_the_all_roots_oracle():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    seen = set()
+
+    @st.composite
+    def partial_graphs(draw):
+        # a random matching of some of the slots of up to 30 vertices; by
+        # mode, pairs that would make a loop, or a loop or parallel edge, are
+        # dropped so that longer girths occur; the vertex subset may repeat
+        # ids and name ids outside the graph
+        n = draw(st.integers(1, 30))
+        slots = draw(st.permutations(range(3 * n)))
+        m = draw(st.integers(0, 3 * n // 2))
+        mode = draw(st.sampled_from(["any", "no loops", "simple"]))
+        g = CubicRibbonGraph(n)
+        joined = set()
+        for a, b in zip(slots[: 2 * m : 2], slots[1 : 2 * m : 2]):
+            ends = frozenset((a // 3, b // 3))
+            if (mode != "any" and len(ends) == 1) or (mode == "simple" and ends in joined):
+                continue
+            joined.add(ends)
+            g.add_edge(a, b)
+        vertices = draw(st.none() | st.lists(st.integers(-3, n + 3), max_size=n + 6))
+        return g, vertices
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(partial_graphs())
+    def check(case):
+        g, vertices = case
+        want = all_roots_girth(g, vertices)
+        assert girth(g, vertices) == want, (g.edges(), vertices)
+        seen.add(want if want is None else min(want, 4))
+
+    check()
+    assert seen == {None, 1, 2, 3, 4}  # acyclic, loop, parallel pair, triangle and longer all ran
+
+
+def test_least_vertex_girth_matches_the_oracle_on_corpus_and_builds():
+    graphs = list(small_complete_corpus())
+    graphs += [builder.build(builder.SeedSpec(k=k))[0] for k in (10, 20, 30)]
+    for g in graphs:
+        assert girth(g) == all_roots_girth(g), g.edges()
+        for comp in g.components():
+            assert girth(g, comp) == all_roots_girth(g, comp), (g.edges(), comp)
 
 
 def test_girth_restricted_to_component():
