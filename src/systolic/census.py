@@ -25,7 +25,15 @@ each read the sieve on their own (divisor counts against divisor lists
 checked by the determinant), and the walk reads no sieve at all.
 
 The divisor sieve is built once and then read-only; table rows are
-independent and assembled in deterministic order.
+independent and assembled in deterministic order.  Divisor counts and
+divisor lists come straight from the smallest-prime-factor table: one walk
+down it per query, multiplying in each prime power as it is read, with no
+factor list in between.  The word walk needs no length cap either.  The
+spine L^j keeps trace 2 for every j, so it is the one branch the trace
+bound cannot end; the walk lists it directly, seeding its stack with the
+R children L^j R of trace j + 2 for j <= m - 2, and follows L-chains
+below them.  Every other word has trace at least its length + 1, so the
+trace bound ends each remaining branch.
 """
 
 from __future__ import annotations
@@ -96,32 +104,39 @@ class DivisorSieve:
         if not 1 <= n <= self.limit:
             raise ValueError(f"n={n} outside sieve range [1, {self.limit}]")
 
-    def factorize(self, n: int) -> list[tuple[int, int]]:
-        """Prime factorization as (prime, exponent) pairs, primes ascending."""
+    def divisor_count(self, n: int) -> int:
+        """Number of positive divisors: the product of e + 1 over p^e || n."""
         self._require(n)
-        out: list[tuple[int, int]] = []
         spf = self._spf
+        count = 1
         while n > 1:
             p = spf[n]
             e = 0
             while n % p == 0:
                 n //= p
                 e += 1
-            out.append((p, e))
-        return out
-
-    def divisor_count(self, n: int) -> int:
-        count = 1
-        for _, e in self.factorize(n):
             count *= e + 1
         return count
 
     def divisors(self, n: int) -> list[int]:
-        """All positive divisors, ascending."""
+        """All positive divisors, ascending.
+
+        Each prime power p^i read off the sieve multiplies the divisors
+        found before p, so no factor list is built.
+        """
+        self._require(n)
+        spf = self._spf
         out = [1]
-        for p, e in self.factorize(n):
-            out = [d * p**i for d in out for i in range(e + 1)]
-        return sorted(out)
+        while n > 1:
+            p = spf[n]
+            base = out
+            q = 1
+            while n % p == 0:
+                n //= p
+                q *= p
+                out = out + [d * q for d in base]
+        out.sort()
+        return out
 
 
 def _require_trace(m: int) -> None:
@@ -189,37 +204,43 @@ def N_of(m: int) -> int:
 def count_words_by_trace(max_trace: int) -> dict[int, int]:
     """Histogram of word counts per trace in [3, max_trace] by tree search.
 
-    Walks the binary tree of words, abandoning a branch once its trace
-    exceeds the bound (appending letters never lowers the trace) and capping
-    the length at max_trace - 1 (a word that is not a pure letter power has
-    trace at least length + 1, and letter powers stay at trace 2).  Swapping
-    L and R maps (a, b, c, d) to (d, c, b, a), keeps trace and length and
+    Swapping L and R maps (a, b, c, d) to (d, c, b, a), keeps the trace and
     takes the subtree below L onto the one below R, so the walk descends
     from L alone and counts each node twice.  From a node of trace
-    t = a + d the L child has trace t + c and the R child t + b.  Distinct
-    words have distinct matrices and the walk reads no sieve, so this is an
+    t = a + d the L child has trace t + c and the R child t + b, and
+    appending letters never lowers the trace.  Below L lies the spine
+    L^j = (1, j, 0, 1), all of trace 2, whose R children L^j R =
+    (1 + j, j, 1, 1) of trace j + 2 seed the stack.  Each node popped walks
+    its own L-chain (t += c, b += a, d += c), pushing the R child of every
+    link, until the trace passes the bound; off the spine c >= 1, so the
+    chain ends.  The spine, whose trace stays 2, is the one branch the trace
+    bound cannot end; listing it directly replaces the length cap, since
+    every other word has trace at least its length + 1, and the trace bound
+    alone ends each remaining branch.  Distinct words have
+    distinct matrices and the walk reads no sieve, so this is an
     independent oracle for the divisor-based counts.
     """
     if max_trace < 3:
         raise ValueError(f"max_trace must be >= 3, got {max_trace}")
     counts = {m: 0 for m in range(3, max_trace + 1)}
-    max_len = max_trace - 1
-    stack = [(1, 1, 0, 1, 1)]  # the word L, of length 1
+    stack = []
+    for j in range(1, max_trace - 1):
+        counts[j + 2] += 2
+        stack.append((1 + j, j, 1, 1))
     while stack:
-        a, b, c, d, n = stack.pop()
-        if n == max_len:
-            continue
-        n += 1
+        a, b, c, d = stack.pop()
         t = a + d
-        t_left = t + c
-        if t_left <= max_trace:
-            if t_left >= 3:
-                counts[t_left] += 2
-            stack.append((a, a + b, c, c + d, n))
-        t_right = t + b  # below L, b >= 1 and t >= 2
-        if t_right <= max_trace:
-            counts[t_right] += 2
-            stack.append((a + b, b, c + d, d, n))
+        while True:
+            t_right = t + b
+            if t_right <= max_trace:
+                counts[t_right] += 2
+                stack.append((a + b, b, c + d, d))
+            t += c
+            if t > max_trace:
+                break
+            counts[t] += 2
+            b += a
+            d += c
     return counts
 
 

@@ -12,8 +12,10 @@ own matrix arithmetic, and graph corpora by exhausting perfect matchings
 over the free slots of fixed circuit shapes.  The census routes the
 library halved by symmetry are kept here whole: the word walk from both
 roots and the enumeration over every diagonal, which also lists its
-matrices.  So is girth: a breadth-first search from every vertex over the
-whole subgraph, where the library searches only above each root.  The
+matrices.  So is the word walk from L under a length cap, which the
+library replaced by a walk along L-chains from the spine L^j.  So is
+girth: a breadth-first search from every vertex over the whole subgraph,
+where the library searches only above each root.  The
 helpers that only tests call live here too: the matrix product, the turn
 letter between two slots and the word of a dart sequence, the free-slot
 list and vertex relabelling, the word of a seed circuit, letter insertion,
@@ -76,6 +78,43 @@ def two_root_word_counts(max_trace: int) -> dict[int, int]:
             if t >= 3:
                 counts[t] += 1
             stack.append((na, nb, nc, nd, n + 1))
+    return counts
+
+
+def length_capped_word_counts(max_trace: int) -> dict[int, int]:
+    """Histogram of word counts per trace in [3, max_trace] by tree search.
+
+    Walks the binary tree of words, abandoning a branch once its trace
+    exceeds the bound (appending letters never lowers the trace) and capping
+    the length at max_trace - 1 (a word that is not a pure letter power has
+    trace at least length + 1, and letter powers stay at trace 2).  Swapping
+    L and R maps (a, b, c, d) to (d, c, b, a), keeps trace and length and
+    takes the subtree below L onto the one below R, so the walk descends
+    from L alone and counts each node twice.  From a node of trace
+    t = a + d the L child has trace t + c and the R child t + b.  Distinct
+    words have distinct matrices and the walk reads no sieve, so this is an
+    independent oracle for the divisor-based counts.
+    """
+    if max_trace < 3:
+        raise ValueError(f"max_trace must be >= 3, got {max_trace}")
+    counts = {m: 0 for m in range(3, max_trace + 1)}
+    max_len = max_trace - 1
+    stack = [(1, 1, 0, 1, 1)]  # the word L, of length 1
+    while stack:
+        a, b, c, d, n = stack.pop()
+        if n == max_len:
+            continue
+        n += 1
+        t = a + d
+        t_left = t + c
+        if t_left <= max_trace:
+            if t_left >= 3:
+                counts[t_left] += 2
+            stack.append((a, a + b, c, c + d, n))
+        t_right = t + b  # below L, b >= 1 and t >= 2
+        if t_right <= max_trace:
+            counts[t_right] += 2
+            stack.append((a + b, b, c + d, d, n))
     return counts
 
 

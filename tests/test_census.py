@@ -18,6 +18,7 @@ from _oracles import (
     brute_force_matrices,
     brute_force_trace_count,
     full_range_enumeration,
+    length_capped_word_counts,
     two_root_word_counts,
 )
 
@@ -37,12 +38,13 @@ def test_sieve_matches_trial_division():
 
 
 def test_sieve_divisors_are_exact():
-    sieve = DivisorSieve(500)
-    for n in (1, 2, 12, 360, 497, 499):
+    sieve = DivisorSieve(3000)
+    for n in range(1, 3001):
         divs = sieve.divisors(n)
-        assert divs == sorted(d for d in range(1, n + 1) if n % d == 0)
+        assert divs == [d for d in range(1, n + 1) if n % d == 0]
+        assert sieve.divisor_count(n) == len(divs)
     with pytest.raises(ValueError):
-        sieve.divisors(501)
+        sieve.divisors(3001)
 
 
 def test_spot_values():
@@ -103,6 +105,17 @@ def test_halved_routes_match_the_full_range_oracles():
         assert n_by_formula(m, sieve) == full
         assert n_by_enumeration(m, sieve) == full
         assert count_words_by_trace(m) == {t: full_walk[t] for t in range(3, m + 1)}
+
+
+def test_chain_walk_matches_the_length_capped_and_two_root_walks():
+    # the L-chain walk drops the length cap and seeds its stack from the
+    # spine L^j; both oracles keep the cap, one of them walks both roots.
+    # An oracle's histogram at bound m is its bound-150 one cut to m (the
+    # cap 149 cuts no word of trace <= m), so each oracle walks once
+    capped = length_capped_word_counts(150)
+    assert capped == two_root_word_counts(150)
+    for m in range(3, 151):
+        assert count_words_by_trace(m) == {t: capped[t] for t in range(3, m + 1)}, m
 
 
 def test_word_search_matches_formula():
