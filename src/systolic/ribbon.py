@@ -89,10 +89,6 @@ class CubicRibbonGraph:
     def num_vertices(self) -> int:
         return len(self._pair) // 3
 
-    @property
-    def num_slots(self) -> int:
-        return len(self._pair)
-
     def _check_slot(self, s: int) -> None:
         if not 0 <= s < len(self._pair):
             raise ValueError(f"slot {s} outside 0..{len(self._pair) - 1}")

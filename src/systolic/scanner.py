@@ -22,18 +22,19 @@ peripheral and excluded from results; walks whose dart sequence is a
 proper power are excluded as well, since their geodesics are iterates of
 shorter ones.  A primitive walk whose word happens to be a proper power is
 kept: it is primitive in the surface group, so its geodesic is a primitive
-one of that trace.  Free homotopy between distinct graph cycles is not
-quotiented, so multiplicities are upper bounds for geodesic multiplicities.
+one of that trace.  Multiplicities are exact: the cusped surface retracts
+onto the graph, so its free homotopy classes are those of closed walks that
+never turn back, up to rotation and reversal, and each class carries its own
+geodesic.
 
-The starts rest on one fact.  If no vertex has three seed slots, a closed
-walk on seed edges alone has one exit to take at every vertex, so it goes
-round one seed circuit; every other primitive class crosses a non-seed
-edge, and the walk or its reversal crosses it from the edge's lower dart.
-So the darts are relabelled edge by edge, non-seed edges first, the tree
-walk starts only from the lower darts of non-seed edges, and each seed
-circuit is walked once on its own.  The fact holds for any flagging, so the
-seed flags only choose starts and a hostile file cannot hide a class; when
-some vertex has three seed slots every edge is a start.
+The starts rest on one rule, which holds for any labelling.  The darts
+are relabelled edge by edge, and a closed walk crosses its least edge, so
+the walk or its reversal starts at that edge's lower dart and never steps
+below it.  So the tree walk starts from the lower dart of every edge and
+drops a walk once it steps below its start.  Non-seed edges take the low
+labels, so walks started on seed edges die as soon as they leave them: the
+seed flags change the cost of a scan, never its answer, and a hostile file
+cannot hide a class.
 
 The systole comes from a probe that walks from dart 0 alone in order of
 trace, which bounds it from above, and one full scan at that bound.
@@ -93,28 +94,21 @@ def _is_proper_power(darts: tuple[int, ...]) -> bool:
     return False
 
 
-def _step_tables(g: CubicRibbonGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The dart after each dart of a complete graph along an L turn (succ
-    of its partner) and along an R turn (pred of its partner)."""
-    pair = g.pair_table()
-    succ, pred = ribbon.turn_tables(len(pair))
-    return tuple(succ[t] for t in pair), tuple(pred[t] for t in pair)
-
-
 def _edge_major_tables(
     g: CubicRibbonGraph,
-) -> tuple[list[int], int, tuple[int, ...], tuple[int, ...]]:
-    """Darts relabelled edge-major, non-seed edges first: edge i carries
-    labels 2i (its low slot) and 2i + 1.  Returns the slot of each label,
-    the number of non-seed edges and the L and R step tables over labels.
-    If some vertex has three seed slots, every edge counts as non-seed."""
+) -> tuple[list[int], tuple[int, ...], tuple[int, ...]]:
+    """Darts relabelled edge-major: edge i carries labels 2i (its low slot)
+    and 2i + 1.  Returns the slot of each label and the L and R step tables
+    over labels: the label after each label along an L turn (succ of its
+    partner) and along an R turn (pred of its partner).
+
+    Any order of the edges and any choice of lower dart is sound.  Non-seed
+    edges come first, so that walks started on seed edges die as soon as
+    they leave them, and each group runs by descending low slot, which
+    stepped fewer darts than ascending on seed-0 and planted builds."""
     pair = g.pair_table()
     seed = g.seed_table()
-    order = [s for s, p in enumerate(pair) if p > s]
-    free = len(order)
-    if not any(map(all, zip(seed[0::3], seed[1::3], seed[2::3]))):
-        order.sort(key=seed.__getitem__)  # stable: non-seed edges first
-        free -= sum(map(seed.__getitem__, order))
+    order = sorted((s for s, p in enumerate(pair) if p > s), key=lambda s: (seed[s], -s))
     orig = [x for s in order for x in (s, pair[s])]
     label = [0] * len(orig)
     for x, s in enumerate(orig):
@@ -122,49 +116,9 @@ def _edge_major_tables(
     succ, pred = ribbon.turn_tables(len(pair))
     return (
         orig,
-        free,
         tuple([label[succ[pair[s]]] for s in orig]),
         tuple([label[pred[pair[s]]] for s in orig]),
     )
-
-
-def _seed_circuits(step_l, step_r, first: int, max_trace: int):
-    """Each seed circuit of trace <= max_trace and at most max_trace - 1
-    darts, walked once in one direction, as (labels, word).  The labels
-    from ``first`` on are the seed darts, and no vertex has three seed
-    slots, so after a seed dart at most one exit is a seed dart: the walk
-    has no choice, and it ends where a seed path does."""
-    max_len = max_trace - 1
-    walked = bytearray(len(step_l) // 2)  # per edge
-    for x0 in range(first, len(step_l), 2):
-        if walked[x0 >> 1]:
-            continue
-        darts, letters = [], []
-        a, b, c, d = 1, 0, 0, 1
-        x = x0
-        while True:
-            walked[x >> 1] = 1
-            darts.append(x)
-            y = step_l[x]
-            if y >= first:
-                letters.append("L")
-                b += a
-                d += c
-            else:
-                y = step_r[x]
-                if y < first:
-                    break
-                letters.append("R")
-                a += b
-                c += d
-            if a + d > max_trace:
-                break
-            if y == x0:
-                yield darts, "".join(letters)
-                break
-            if len(darts) >= max_len or walked[y >> 1]:
-                break
-            x = y
 
 
 def _enumerate(g: CubicRibbonGraph, max_trace: int) -> dict[tuple[int, ...], str]:
@@ -173,31 +127,27 @@ def _enumerate(g: CubicRibbonGraph, max_trace: int) -> dict[tuple[int, ...], str
     max_trace - 1 darts: a word that is not a letter power has at most
     trace - 1 letters, and letter powers are dropped.
 
-    The starts rest on the seed flags.  If no vertex has three seed slots,
-    a closed walk on seed edges alone has no choice at any vertex, so it
-    goes round one seed circuit, and going round more than once makes a
-    proper power, which is dropped.  Every other class crosses a non-seed
-    edge, which the walk or its reversal crosses from the edge's lower
-    dart.  So the darts are relabelled edge-major, non-seed edges first,
-    the scan starts only from the lower darts of non-seed edges, and each
-    seed circuit is walked once and added.  This holds for any flagging,
-    so the flags only choose starts and a hostile file cannot hide a
-    class: with no seed edges, or with three seed slots at some vertex,
-    every edge's lower dart is a start.
+    The starts rest on one rule that holds for any labelling.  The darts
+    are relabelled edge-major, and a closed walk crosses its least edge,
+    so the walk or its reversal starts at that edge's lower dart and never
+    steps below it.  So the scan starts from the lower dart of every edge
+    and drops a start once its walk steps onto a label below it.  Seed
+    edges take the highest labels, so a walk started on one lives only
+    along seed edges: the seed flags change the cost, never the answer,
+    and a hostile file cannot hide a class.
 
     One walk of the tree of words carries, per node, the matrix (a, b, c,
     d) and length of the word with the tuple of start darts still alive and
-    the current dart of each; a letter steps them all at once.  A start is
-    dropped once its walk steps onto a label below it, so each walk comes
-    from its least non-seed edge only.  At a node where some walks close,
-    the word is the unique factorization of the matrix, and each closing
-    walk's darts are replayed from its start along the word and mapped
-    back to slots.  The nodes wait on one explicit stack.
+    the current dart of each; a letter steps them all at once.  At a node
+    where some walks close, the word is the unique factorization of the
+    matrix, and each closing walk's darts are replayed from its start
+    along the word and mapped back to slots.  The nodes wait on one
+    explicit stack.
     """
     found: dict[tuple[int, ...], str] = {}
     max_len = max_trace - 1
-    orig, free, step_l, step_r = _edge_major_tables(g)
-    starts = tuple(range(0, 2 * free, 2))
+    orig, step_l, step_r = _edge_major_tables(g)
+    starts = tuple(range(0, len(orig), 2))
     stack = [(starts, starts, 1, 0, 0, 1, 1)] if starts else []
     while stack:
         st, cur, a, b, c, d, n = stack.pop()
@@ -233,8 +183,6 @@ def _enumerate(g: CubicRibbonGraph, max_trace: int) -> dict[tuple[int, ...], str
             elif any(keep):
                 kept = tuple(compress(st, keep)), tuple(compress(e, keep))
                 stack.append((*kept, na, nb, nc, nd, n + 1))
-    for labels, word in _seed_circuits(step_l, step_r, 2 * free, max_trace):
-        found[canonical_walk(tuple([orig[x] for x in labels]), g)] = words.canonical(word)
     return found
 
 
@@ -286,11 +234,12 @@ def _probe_bound(g: CubicRibbonGraph) -> int:
     L) under the alternating (dart, next-turn) permutation closes into a
     walk reading (LR)^(p/2) of trace L_p, the p-th Lucas number.
     """
-    step_l, step_r = _step_tables(g)
-    heap = [(2, 0, 0, 1, 0, 0, 1)]  # (key, darts, dart, a, b, c, d)
+    orig, step_l, step_r = _edge_major_tables(g)
+    x0 = orig.index(0)
+    heap = [(2, 0, x0, 1, 0, 0, 1)]  # (key, darts, dart label, a, b, c, d)
     while True:
         _, n, e, a, b, c, d = heapq.heappop(heap)
-        if e == 0 and b and c:  # a closed walk, not a letter power
+        if e == x0 and b and c:  # a closed walk, not a letter power
             return a + d
         heapq.heappush(heap, (max(a + c + d, n + 2), n + 1, step_l[e], a, a + b, c, c + d))
         heapq.heappush(heap, (max(a + b + d, n + 2), n + 1, step_r[e], a + b, b, c + d, d))

@@ -7,9 +7,11 @@ classes by listing every rotation of a word and of its star, closed
 walks by composing per-letter dart maps and reading off fixed points, by
 walking the word tree once per start dart, or by one word-major walk from
 every dart with no regard to seed flags, the probe bound by deepening
-over that dart-major walk, forbidden sets by a stack search that does its
-own matrix arithmetic, and graph corpora by exhausting perfect matchings
-over the free slots of fixed circuit shapes.  The census routes the
+over that dart-major walk, free homotopy classes by reading each walk as
+a word in the free generators off a networkx spanning forest, forbidden
+sets by a stack search that does its own matrix arithmetic, and graph
+corpora by exhausting perfect matchings over the free slots of fixed
+circuit shapes.  The census routes the
 library halved by symmetry are kept here whole: the word walk from both
 roots and the enumeration over every diagonal, which also lists its
 matrices.  So is the word walk from L under a length cap, which the
@@ -382,7 +384,7 @@ def dart_major_enumerate(
 
 
 def all_darts_enumerate(g: CubicRibbonGraph, max_trace: int) -> dict[tuple[int, ...], str]:
-    """``scanner._enumerate`` before its starts rested on the seed flags.
+    """``scanner._enumerate`` before it relabelled the darts edge by edge.
     Closed-walk classes of a complete graph with word trace <= max_trace,
     as {canonical dart sequence: canonical word}.  Every dart is a start,
     and walks stop at max_trace - 1 darts: a word that is not a letter
@@ -399,8 +401,12 @@ def all_darts_enumerate(g: CubicRibbonGraph, max_trace: int) -> dict[tuple[int, 
     """
     found: dict[tuple[int, ...], str] = {}
     max_len = max_trace - 1
-    step_l, step_r = scanner._step_tables(g)
-    starts = tuple(range(g.num_slots))
+    pair = g.pair_table()
+    # the dart after each dart along an L turn (succ of its partner) and
+    # along an R turn (pred of its partner)
+    step_l = tuple(ribbon.succ(pair[s]) for s in range(len(pair)))
+    step_r = tuple(ribbon.pred(pair[s]) for s in range(len(pair)))
+    starts = tuple(range(len(pair)))
     stack = [(starts, starts, 1, 0, 0, 1, 1)] if starts else []
     while stack:
         st, cur, a, b, c, d, n = stack.pop()
@@ -446,6 +452,39 @@ def deepening_probe_bound(g: CubicRibbonGraph) -> int:
     while not scanner._group_classes(dart_major_enumerate(g, bound, bound - 1, (0,))):
         bound += 1
     return bound
+
+
+def spanning_forest_slots(g: CubicRibbonGraph) -> set[int]:
+    """Low slots of the edges of a spanning forest of g, found by networkx
+    on the multigraph of g (each edge keyed by its low slot)."""
+    import networkx as nx
+
+    mg = nx.MultiGraph()
+    mg.add_nodes_from(range(g.num_vertices))
+    mg.add_edges_from((s // 3, p // 3, s) for s, p in g.edges())
+    return {key for _, _, key in nx.minimum_spanning_edges(mg, keys=True, data=False)}
+
+
+def free_group_word(
+    g: CubicRibbonGraph, darts: tuple[int, ...], tree: set[int]
+) -> tuple[tuple[int, int], ...]:
+    """The closed walk as a word in the free generators of pi_1 of g: one
+    generator per edge off the spanning forest ``tree``, named by its low
+    slot, with exponent +1 when the walk leaves by the low slot and -1
+    when it leaves by the high one.  Edges of the forest read nothing."""
+    pair = g.pair_table()
+    return tuple(
+        (min(d, pair[d]), 1 if d < pair[d] else -1)
+        for d in darts
+        if min(d, pair[d]) not in tree
+    )
+
+
+def cyclic_word_class(word: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
+    """Least rotation of a free-group word or of its inverse: the word's
+    conjugacy class up to inversion, when the word is cyclically reduced."""
+    inverse = tuple((x, -e) for x, e in reversed(word))
+    return min(seq[i:] + seq[:i] for seq in (word, inverse) for i in range(len(word)))
 
 
 def naive_cycle_classes(g, max_len, max_trace):

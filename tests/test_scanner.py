@@ -20,15 +20,18 @@ from systolic.scanner import (
 from _oracles import (
     all_darts_enumerate,
     circuit_graph,
+    cyclic_word_class,
     dart_major_enumerate,
     deepening_first_classes,
     deepening_probe_bound,
+    free_group_word,
     log_phi_ceil,
     naive_cycle_classes,
     naive_walk_classes,
     random_complete_graph,
     relabeled,
     small_complete_corpus,
+    spanning_forest_slots,
     theta_graph,
     walk_word,
 )
@@ -171,20 +174,13 @@ def test_certify_passes_on_builds_and_fails_on_counterexamples():
     assert not res.passed and not res.short_cycles and res.short_faces
 
 
-def _without_seed_circuit_powers(g, raw):
-    """The oracle's dict less the walks that go round one seed circuit more
-    than once: all darts seed-flagged and the sequence a proper power.  The
-    seed-aware scan walks each seed circuit once, and grouping drops the
-    powers anyway."""
+def _is_seed_circuit_power(g, darts):
+    """All darts seed-flagged and the sequence a proper power: a walk that
+    goes round one seed circuit more than once."""
     seed = g.seed_table()
-    return {
-        darts: word
-        for darts, word in raw.items()
-        if not (
-            all(seed[d] for d in darts)
-            and any(darts == darts[i:] + darts[:i] for i in range(1, len(darts)))
-        )
-    }
+    return all(seed[d] for d in darts) and any(
+        darts == darts[i:] + darts[:i] for i in range(1, len(darts))
+    )
 
 
 def test_word_major_scan_matches_the_dart_major_oracle():
@@ -201,6 +197,10 @@ def test_word_major_scan_matches_the_dart_major_oracle():
     for k in range(5, 17):
         g, _ = builder.build(builder.SeedSpec(k=k))
         cases += [(g, k - 1), (g, k + 3)]
+    # planted seed circuits: three of trace 12 and two letter powers L^9
+    plants = (builder.Plant(builder.word_for_trace(12), 3), builder.Plant("L" * 9, 2))
+    planted, _ = builder.build(builder.SeedSpec(k=8, plants=plants))
+    cases += [(planted, 7), (planted, 11)]
     # seed circuits that are letter powers of five darts, at the bounds
     # where they first fit in the dart cap (6) and just miss it (5)
     letter_powers = builder.complete(circuit_graph(["L" * 5] * 4), 5)
@@ -208,35 +208,30 @@ def test_word_major_scan_matches_the_dart_major_oracle():
     closures = seed_powers = 0
     for g, bound in cases:
         got = scanner._enumerate(g, bound)
-        every_dart = all_darts_enumerate(g, bound)
-        expected = _without_seed_circuit_powers(g, every_dart)
-        assert got == expected
-        assert expected == _without_seed_circuit_powers(
-            g, dart_major_enumerate(g, bound, bound - 1, range(g.num_slots))
-        )
+        assert got == all_darts_enumerate(g, bound)
+        assert got == dart_major_enumerate(g, bound, bound - 1, range(len(g.pair_table())))
         closures += len(got)
-        seed_powers += len(every_dart) - len(expected)
+        seed_powers += sum(_is_seed_circuit_power(g, darts) for darts in got)
     assert closures
     # the small corpus has a seed circuit short enough to close twice
     assert seed_powers
 
 
-def test_seed_aware_scan_matches_the_all_darts_oracle_under_any_flagging():
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
+def _flagged_graphs(st):
+    """Random complete graphs with seed flags: seed circuits completed by a
+    random matching, seed edges chosen so that no vertex gets three seed
+    slots (paths, circuits, loops), or any edge set at all."""
 
     @st.composite
     def flagged_graphs(draw):
-        # a random complete graph with seed flags: seed circuits completed
-        # by a random matching, seed edges chosen so that no vertex gets
-        # three seed slots (paths, circuits, loops), or any edge set at all
         mode = draw(st.sampled_from(["circuits", "paths", "any"]))
         if mode == "circuits":
             shape = draw(st.lists(st.text("LR", min_size=2, max_size=4), min_size=1, max_size=3))
             if sum(map(len, shape)) % 2:
                 shape[0] += "L"
             g = circuit_graph(shape)
-            free = [s for s in draw(st.permutations(range(g.num_slots))) if g.pair_table()[s] < 0]
+            pair = g.pair_table()
+            free = [s for s in draw(st.permutations(range(len(pair)))) if pair[s] < 0]
             for a, b in zip(free[::2], free[1::2]):
                 g.add_edge(a, b)
             return g
@@ -254,10 +249,19 @@ def test_seed_aware_scan_matches_the_all_darts_oracle_under_any_flagging():
             g.add_edge(a, b, seed=flag)
         return g
 
+    return flagged_graphs()
+
+
+def test_seed_aware_scan_matches_the_all_darts_oracle_under_any_flagging():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
     @hypothesis.settings(max_examples=120, deadline=None, derandomize=True, database=None)
-    @hypothesis.given(flagged_graphs(), st.integers(3, 13))
+    @hypothesis.given(_flagged_graphs(st), st.integers(3, 13))
     def check(g, bound):
-        assert low_trace_cycles(g, bound) == scanner._group_classes(all_darts_enumerate(g, bound))
+        every_dart = all_darts_enumerate(g, bound)
+        assert scanner._enumerate(g, bound) == every_dart
+        assert low_trace_cycles(g, bound) == scanner._group_classes(every_dart)
         seed = g.seed_table()
         triple = any(all(seed[s : s + 3]) for s in range(0, len(seed), 3))
         seen.add("three seed slots" if triple else "seed edges" if any(seed) else "no seed")
@@ -265,6 +269,31 @@ def test_seed_aware_scan_matches_the_all_darts_oracle_under_any_flagging():
     seen: set[str] = set()
     check()
     assert seen == {"three seed slots", "seed edges", "no seed"}
+
+
+def test_scan_matches_the_all_darts_oracle_under_any_edge_labelling(monkeypatch):
+    # the least-edge start rule holds for any order of the edges and any
+    # choice of each edge's lower dart, not only for the library's labels
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(_flagged_graphs(st), st.integers(3, 13), st.data())
+    def check(g, bound, data):
+        pair = g.pair_table()
+        edges = data.draw(st.permutations([(s, p) for s, p in enumerate(pair) if p > s]))
+        flips = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+        orig = [x for (s, p), flip in zip(edges, flips) for x in ((p, s) if flip else (s, p))]
+        label = {s: x for x, s in enumerate(orig)}
+        step_l = tuple(label[ribbon.succ(pair[s])] for s in orig)
+        step_r = tuple(label[ribbon.pred(pair[s])] for s in orig)
+        monkeypatch.setattr(scanner, "_edge_major_tables", lambda h: (orig, step_l, step_r))
+        assert scanner._enumerate(g, bound) == all_darts_enumerate(g, bound)
+        flipped.append(any(flips))
+
+    flipped: list[bool] = []
+    check()
+    assert any(flipped)
 
 
 def test_scan_depth_is_not_limited_by_the_recursion_limit():
@@ -350,6 +379,35 @@ def test_primitive_walks_with_power_words_are_kept():
     assert kept_power_word
 
 
+def test_spectrum_multiplicities_count_free_homotopy_classes():
+    # the surface retracts onto the graph, so its free homotopy classes are
+    # the conjugacy classes of the free group pi_1 of the graph: read each
+    # primitive essential walk of the naive oracle as a word in the
+    # generators off a spanning forest; the words are cyclically reduced,
+    # distinct walk classes give distinct classes up to rotation and
+    # inversion, and each trace's count is the scanner's multiplicity
+    pytest.importorskip("networkx")
+    k8, _ = builder.build(builder.SeedSpec(k=8))
+    cases = [(g, 10) for g in small_complete_corpus()] + [(k8, 12)]
+    counted = 0
+    for g, bound in cases:
+        tree = spanning_forest_slots(g)
+        classes, by_trace = set(), {}
+        for darts, word in naive_walk_classes(g, bound - 1, bound).items():
+            rotations = (darts[i:] + darts[:i] for i in range(1, len(darts)))
+            if words.is_letter_power(word) or darts in rotations:
+                continue
+            free = free_group_word(g, darts, tree)
+            assert free and all(b != (a[0], -a[1]) for a, b in zip(free, free[1:] + free[:1]))
+            classes.add(cyclic_word_class(free))
+            t = words.trace_of(word)
+            by_trace[t] = by_trace.get(t, 0) + 1
+            counted += 1
+        assert len(classes) == sum(by_trace.values())
+        assert bottom_spectrum(g, bound) == sorted(by_trace.items())
+    assert counted
+
+
 def test_report_contents():
     g, _ = builder.build(builder.SeedSpec(k=5))
     rep = report(g, spectrum_max=7)
@@ -382,7 +440,7 @@ def _disjoint_union(*parts):
     for h in parts:
         for a, b in h.edges():
             g.add_edge(a + offset, b + offset)
-        offset += h.num_slots
+        offset += len(h.pair_table())
     return g
 
 
