@@ -241,11 +241,7 @@ def _install_circuit(g: CubicRibbonGraph, ids: list[int], word: str) -> None:
     for i, letter in enumerate(word):
         _, depart = routing[letter]
         arrive_next, _ = routing[word[(i + 1) % n]]
-        g.add_edge(
-            ribbon.slot(ids[i], depart),
-            ribbon.slot(ids[(i + 1) % n], arrive_next),
-            seed=True,
-        )
+        g.add_edge(3 * ids[i] + depart, 3 * ids[(i + 1) % n] + arrive_next, seed=True)
 
 
 def make_seed(spec: SeedSpec) -> CubicRibbonGraph:
@@ -283,54 +279,73 @@ class ForbiddenReach:
 
 @functools.lru_cache(maxsize=4)
 def _admissible_tree(k: int):
-    """Preorder arrays (letter, depth, subtree end) of the words of at most
+    """Preorder arrays (letter, parent, subtree end) of the words of at most
     k - 2 letters and trace at most max(k - 2, 2), R subtrees before L;
-    letter 0 is L and 1 is R, as in ``ribbon.turn_tables``.  Each word's
-    matrix lives only on the build stack, to prune by trace."""
+    letter 0 is L and 1 is R, as in ``ribbon.turn_tables``.  Node 0 is the
+    empty word, its own parent.  Each word's length and matrix live only on
+    the build stack, to prune."""
     max_trace = max(k - 2, 2)
-    nodes = []
-    stack = [(0, 0, 1, 0, 0, 1)]
+    letter, parent = [], []
+    stack = [(0, 0, 0, 1, 0, 0, 1)]
     while stack:
-        lt, n, a, b, c, d = stack.pop()
-        nodes.append((lt, n))
+        lt, up, n, a, b, c, d = stack.pop()
+        i = len(letter)
+        letter.append(lt)
+        parent.append(up)
         if n < k - 2:
             # pushed L then R, so the R subtree is laid out first
             if a + c + d <= max_trace:
-                stack.append((0, n + 1, a, a + b, c, c + d))
+                stack.append((0, i, n + 1, a, a + b, c, c + d))
             if a + b + d <= max_trace:
-                stack.append((1, n + 1, a + b, b, c + d, d))
-    letter, depth = zip(*nodes)
-    end, open_nodes = [len(nodes)] * len(nodes), []
-    for i, n in enumerate(depth):
-        while open_nodes and depth[open_nodes[-1]] >= n:
+                stack.append((1, i, n + 1, a + b, b, c + d, d))
+    end, open_nodes = [len(letter)] * len(letter), [0]
+    for i in range(1, len(letter)):
+        while open_nodes[-1] != parent[i]:
             end[open_nodes.pop()] = i
         open_nodes.append(i)
-    return letter, depth, tuple(end)
+    return tuple(letter), tuple(parent), tuple(end)
+
+
+@functools.lru_cache(maxsize=4)
+def _replay_plan(k: int, n_slots: int):
+    """(turn table, parent, subtree end) of every ``_admissible_tree(k)``
+    node, the turn table being the ``ribbon.turn_tables(n_slots)`` entry of
+    the node's letter; cached per (k, slot count), since one completion
+    replays it on every step."""
+    letter, parent, end = _admissible_tree(k)
+    steps = ribbon.turn_tables(n_slots)
+    return tuple(steps[t] for t in letter), parent, end
 
 
 def forbidden_reach(g: CubicRibbonGraph, x: int, k: int) -> ForbiddenReach:
     """Every vertex reachable by a forbidden path: a replay of
-    ``_admissible_tree(k)`` from x's free slot (x is reached by the empty
-    path) that keeps one arrival slot per depth and skips a node's subtree
-    at a free slot.  It does no matrix arithmetic."""
-    if g.degree(x) != 2:
-        raise ValueError(f"vertex {x} has degree {g.degree(x)}, expected 2")
+    ``_admissible_tree(k)``, through its cached ``_replay_plan``, from x's
+    free slot (x is reached by the empty path, node 0).  Node i arrives at
+    ``pair[tab[i][at[parent[i]]]]``, one arrival slot kept per node, and a
+    node that meets a free slot skips its subtree.  x's degree and free
+    slot are read straight off the pair table, and no matrix arithmetic is
+    done.  Raises ValueError unless x is a vertex of the graph with degree
+    2 and k is at least 3."""
+    pair = g.pair_table()
+    if not 0 <= x < len(pair) // 3:
+        raise ValueError(f"vertex {x} outside 0..{len(pair) // 3 - 1}")
+    free = [s for s in range(3 * x, 3 * x + 3) if pair[s] < 0]
+    if len(free) != 1:
+        raise ValueError(f"vertex {x} has degree {3 - len(free)}, expected 2")
     if k < 3:
         raise ValueError(f"floor {k} is below 3")
-    letter, depth, end = _admissible_tree(k)
-    pair = g.pair_table()
-    steps = ribbon.turn_tables(len(pair))
-    slot = [g.free_slots_of(x)[0]] * (k - 1)
+    tab, parent, end = _replay_plan(k, len(pair))
+    n = len(tab)
+    at = free * n
     reached = {x}
     add = reached.add
-    i, n = 1, len(letter)
+    i = 1
     while i < n:
-        dep = depth[i]
-        p = pair[steps[letter[i]][slot[dep - 1]]]
+        p = pair[tab[i][at[parent[i]]]]
         if p < 0:
             i = end[i]
             continue
-        slot[dep] = p
+        at[i] = p
         add(p // 3)
         i += 1
     return ForbiddenReach(frozenset(reached))
@@ -420,7 +435,8 @@ def _run_completion(
         for sx in free:
             fx = reaches[sx] = forbidden_reach(g, sx // 3, k).members
             stats.max_forbidden_set = max(stats.max_forbidden_set, len(fx))
-            sy = next((s for s in free if s != sx and s // 3 not in fx), None)
+            # x is in F(x), so sx itself is never the partner
+            sy = next((s for s in free if s // 3 not in fx), None)
             if sy is not None:
                 # Case 1: the first x, in ascending order, with a partner outside F(x).
                 g.add_edge(sx, sy)

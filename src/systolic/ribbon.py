@@ -344,20 +344,25 @@ def _slot_token(s: int) -> str:
 def serialize(g: CubicRibbonGraph) -> str:
     """Canonical .crg text: header, vertex count, one line per vertex with
     its three slot targets in cyclic order, then a SEED section when seed
-    edges exist.  The output is byte-exact for equal graphs."""
-    lines = ["CRG 1", str(g.num_vertices)]
-    pair = g.pair_table()
-    for v in range(g.num_vertices):
-        tokens = []
-        for i in range(3):
-            p = pair[3 * v + i]
-            tokens.append("-" if p < 0 else _slot_token(p))
-        lines.append(f"{v}: {tokens[0]} {tokens[1]} {tokens[2]}")
-    seeds = g.seed_edges()
+    edges exist, one line per edge in ascending order of its low slot.  The
+    output is byte-exact for equal graphs.
+
+    Every line is read from one token table built per call: ``tok[s]`` is
+    slot s as ``v.i``, and ``tok[-1]``, the entry of a free slot's -1, is
+    ``-``."""
+    n = g.num_vertices
+    pair, seed = g.pair_table(), g.seed_table()
+    tok: list[str] = []
+    for v in map(str, range(n)):
+        tok += (v + ".0", v + ".1", v + ".2")
+    tok.append("-")
+    targets = map(tok.__getitem__, pair)
+    lines = ["CRG 1", str(n)]
+    lines += [f"{v}: {a} {b} {c}" for v, (a, b, c) in enumerate(zip(targets, targets, targets))]
+    seeds = [f"{tok[s]}-{tok[p]}" for s, p in enumerate(pair) if p > s and seed[s]]
     if seeds:
         lines.append("SEED")
-        for a, b in seeds:
-            lines.append(f"{_slot_token(a)}-{_slot_token(b)}")
+        lines += seeds
     return "\n".join(lines) + "\n"
 
 

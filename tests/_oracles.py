@@ -17,7 +17,9 @@ roots and the enumeration over every diagonal, which also lists its
 matrices.  So is the word walk from L under a length cap, which the
 library replaced by a walk along L-chains from the spine L^j.  So is
 girth: a breadth-first search from every vertex over the whole subgraph,
-where the library searches only above each root.  The
+where the library searches only above each root.  So is .crg output
+formatted one slot token at a time, where the library reads every line off
+one token table.  The
 helpers that only tests call live here too: the matrix product, the turn
 letter between two slots and the word of a dart sequence, the free-slot
 list and vertex relabelling, the word of a seed circuit, letter insertion,
@@ -552,6 +554,33 @@ def all_roots_girth(g: CubicRibbonGraph, vertices: list[int] | None = None) -> i
                         nxt.append(w)
             frontier = nxt
     return best
+
+
+# -- serialization oracle ------------------------------------------------------
+
+
+def per_token_serialize(g: CubicRibbonGraph) -> str:
+    """The .crg text formatted one slot token at a time, with the seed
+    section read off ``seed_edges()``, the sorted edge list filtered by the
+    seed flag of each low slot."""
+
+    def token(s: int) -> str:
+        return f"{s // 3}.{s % 3}"
+
+    lines = ["CRG 1", str(g.num_vertices)]
+    pair = g.pair_table()
+    for v in range(g.num_vertices):
+        tokens = []
+        for i in range(3):
+            p = pair[3 * v + i]
+            tokens.append("-" if p < 0 else token(p))
+        lines.append(f"{v}: {tokens[0]} {tokens[1]} {tokens[2]}")
+    seeds = g.seed_edges()
+    if seeds:
+        lines.append("SEED")
+        for a, b in seeds:
+            lines.append(f"{token(a)}-{token(b)}")
+    return "\n".join(lines) + "\n"
 
 
 # -- forbidden-path oracle ----------------------------------------------------

@@ -238,6 +238,7 @@ def test_admissible_tree_is_lazy_bounded_and_not_limited_by_the_recursion_limit(
 import sys
 from systolic import builder
 print(builder._admissible_tree.cache_info().currsize)
+print(builder._replay_plan.cache_info().currsize)
 sys.setrecursionlimit(80)
 print(len(builder._admissible_tree(60)[0]))
 print(builder.build(builder.SeedSpec(k=10))[1].output_sha)
@@ -246,20 +247,39 @@ print(builder.build(builder.SeedSpec(k=10))[1].output_sha)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    cached, nodes, sha = done.stdout.split()
-    assert cached == "0"  # importing the builder builds no tree
+    cached, planned, nodes, sha = done.stdout.split()
+    assert cached == planned == "0"  # importing the builder builds no tree and no plan
     assert int(nodes) == len(builder._admissible_tree(60)[0])
     assert sha == build(SeedSpec(k=10))[1].output_sha
     for k in range(3, 13):
-        builder._admissible_tree(k)
-    info = builder._admissible_tree.cache_info()
-    assert info.currsize <= info.maxsize <= 8
+        letter, parent, end = builder._admissible_tree(k)
+        tab, plan_parent, plan_end = builder._replay_plan(k, 3 * k)
+        steps = ribbon.turn_tables(3 * k)
+        assert tab == tuple(steps[t] for t in letter)
+        assert (plan_parent, plan_end) == (parent, end)
+        assert all(parent[i] < i < end[i] <= end[parent[i]] for i in range(1, len(letter)))
+    for cached in (builder._admissible_tree, builder._replay_plan):
+        info = cached.cache_info()
+        assert info.currsize <= info.maxsize <= 8
 
 
 def test_forbidden_reach_requires_degree_two():
+    # the input contract: x a vertex of the graph of degree 2, and k >= 3;
+    # x = -1 must not wrap around to the last vertex of the slot table
     g = circuit_graph(["LLLR"])
+    assert forbidden_reach(g, 3, 5).members == {0, 1, 2, 3}
+    for x in (-1, 4):
+        with pytest.raises(ValueError, match=f"^vertex {x} outside 0..3$"):
+            forbidden_reach(g, x, 5)
+    with pytest.raises(ValueError, match="^floor 2 is below 3$"):
+        forbidden_reach(g, 0, 2)
+    sparse = ribbon.CubicRibbonGraph(3)
+    sparse.add_edge(0, 3)
+    for x, degree in ((0, 1), (2, 0)):
+        with pytest.raises(ValueError, match=f"^vertex {x} has degree {degree}, expected 2$"):
+            forbidden_reach(sparse, x, 5)
     g.add_edge(g.free_slots_of(0)[0], g.free_slots_of(2)[0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^vertex 0 has degree 3, expected 2$"):
         forbidden_reach(g, 0, 5)
 
 
@@ -367,11 +387,12 @@ def test_completion_computes_the_degree_two_frontier_once(monkeypatch):
         # the seed check leaves every vertex at degree 2, so the frontier
         # starts as all of them: no degree scan and no union-find
         assert counts["degree2_vertices"] == counts["components"] == 0
-        # the loop pairs the free slots it tracks: the only slot and degree
-        # lookups are forbidden_reach's checks of its input, one per call,
-        # and build completes its fresh seed without copying it
+        # the loop pairs the free slots it tracks, and forbidden_reach reads
+        # its input's degree and free slot off the pair table: no slot or
+        # degree lookup at all, and build completes its fresh seed without
+        # copying it
         assert counts["forbidden_reach"] >= report.iterations
-        assert counts["free_slots_of"] == counts["degree"] == counts["forbidden_reach"]
+        assert counts["free_slots_of"] == counts["degree"] == 0
         assert counts["copy"] == 0
     assert report.case2 >= 1
 

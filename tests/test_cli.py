@@ -259,6 +259,22 @@ def test_construct_serializes_once_and_writes_the_hashed_bytes(tmp_path, capsys,
     assert hashlib.sha256(crg.read_bytes()).hexdigest() == report["output_sha"]
 
 
+def test_construct_reproduces_the_benchmark_pins(tmp_path, capsys):
+    # the digests that the benchmark gates its construct workload on, read
+    # as they are: a byte change in the .crg or --report output fails here
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "perfbench", "pins.json"), encoding="ascii") as fh:
+        pinned = json.load(fh)["construct"]
+    assert sorted(pinned, key=int) == [str(layout) for layout in range(8)]
+    for layout, want in pinned.items():
+        crg, rep = tmp_path / f"{layout}.crg", tmp_path / f"{layout}.json"
+        code, _, _ = run(capsys, "construct", "--k", "16", "--size", "min", "--seed", layout,
+                         "-o", str(crg), "--report", str(rep))
+        assert code == 0
+        assert hashlib.sha256(crg.read_bytes()).hexdigest() == want["crg"], layout
+        assert hashlib.sha256(rep.read_bytes()).hexdigest() == want["report"], layout
+
+
 def _run_under_an_address_space_limit(tmp_path, argv):
     """``systolic *argv`` in a child process limited to 1 GiB of address space."""
     resource = pytest.importorskip("resource")

@@ -21,6 +21,7 @@ from systolic.ribbon import (
 from _oracles import (
     all_roots_girth,
     free_slots,
+    per_token_serialize,
     random_complete_graph,
     relabeled,
     small_complete_corpus,
@@ -265,6 +266,36 @@ def test_serialize_roundtrip():
     assert "SEED" in text and "0.0-1.2" in text
     assert deserialize(text) == g
     assert serialize(deserialize(text)) == text
+
+
+def test_serialize_matches_the_per_token_oracle_and_round_trips():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    seen = set()
+
+    @st.composite
+    def partial_graphs(draw):
+        # a random matching of some or (for even n) all of the slots of up
+        # to 10 vertices, each edge flagged as a seed edge or not
+        n = draw(st.integers(0, 10))
+        slots = draw(st.permutations(range(3 * n)))
+        m = draw(st.integers(0, 3 * n // 2) | st.just(3 * n // 2))
+        g = CubicRibbonGraph(n)
+        for a, b in zip(slots[: 2 * m : 2], slots[1 : 2 * m : 2]):
+            g.add_edge(a, b, seed=draw(st.booleans()))
+        return g
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(partial_graphs())
+    def check(g):
+        text = serialize(g)
+        assert text == per_token_serialize(g)
+        assert deserialize(text) == g
+        seen.add((g.num_vertices > 0, not g.is_complete(), "\nSEED\n" in text))
+
+    check()
+    # empty graphs, free slots, complete graphs, and seed sections all ran
+    assert {(False, False, False), (True, True, True), (True, False, True), (True, True, False)} <= seen
 
 
 def test_serialize_format_shape():
