@@ -6,6 +6,9 @@ input file or a file that cannot be read or written.  Machine output goes
 to stdout or the -o path; everything else goes to stderr.  All randomness
 flows from --seed (default 0), and repeated invocations with equal flags
 produce byte-identical output.
+
+Each subcommand imports the library modules it runs, and no others: at
+small sizes a one-shot command spends about as long importing as working.
 """
 
 from __future__ import annotations
@@ -13,8 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-
-from . import builder, census, ribbon, scanner, words
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -31,6 +32,8 @@ def _write_output(text: str, path: str | None) -> None:
 
 
 def _load_graph(path: str) -> ribbon.CubicRibbonGraph:
+    from . import ribbon
+
     # latin-1 decodes every byte, so non-ASCII input reaches deserialize's check
     with open(path, "r", encoding="latin-1", newline="") as fh:
         return ribbon.deserialize(fh.read())
@@ -41,6 +44,8 @@ def _json_text(obj) -> str:
 
 
 def _cmd_census(args) -> int:
+    from . import census
+
     try:
         table = census.CensusTable.build(args.max_trace, check=args.check)
     except census.CensusMismatch as exc:
@@ -51,6 +56,8 @@ def _cmd_census(args) -> int:
 
 
 def _parse_plants(args) -> tuple[builder.Plant, ...]:
+    from . import builder
+
     plants: list[builder.Plant] = []
     for text in args.plant or []:
         word, _, mult = text.partition(":")
@@ -86,6 +93,8 @@ def _cmd_construct(args) -> int:
         except ValueError:
             print(f"--size must be an integer or 'min', got {args.size!r}", file=sys.stderr)
             return EXIT_USAGE
+    from . import builder
+
     try:
         spec = builder.SeedSpec(
             k=args.k,
@@ -110,6 +119,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import scanner
+
     graph = _load_graph(args.file)
     if not graph.is_complete():
         print("verify: graph is not 3-regular", file=sys.stderr)
@@ -128,6 +139,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from . import scanner
+
     graph = _load_graph(args.file)
     if not graph.is_complete():
         print("report: graph is not 3-regular", file=sys.stderr)
@@ -139,6 +152,8 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_recover(args) -> int:
+    from . import words
+
     try:
         word = words.word_of_matrix(words.UniMat.parse(args.matrix))
     except ValueError as exc:
@@ -149,6 +164,8 @@ def _cmd_recover(args) -> int:
 
 
 def _selftest_census() -> str | None:
+    from . import census
+
     sieve = census.DivisorSieve(60 * 60 // 4)
     try:
         census.CensusTable.build(60, check=True, sieve=sieve)
@@ -162,6 +179,8 @@ def _selftest_census() -> str | None:
 
 def _selftest_words() -> str | None:
     import random as _random
+
+    from . import words
 
     rng = _random.Random(0)
     for length in range(0, 11):
@@ -180,6 +199,8 @@ def _naive_cycle_classes(g, max_len: int, max_trace: int):
     """Brute-force closed-walk classes: follow every letter sequence from
     every dart and keep the ones that come back to their start."""
     import itertools
+
+    from . import ribbon, scanner, words
 
     pair = g.pair_table()
     found: dict[tuple[int, ...], str] = {}
@@ -203,6 +224,8 @@ def _naive_cycle_classes(g, max_len: int, max_trace: int):
 
 
 def _selftest_scanner() -> str | None:
+    from . import ribbon, scanner
+
     for pairing in (((0, 3), (1, 4), (2, 5)), ((0, 3), (1, 5), (2, 4))):
         g = ribbon.CubicRibbonGraph(2)
         for a, b in pairing:
@@ -285,13 +308,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ribbon.CrgParseError as exc:
-        print(f"malformed input file: {exc}", file=sys.stderr)
-        return EXIT_BADFILE
     except OSError as exc:
         print(f"cannot read or write file: {exc}", file=sys.stderr)
         return EXIT_BADFILE
     except ValueError as exc:
+        # a CrgParseError exists only once the ribbon module has loaded
+        ribbon = sys.modules.get(f"{__package__}.ribbon")
+        if ribbon is not None and isinstance(exc, ribbon.CrgParseError):
+            print(f"malformed input file: {exc}", file=sys.stderr)
+            return EXIT_BADFILE
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -109,20 +109,8 @@ class CubicRibbonGraph:
     def is_complete(self) -> bool:
         return -1 not in self._pair
 
-    def free_slots_of(self, v: int) -> list[int]:
-        base = slot(v, 0)
-        self._check_slot(base)
-        return [base + i for i in range(3) if self._pair[base + i] < 0]
-
     def degree2_vertices(self) -> list[int]:
         return [v for v in range(self.num_vertices) if self.degree(v) == 2]
-
-    def edges(self) -> list[tuple[int, int]]:
-        """All edges as (low slot, high slot), sorted."""
-        return sorted((s, p) for s, p in enumerate(self._pair) if p > s)
-
-    def seed_edges(self) -> list[tuple[int, int]]:
-        return [e for e in self.edges() if self._seed[e[0]]]
 
     def num_edges(self) -> int:
         return sum(1 for p in self._pair if p >= 0) // 2

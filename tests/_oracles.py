@@ -21,9 +21,10 @@ where the library searches only above each root.  So is .crg output
 formatted one slot token at a time, where the library reads every line off
 one token table.  The
 helpers that only tests call live here too: the matrix product, the turn
-letter between two slots and the word of a dart sequence, the free-slot
-list and vertex relabelling, the word of a seed circuit, letter insertion,
-the golden-ratio bounds on traces and girth, and the forbidden-set cap.
+letter between two slots and the word of a dart sequence, the edge and
+seed-edge lists, the free-slot lists and vertex relabelling, the word of a
+seed circuit, letter insertion, the golden-ratio bounds on traces and
+girth, and the forbidden-set cap.
 """
 
 from __future__ import annotations
@@ -285,6 +286,23 @@ def free_slots(g: CubicRibbonGraph) -> list[int]:
     return [s for s, p in enumerate(g.pair_table()) if p < 0]
 
 
+def free_slots_of(g: CubicRibbonGraph, v: int) -> list[int]:
+    """The unpaired slots of vertex v, ascending."""
+    pair = g.pair_table()
+    return [s for s in range(3 * v, 3 * v + 3) if pair[s] < 0]
+
+
+def edges(g: CubicRibbonGraph) -> list[tuple[int, int]]:
+    """All edges as (low slot, high slot), sorted."""
+    return sorted((s, p) for s, p in enumerate(g.pair_table()) if p > s)
+
+
+def seed_edges(g: CubicRibbonGraph) -> list[tuple[int, int]]:
+    """The edges whose low slot carries the seed flag, sorted."""
+    seed = g.seed_table()
+    return [e for e in edges(g) if seed[e[0]]]
+
+
 def relabeled(g: CubicRibbonGraph, perm: list[int]) -> CubicRibbonGraph:
     """New graph with vertex v renamed perm[v]; slot indices ride along."""
     n = g.num_vertices
@@ -293,7 +311,7 @@ def relabeled(g: CubicRibbonGraph, perm: list[int]) -> CubicRibbonGraph:
     h = CubicRibbonGraph(n)
     move = lambda s: 3 * perm[s // 3] + s % 3
     seed = g.seed_table()
-    for a, b in g.edges():
+    for a, b in edges(g):
         h.add_edge(move(a), move(b), seed=seed[a])
     return h
 
@@ -463,7 +481,7 @@ def spanning_forest_slots(g: CubicRibbonGraph) -> set[int]:
 
     mg = nx.MultiGraph()
     mg.add_nodes_from(range(g.num_vertices))
-    mg.add_edges_from((s // 3, p // 3, s) for s, p in g.edges())
+    mg.add_edges_from((s // 3, p // 3, s) for s, p in edges(g))
     return {key for _, _, key in nx.minimum_spanning_edges(mg, keys=True, data=False)}
 
 
@@ -561,7 +579,7 @@ def all_roots_girth(g: CubicRibbonGraph, vertices: list[int] | None = None) -> i
 
 def per_token_serialize(g: CubicRibbonGraph) -> str:
     """The .crg text formatted one slot token at a time, with the seed
-    section read off ``seed_edges()``, the sorted edge list filtered by the
+    section read off ``seed_edges(g)``, the sorted edge list filtered by the
     seed flag of each low slot."""
 
     def token(s: int) -> str:
@@ -575,7 +593,7 @@ def per_token_serialize(g: CubicRibbonGraph) -> str:
             p = pair[3 * v + i]
             tokens.append("-" if p < 0 else token(p))
         lines.append(f"{v}: {tokens[0]} {tokens[1]} {tokens[2]}")
-    seeds = g.seed_edges()
+    seeds = seed_edges(g)
     if seeds:
         lines.append("SEED")
         for a, b in seeds:
@@ -590,7 +608,7 @@ def free_slot_path_end(g: CubicRibbonGraph, x: int, word: str) -> int | None:
     """Vertex reached by reading ``word`` from the free slot of x, turn by
     turn, or None when the walk meets a free slot on the way."""
     pair = g.pair_table()
-    arrival = g.free_slots_of(x)[0]
+    arrival = free_slots_of(g, x)[0]
     for ch in word:
         exit_slot = ribbon.succ(arrival) if ch == "L" else ribbon.pred(arrival)
         arrival = pair[exit_slot]
@@ -623,7 +641,7 @@ def stack_forbidden_reach(g: CubicRibbonGraph, x: int, k: int) -> set[int]:
     max_len = k - 2
     max_trace = max(k - 2, 2)
     reached: set[int] = set()
-    stack = [(g.free_slots_of(x)[0], 1, 0, 0, 1, 0)]
+    stack = [(free_slots_of(g, x)[0], 1, 0, 0, 1, 0)]
     while stack:
         t, a, b, c, d, n = stack.pop()
         reached.add(t // 3)

@@ -30,9 +30,12 @@ from systolic.builder import (
 from _oracles import (
     circuit_graph,
     circuit_word,
+    edges,
     floor_checked_build,
     forbidden_set_bound,
+    free_slots_of,
     naive_forbidden_reach,
+    seed_edges,
     stack_forbidden_reach,
     theta_graph,
 )
@@ -89,8 +92,8 @@ def test_make_seed_minimum_for_k5():
     assert g.num_vertices == 20
     for v in range(20):
         assert g.degree(v) == 2
-        assert len(g.free_slots_of(v)) == 1
-    assert g.edges() == g.seed_edges()
+        assert len(free_slots_of(g, v)) == 1
+    assert edges(g) == seed_edges(g)
     comps = g.components()
     assert len(comps) == 5
     for comp in comps:
@@ -278,7 +281,7 @@ def test_forbidden_reach_requires_degree_two():
     for x, degree in ((0, 1), (2, 0)):
         with pytest.raises(ValueError, match=f"^vertex {x} has degree {degree}, expected 2$"):
             forbidden_reach(sparse, x, 5)
-    g.add_edge(g.free_slots_of(0)[0], g.free_slots_of(2)[0])
+    g.add_edge(free_slots_of(g, 0)[0], free_slots_of(g, 2)[0])
     with pytest.raises(ValueError, match="^vertex 0 has degree 3, expected 2$"):
         forbidden_reach(g, 0, 5)
 
@@ -290,7 +293,7 @@ def test_complete_minimum_k5_with_floor_checks(monkeypatch):
     assert ribbon.serialize(seed) == before  # input untouched
     assert done.is_complete()
     assert done.num_edges() == 30
-    assert seed.edges() == done.seed_edges()  # original circuits preserved
+    assert edges(seed) == seed_edges(done)  # original circuits preserved
     assert not seed.is_complete()  # input untouched
     assert scanner.certify(done, 5).passed
 
@@ -298,11 +301,11 @@ def test_complete_minimum_k5_with_floor_checks(monkeypatch):
 def test_complete_rejects_bad_seeds():
     g = circuit_graph(["LLLR"] * 5)
     bad = g.copy()
-    bad.add_edge(bad.free_slots_of(0)[0], bad.free_slots_of(7)[0])
+    bad.add_edge(free_slots_of(bad, 0)[0], free_slots_of(bad, 7)[0])
     with pytest.raises(HypothesisError, match="^vertex 0 has degree 3; a seed is 2-regular$"):
         complete(bad, 5)
     open_circuit = ribbon.CubicRibbonGraph(20)
-    for a, b in g.edges():
+    for a, b in edges(g):
         if (a, b) != (ribbon.slot(18, 1), ribbon.slot(19, 0)):
             open_circuit.add_edge(a, b, seed=True)  # 18 and 19 end a path
     with pytest.raises(HypothesisError, match="^vertex 18 has degree 1; a seed is 2-regular$"):
@@ -322,7 +325,7 @@ def test_complete_rejects_bad_seeds():
         complete(circuit_graph(["LLLR", "LLLLR"] * 3), 5)
     unflagged = ribbon.CubicRibbonGraph(20)
     base = circuit_graph(["LLLR"] * 5)
-    for a, b in base.edges():
+    for a, b in edges(base):
         unflagged.add_edge(a, b)  # same circuits, no seed flags
     with pytest.raises(HypothesisError, match="seed"):
         complete(unflagged, 5)
@@ -340,7 +343,7 @@ def test_iteration_accounting():
     spec = SeedSpec(k=5)
     graph, report = build(spec)
     assert report.iterations == report.case1 + report.case2
-    assert report.iterations == 3 * graph.num_vertices // 2 - len(graph.seed_edges())
+    assert report.iterations == 3 * graph.num_vertices // 2 - len(seed_edges(graph))
     assert report.max_forbidden_set <= forbidden_set_bound(5)
     assert report.vertices == 20 and report.edges == 30
 
@@ -367,7 +370,7 @@ def test_case_two_swap_occurs_and_certifies(monkeypatch):
 
 def test_completion_computes_the_degree_two_frontier_once(monkeypatch):
     counts = dict.fromkeys(
-        ["degree2_vertices", "components", "free_slots_of", "degree", "copy", "forbidden_reach"], 0
+        ["degree2_vertices", "components", "degree", "copy", "slot", "forbidden_reach"], 0
     )
 
     def counting(owner, name):
@@ -379,8 +382,9 @@ def test_completion_computes_the_degree_two_frontier_once(monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    for name in ("degree2_vertices", "components", "free_slots_of", "degree", "copy"):
+    for name in ("degree2_vertices", "components", "degree", "copy"):
         counting(ribbon.CubicRibbonGraph, name)
+    counting(ribbon, "slot")
     counting(builder, "forbidden_reach")
     for rng_seed in (0, 5):  # layout 5 of k=4 takes a Case-2 swap
         _, report = build(SeedSpec(k=4, rng_seed=rng_seed))
@@ -392,7 +396,7 @@ def test_completion_computes_the_degree_two_frontier_once(monkeypatch):
         # degree lookup at all, and build completes its fresh seed without
         # copying it
         assert counts["forbidden_reach"] >= report.iterations
-        assert counts["free_slots_of"] == counts["degree"] == 0
+        assert counts["slot"] == counts["degree"] == 0
         assert counts["copy"] == 0
     assert report.case2 >= 1
 
@@ -575,7 +579,7 @@ def test_planted_circuits_survive_completion():
     # the original circuits are exactly the seed edges of the completion;
     # plants occupy ids 0..29 in planting order
     seed_only = ribbon.CubicRibbonGraph(graph.num_vertices)
-    for a, b in graph.seed_edges():
+    for a, b in seed_edges(graph):
         seed_only.add_edge(a, b)
     for copy in range(3):
         circuit = circuit_word(seed_only, copy * 10)

@@ -9,7 +9,7 @@ import pytest
 from systolic import builder, census, ribbon, scanner, words
 from systolic.cli import main
 
-from _oracles import circuit_graph, theta_graph
+from _oracles import circuit_graph, edges, seed_edges, theta_graph
 
 
 def run(capsys, *argv):
@@ -191,11 +191,11 @@ def test_outputs_are_byte_identical_across_runs_and_threads(tmp_path, capsys):
     assert texts[0] == texts[1]
 
 
-def _reflagged(g, seed_edges):
-    """A copy of g whose seed edges are exactly ``seed_edges``."""
+def _reflagged(g, flagged):
+    """A copy of g whose seed edges are exactly ``flagged``."""
     h = ribbon.CubicRibbonGraph(g.num_vertices)
-    for a, b in g.edges():
-        h.add_edge(a, b, seed=(a, b) in seed_edges)
+    for a, b in edges(g):
+        h.add_edge(a, b, seed=(a, b) in flagged)
     return h
 
 
@@ -216,8 +216,8 @@ def test_seed_flags_never_change_an_answer(tmp_path, capsys):
     # and report give the same bytes and exit code with the section removed
     builds = {k: builder.build(builder.SeedSpec(k=k))[0] for k in (5, 8, 12)}
     k8 = builds[8]
-    third_slot = next(e for e in k8.edges() if e[0] // 3 == 0 and e not in k8.seed_edges())
-    three_seed_slots = _reflagged(k8, {*k8.seed_edges(), third_slot})
+    third_slot = next(e for e in edges(k8) if e[0] // 3 == 0 and e not in seed_edges(k8))
+    three_seed_slots = _reflagged(k8, {*seed_edges(k8), third_slot})
     assert all(three_seed_slots.seed_table()[:3])
     letter_powers = builder.complete(circuit_graph(["L" * 5] * 4), 5)
     cases = [
@@ -275,6 +275,17 @@ def test_construct_reproduces_the_benchmark_pins(tmp_path, capsys):
         assert hashlib.sha256(rep.read_bytes()).hexdigest() == want["report"], layout
 
 
+def _fresh_python(cwd, *args, preexec_fn=None):
+    """``python *args`` in a new interpreter that imports ``systolic`` from
+    this source tree, so that no module the tests have loaded carries over."""
+    src = os.path.dirname(os.path.dirname(scanner.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, *args],
+        cwd=cwd, env=env, capture_output=True, text=True, preexec_fn=preexec_fn, timeout=60,
+    )
+
+
 def _run_under_an_address_space_limit(tmp_path, argv):
     """``systolic *argv`` in a child process limited to 1 GiB of address space."""
     resource = pytest.importorskip("resource")
@@ -282,12 +293,7 @@ def _run_under_an_address_space_limit(tmp_path, argv):
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    src = os.path.dirname(os.path.dirname(scanner.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run(
-        [sys.executable, "-m", "systolic.cli", *argv],
-        cwd=tmp_path, env=env, capture_output=True, text=True, preexec_fn=limit, timeout=60,
-    )
+    return _fresh_python(tmp_path, "-m", "systolic.cli", *argv, preexec_fn=limit)
 
 
 @pytest.mark.parametrize(
@@ -400,3 +406,94 @@ def test_fuzzed_crg_text_never_raises(tmp_path, capsys):
         capsys.readouterr()
 
     check()
+
+
+# Run by a fresh interpreter: ``cli.main(argv)`` (nothing for an empty argv),
+# then one JSON line with the exit code and the loaded ``systolic.*`` modules.
+_FOOTPRINT = """
+import contextlib, io, json, sys
+import systolic, systolic.cli
+argv = json.loads(sys.argv[1])
+code = None
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = systolic.cli.main(argv)
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("systolic."))]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        ([], {"cli"}),
+        (["census", "--max-trace", "20"], {"cli", "census"}),
+        (["recover", "--matrix", "2,1,1,1"], {"cli", "words"}),
+        (["verify", "--k", "5", "g.crg"], {"cli", "ribbon", "scanner", "words"}),
+        (["report", "g.crg", "--json"], {"cli", "ribbon", "scanner", "words"}),
+        (["construct", "--k", "5", "-o", "out.crg"], {"cli", "builder", "census", "ribbon", "words"}),
+        (["selftest"], {"cli", "census", "ribbon", "scanner", "words"}),
+    ],
+    ids=["import", "census", "recover", "verify", "report", "construct", "selftest"],
+)
+def test_each_subcommand_imports_only_the_modules_it_runs(tmp_path, argv, loaded):
+    # a one-shot process pays for every module it imports: census loads
+    # census alone, verify and report never load the builder or the census,
+    # construct never loads the scanner, and recover needs only words
+    (tmp_path / "g.crg").write_text(ribbon.serialize(builder.build(builder.SeedSpec(k=5))[0]))
+    done = _fresh_python(tmp_path, "-c", _FOOTPRINT, json.dumps(argv))
+    assert done.returncode == 0, done.stderr
+    code, modules = json.loads(done.stdout)
+    assert code == (0 if argv else None)
+    assert set(modules) == {f"systolic.{name}" for name in loaded}
+
+
+def test_package_exports_resolve_lazily_to_their_home_objects(tmp_path):
+    # PEP 562: a fresh ``import systolic`` loads no library module and lists
+    # every export; reading a name imports its home module and caches the
+    # very object that module holds; any other name is an AttributeError
+    code = """
+import importlib, json, sys
+import systolic
+report = {"loaded": sorted(m for m in sys.modules if m.startswith("systolic.")),
+          "listed": sorted(set(systolic.__all__) - set(dir(systolic))),
+          "eager": sorted(set(systolic.__all__) & set(vars(systolic))), "wrong": []}
+for name in systolic.__all__:
+    value = getattr(systolic, name)
+    home = importlib.import_module(value.__module__)
+    if not (value.__module__.startswith("systolic.") and value is getattr(home, name)
+            and vars(systolic)[name] is value and getattr(systolic, name) is value):
+        report["wrong"].append(name)
+star = {}
+exec("from systolic import *", star)
+report["star"] = sorted(set(systolic.__all__) - set(star))
+report["unknown"] = hasattr(systolic, "no_such_name")
+try:
+    systolic.no_such_name
+except AttributeError as exc:
+    report["message"] = str(exc)
+print(json.dumps(report))
+"""
+    done = _fresh_python(tmp_path, "-c", code)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {
+        "loaded": [], "listed": [], "eager": [], "wrong": [], "star": [], "unknown": False,
+        "message": "module 'systolic' has no attribute 'no_such_name'",
+    }
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"CRG 1\n2\n0: 1.0 1.0 -\n1: 0.0 - -\n", b"CRG 1\n2\n0: 1.0 \xe9 -\n"],
+    ids=["malformed", "non-ascii"],
+)
+def test_hostile_crg_exits_three_in_a_fresh_process(tmp_path, content):
+    # the parse error is recognised without importing ribbon up front; an
+    # in-process test cannot see a fault there, since pytest has long
+    # loaded every module
+    (tmp_path / "bad.crg").write_bytes(content)
+    for argv in (["verify", "--k", "5", "bad.crg"], ["report", "bad.crg", "--json"]):
+        done = _fresh_python(tmp_path, "-m", "systolic.cli", *argv)
+        assert done.returncode == 3, done.stderr
+        assert "malformed input file" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert done.stdout == ""

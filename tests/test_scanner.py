@@ -23,6 +23,7 @@ from _oracles import (
     cyclic_word_class,
     dart_major_enumerate,
     deepening_first_classes,
+    edges,
     deepening_probe_bound,
     free_group_word,
     log_phi_ceil,
@@ -438,7 +439,7 @@ def _disjoint_union(*parts):
     g = ribbon.CubicRibbonGraph(sum(h.num_vertices for h in parts))
     offset = 0
     for h in parts:
-        for a, b in h.edges():
+        for a, b in edges(h):
             g.add_edge(a + offset, b + offset)
         offset += len(h.pair_table())
     return g
