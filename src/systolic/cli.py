@@ -31,12 +31,20 @@ def _write_output(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _load_graph(path: str) -> ribbon.CubicRibbonGraph:
+def _load_graph(args) -> ribbon.CubicRibbonGraph | None:
+    """The graph of ``args.file`` for verify and report to scan, or None
+    once the reason it cannot be scanned is printed (exit 1): a scan needs
+    a 3-regular graph with at least one vertex."""
     from . import ribbon
 
     # latin-1 decodes every byte, so non-ASCII input reaches deserialize's check
-    with open(path, "r", encoding="latin-1", newline="") as fh:
-        return ribbon.deserialize(fh.read())
+    with open(args.file, "r", encoding="latin-1", newline="") as fh:
+        graph = ribbon.deserialize(fh.read())
+    if graph.num_vertices and graph.is_complete():
+        return graph
+    problem = "is not 3-regular" if graph.num_vertices else "has no vertices"
+    print(f"{args.command}: graph {problem}", file=sys.stderr)
+    return None
 
 
 def _json_text(obj) -> str:
@@ -121,9 +129,7 @@ def _cmd_construct(args) -> int:
 def _cmd_verify(args) -> int:
     from . import scanner
 
-    graph = _load_graph(args.file)
-    if not graph.is_complete():
-        print("verify: graph is not 3-regular", file=sys.stderr)
+    if (graph := _load_graph(args)) is None:
         return EXIT_VERIFY
     result = scanner.certify(graph, args.k)
     if result.passed:
@@ -141,9 +147,7 @@ def _cmd_verify(args) -> int:
 def _cmd_report(args) -> int:
     from . import scanner
 
-    graph = _load_graph(args.file)
-    if not graph.is_complete():
-        print("report: graph is not 3-regular", file=sys.stderr)
+    if (graph := _load_graph(args)) is None:
         return EXIT_VERIFY
     rep = scanner.report(graph, spectrum_max=args.spectrum_max)
     text = _json_text(rep.to_json_dict()) if args.json else rep.to_text()

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
-    "slot",
     "succ",
     "pred",
     "turn_tables",
@@ -39,15 +38,6 @@ __all__ = [
     "serialize",
     "deserialize",
 ]
-
-
-def slot(v: int, i: int) -> int:
-    """Flat id of slot i (0..2) at vertex v."""
-    if not 0 <= i < 3:
-        raise ValueError(f"slot index {i} outside 0..2")
-    if v < 0:
-        raise ValueError(f"negative vertex {v}")
-    return 3 * v + i
 
 
 def succ(s: int) -> int:
@@ -101,16 +91,12 @@ class CubicRibbonGraph:
         """Raw seed flag of every slot; callers must not mutate."""
         return self._seed
 
-    def degree(self, v: int) -> int:
-        base = slot(v, 0)
-        self._check_slot(base)
-        return sum(1 for i in range(3) if self._pair[base + i] >= 0)
-
     def is_complete(self) -> bool:
         return -1 not in self._pair
 
     def degree2_vertices(self) -> list[int]:
-        return [v for v in range(self.num_vertices) if self.degree(v) == 2]
+        paired = (p >= 0 for p in self._pair)
+        return [v for v, d in enumerate(map(sum, zip(paired, paired, paired))) if d == 2]
 
     def num_edges(self) -> int:
         return sum(1 for p in self._pair if p >= 0) // 2
@@ -325,25 +311,26 @@ class CrgParseError(ValueError):
         super().__init__(prefix + message)
 
 
-def _slot_token(s: int) -> str:
-    return f"{s // 3}.{s % 3}"
+def _slot_tokens(n: int) -> list[str]:
+    """The one spelling of a slot in .crg text: entry s is slot s of an
+    n-vertex graph as ``v.i``, and the last entry, which a free slot's -1
+    indexes, is ``-``."""
+    tok: list[str] = []
+    for v in map(str, range(n)):
+        tok += (v + ".0", v + ".1", v + ".2")
+    tok.append("-")
+    return tok
 
 
 def serialize(g: CubicRibbonGraph) -> str:
     """Canonical .crg text: header, vertex count, one line per vertex with
     its three slot targets in cyclic order, then a SEED section when seed
     edges exist, one line per edge in ascending order of its low slot.  The
-    output is byte-exact for equal graphs.
-
-    Every line is read from one token table built per call: ``tok[s]`` is
-    slot s as ``v.i``, and ``tok[-1]``, the entry of a free slot's -1, is
-    ``-``."""
+    output is byte-exact for equal graphs, and every token is read from
+    ``_slot_tokens``."""
     n = g.num_vertices
     pair, seed = g.pair_table(), g.seed_table()
-    tok: list[str] = []
-    for v in map(str, range(n)):
-        tok += (v + ".0", v + ".1", v + ".2")
-    tok.append("-")
+    tok = _slot_tokens(n)
     targets = map(tok.__getitem__, pair)
     lines = ["CRG 1", str(n)]
     lines += [f"{v}: {a} {b} {c}" for v, (a, b, c) in enumerate(zip(targets, targets, targets))]
@@ -354,87 +341,82 @@ def serialize(g: CubicRibbonGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_slot(token: str, num_vertices: int, lineno: int) -> int:
-    parts = token.split(".")
-    if len(parts) != 2:
-        raise CrgParseError(f"bad slot token {token!r} (expected v.s)", lineno)
-    try:
-        v, i = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise CrgParseError(f"non-numeric slot token {token!r}", lineno) from None
-    if not 0 <= i < 3:
-        raise CrgParseError(f"slot index {i} outside 0..2 in {token!r}", lineno)
-    if not 0 <= v < num_vertices:
-        raise CrgParseError(f"vertex {v} outside 0..{num_vertices - 1} in {token!r}", lineno)
-    return 3 * v + i
-
-
 def deserialize(text: str) -> CubicRibbonGraph:
-    """Parse .crg text, validating the involution and the seed section."""
+    """Parse .crg text, accepting exactly the texts ``serialize`` writes.
+
+    Every slot token is looked up in the table ``serialize`` writes from,
+    so a slot has one spelling (``v.i``, ``-`` for a free slot on a vertex
+    line).  The vertex count has no sign, space or leading zero, each
+    vertex line is ``v: t0 t1 t2`` with single spaces, the last line ends
+    in a newline, and a SEED section, when present, lists at least one
+    edge, each once as ``u.i-v.j`` with the low slot first, in ascending
+    order of that slot.  The pairing must be a fixed-point-free partial
+    involution and every seed edge an edge of the graph."""
     if not text.isascii():
         raise CrgParseError("file is not pure ASCII")
     if "\r" in text:
         raise CrgParseError("carriage returns found; .crg files use LF line endings")
     lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines or lines[0] != "CRG 1":
+    if lines[0] != "CRG 1":
         raise CrgParseError("missing 'CRG 1' header", 1)
+    if lines.pop():
+        raise CrgParseError("last line does not end with a newline", len(lines) + 1)
     if len(lines) < 2:
         raise CrgParseError("missing vertex count", 2)
     try:
-        num_vertices = int(lines[1])
-    except ValueError:
-        raise CrgParseError(f"bad vertex count {lines[1]!r}", 2) from None
-    if num_vertices < 0:
-        raise CrgParseError(f"negative vertex count {num_vertices}", 2)
-    if len(lines) < 2 + num_vertices:
-        raise CrgParseError(f"expected {num_vertices} vertex lines, found {len(lines) - 2}", len(lines))
+        n = int(lines[1])
+    except ValueError:  # not a number, or more digits than int() converts
+        n = -1
+    if n < 0 or lines[1] != str(n):
+        raise CrgParseError(f"bad vertex count {lines[1]!r} (expected a plain decimal)", 2)
+    if len(lines) < 2 + n:
+        raise CrgParseError(f"expected {n} vertex lines, found {len(lines) - 2}", len(lines))
 
-    claimed = [-1] * (3 * num_vertices)
-    for v in range(num_vertices):
-        lineno = 3 + v
-        line = lines[2 + v]
-        tokens = line.split()
-        if len(tokens) != 4 or tokens[0] != f"{v}:":
-            raise CrgParseError(f"expected '{v}: t0 t1 t2', got {line!r}", lineno)
-        for i, token in enumerate(tokens[1:]):
-            if token == "-":
-                continue
-            s = 3 * v + i
-            t = _parse_slot(token, num_vertices, lineno)
-            if t == s:
-                raise CrgParseError(f"slot {_slot_token(s)} pairs with itself", lineno)
-            claimed[s] = t
-
-    for s, t in enumerate(claimed):
-        if t >= 0 and claimed[t] != s:
+    tok = _slot_tokens(n)
+    slot_of = {tok[s]: s for s in range(-1, 3 * n)}  # the inverse of tok, '-' -> -1
+    pair: list[int] = []
+    for v, line in enumerate(lines[2 : 2 + n]):
+        head, *targets = line.split(" ")
+        if head != f"{v}:" or len(targets) != 3:
+            raise CrgParseError(f"expected '{v}: t0 t1 t2', got {line!r}", 3 + v)
+        try:
+            pair += map(slot_of.__getitem__, targets)
+        except KeyError as exc:
+            token = exc.args[0]
+            raise CrgParseError(f"unknown slot token {token!r} (outside 0.0..{n - 1}.2 and -)", 3 + v) from None
+    for s, t in enumerate(pair):
+        if t == s:
+            raise CrgParseError(f"slot {tok[s]} pairs with itself", 3 + s // 3)
+        if t >= 0 and pair[t] != s:
             raise CrgParseError(
-                f"slot {_slot_token(s)} pairs {_slot_token(t)} but "
-                f"{_slot_token(t)} does not pair back (slot paired twice or left free)"
+                f"slot {tok[s]} pairs {tok[t]} but {tok[t]} does not pair back "
+                "(slot paired twice or left free)",
+                3 + s // 3,
             )
 
-    g = CubicRibbonGraph(num_vertices)
-    g._pair = claimed  # a fixed-point-free partial involution by now
-
-    rest = lines[2 + num_vertices:]
+    g = CubicRibbonGraph(n)
+    g._pair = pair  # a fixed-point-free partial involution by now
+    rest = lines[2 + n :]
     if rest:
-        lineno = 3 + num_vertices
         if rest[0] != "SEED":
-            raise CrgParseError(f"unexpected content {rest[0]!r} (expected SEED or end of file)", lineno)
-        seen: set[tuple[int, int]] = set()
-        for offset, line in enumerate(rest[1:]):
-            lineno = 4 + num_vertices + offset
-            halves = line.split("-")
-            if len(halves) != 2:
-                raise CrgParseError(f"bad seed edge {line!r} (expected u.s-v.t)", lineno)
-            a = _parse_slot(halves[0], num_vertices, lineno)
-            b = _parse_slot(halves[1], num_vertices, lineno)
-            if claimed[a] != b:
+            raise CrgParseError(f"unexpected content {rest[0]!r} (expected SEED or end of file)", 3 + n)
+        if len(rest) == 1:
+            raise CrgParseError("SEED section lists no edge", 3 + n)
+        seed = g._seed
+        last = -1
+        for lineno, line in enumerate(rest[1:], 4 + n):
+            # an unknown token and '-' both read as -1, which fails the
+            # chain below on either side, since last is never below -1
+            low, _, high = line.partition("-")
+            a, b = slot_of.get(low, -1), slot_of.get(high, -1)
+            if not last < a < b:
+                raise CrgParseError(
+                    f"bad seed edge {line!r} (expected u.i-v.j, low slot first, in ascending "
+                    "order of the low slot, with no duplicate)",
+                    lineno,
+                )
+            if pair[a] != b:
                 raise CrgParseError(f"seed edge {line!r} is not an edge of the graph", lineno)
-            key = (min(a, b), max(a, b))
-            if key in seen:
-                raise CrgParseError(f"duplicate seed edge {line!r}", lineno)
-            seen.add(key)
-            g._seed[a] = g._seed[b] = True
+            seed[a] = seed[b] = True
+            last = a
     return g

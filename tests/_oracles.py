@@ -22,9 +22,9 @@ formatted one slot token at a time, where the library reads every line off
 one token table.  The
 helpers that only tests call live here too: the matrix product, the turn
 letter between two slots and the word of a dart sequence, the edge and
-seed-edge lists, the free-slot lists and vertex relabelling, the word of a
-seed circuit, letter insertion, the golden-ratio bounds on traces and
-girth, and the forbidden-set cap.
+seed-edge lists, vertex degrees, the free-slot lists and vertex
+relabelling, the word of a seed circuit, letter insertion, the
+golden-ratio bounds on traces and girth, and the forbidden-set cap.
 """
 
 from __future__ import annotations
@@ -284,6 +284,11 @@ def walk_word(g: CubicRibbonGraph, darts: tuple[int, ...]) -> str:
 def free_slots(g: CubicRibbonGraph) -> list[int]:
     """Every unpaired slot, ascending."""
     return [s for s, p in enumerate(g.pair_table()) if p < 0]
+
+
+def degree(g: CubicRibbonGraph, v: int) -> int:
+    """The number of paired slots of vertex v."""
+    return sum(p >= 0 for p in g.pair_table()[3 * v : 3 * v + 3])
 
 
 def free_slots_of(g: CubicRibbonGraph, v: int) -> list[int]:

@@ -30,6 +30,7 @@ from systolic.builder import (
 from _oracles import (
     circuit_graph,
     circuit_word,
+    degree,
     edges,
     floor_checked_build,
     forbidden_set_bound,
@@ -91,7 +92,7 @@ def test_make_seed_minimum_for_k5():
     g = make_seed(SeedSpec(k=5))
     assert g.num_vertices == 20
     for v in range(20):
-        assert g.degree(v) == 2
+        assert degree(g, v) == 2
         assert len(free_slots_of(g, v)) == 1
     assert edges(g) == seed_edges(g)
     comps = g.components()
@@ -306,7 +307,7 @@ def test_complete_rejects_bad_seeds():
         complete(bad, 5)
     open_circuit = ribbon.CubicRibbonGraph(20)
     for a, b in edges(g):
-        if (a, b) != (ribbon.slot(18, 1), ribbon.slot(19, 0)):
+        if (a, b) != (3 * 18 + 1, 3 * 19 + 0):
             open_circuit.add_edge(a, b, seed=True)  # 18 and 19 end a path
     with pytest.raises(HypothesisError, match="^vertex 18 has degree 1; a seed is 2-regular$"):
         complete(open_circuit, 5)
@@ -369,9 +370,7 @@ def test_case_two_swap_occurs_and_certifies(monkeypatch):
 
 
 def test_completion_computes_the_degree_two_frontier_once(monkeypatch):
-    counts = dict.fromkeys(
-        ["degree2_vertices", "components", "degree", "copy", "slot", "forbidden_reach"], 0
-    )
+    counts = dict.fromkeys(["degree2_vertices", "components", "copy", "forbidden_reach"], 0)
 
     def counting(owner, name):
         original = getattr(owner, name)
@@ -382,9 +381,8 @@ def test_completion_computes_the_degree_two_frontier_once(monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    for name in ("degree2_vertices", "components", "degree", "copy"):
+    for name in ("degree2_vertices", "components", "copy"):
         counting(ribbon.CubicRibbonGraph, name)
-    counting(ribbon, "slot")
     counting(builder, "forbidden_reach")
     for rng_seed in (0, 5):  # layout 5 of k=4 takes a Case-2 swap
         _, report = build(SeedSpec(k=4, rng_seed=rng_seed))
@@ -392,11 +390,10 @@ def test_completion_computes_the_degree_two_frontier_once(monkeypatch):
         # starts as all of them: no degree scan and no union-find
         assert counts["degree2_vertices"] == counts["components"] == 0
         # the loop pairs the free slots it tracks, and forbidden_reach reads
-        # its input's degree and free slot off the pair table: no slot or
-        # degree lookup at all, and build completes its fresh seed without
+        # its input's degree and free slot off the pair table, so no step
+        # rescans the vertices; build completes its fresh seed without
         # copying it
         assert counts["forbidden_reach"] >= report.iterations
-        assert counts["slot"] == counts["degree"] == 0
         assert counts["copy"] == 0
     assert report.case2 >= 1
 

@@ -118,6 +118,18 @@ def test_verify_incomplete_graph(tmp_path, capsys):
     assert "3-regular" in err
 
 
+def test_empty_graph_is_a_verification_failure(tmp_path, capsys):
+    # no vertices certifies nothing: both commands exit 1 like a graph
+    # with free slots, and verify prints no certificate
+    crg = tmp_path / "empty.crg"
+    crg.write_text(ribbon.serialize(ribbon.CubicRibbonGraph(0)), newline="\n")
+    assert crg.read_text() == "CRG 1\n0\n"
+    code, out, err = run(capsys, "verify", "--k", "1000", str(crg))
+    assert (code, out, err) == (1, "", "verify: graph has no vertices\n")
+    code, out, err = run(capsys, "report", str(crg), "--json")
+    assert (code, out, err) == (1, "", "report: graph has no vertices\n")
+
+
 def test_malformed_file_is_exit_3(tmp_path, capsys):
     crg = tmp_path / "bad.crg"
     crg.write_text("CRG 1\n2\n0: 1.0 1.0 -\n1: 0.0 - -\n")
@@ -401,8 +413,18 @@ def test_fuzzed_crg_text_never_raises(tmp_path, capsys):
             else:
                 text = text[:at] + text[at + 1 :]
         crg.write_text(text)
-        assert main(["verify", "--k", "3", str(crg)]) in {0, 1, 2, 3}
-        assert main(["report", str(crg)]) in {0, 1, 2, 3}
+        # the parser accepts exactly serialize's texts, and both commands
+        # end every other text with exit 3, never with a usage error or a
+        # traceback
+        try:
+            graph = ribbon.deserialize(text)
+        except ribbon.CrgParseError:
+            codes = {3}
+        else:
+            assert ribbon.serialize(graph) == text
+            codes = {0, 1}
+        assert main(["verify", "--k", "3", str(crg)]) in codes
+        assert main(["report", str(crg)]) in codes
         capsys.readouterr()
 
     check()
@@ -483,8 +505,12 @@ print(json.dumps(report))
 
 @pytest.mark.parametrize(
     "content",
-    [b"CRG 1\n2\n0: 1.0 1.0 -\n1: 0.0 - -\n", b"CRG 1\n2\n0: 1.0 \xe9 -\n"],
-    ids=["malformed", "non-ascii"],
+    [
+        b"CRG 1\n2\n0: 1.0 1.0 -\n1: 0.0 - -\n",
+        b"CRG 1\n2\n0: 1.0 \xe9 -\n",
+        b"CRG 1\n" + b"9" * 5000 + b"\n",  # more digits than int() converts
+    ],
+    ids=["malformed", "non-ascii", "huge-count"],
 )
 def test_hostile_crg_exits_three_in_a_fresh_process(tmp_path, content):
     # the parse error is recognised without importing ribbon up front; an

@@ -14,12 +14,12 @@ from systolic.ribbon import (
     girth,
     pred,
     serialize,
-    slot,
     succ,
 )
 
 from _oracles import (
     all_roots_girth,
+    degree,
     edges,
     free_slots,
     per_token_serialize,
@@ -33,11 +33,9 @@ from _oracles import (
 
 
 def test_slot_arithmetic():
-    assert slot(2, 1) == 7
+    # slot 1 of vertex 2 is 3 * 2 + 1 = 7
     assert succ(7) == 8 and succ(8) == 6 and succ(6) == 7
     assert pred(7) == 6 and pred(6) == 8
-    with pytest.raises(ValueError):
-        slot(0, 3)
 
 
 def test_turn_letter_convention():
@@ -55,7 +53,7 @@ def test_turn_letter_convention():
 def test_add_and_remove_edges():
     g = CubicRibbonGraph(2)
     g.add_edge(0, 3)
-    assert g.degree(0) == 1 and g.degree(1) == 1
+    assert degree(g, 0) == 1 and degree(g, 1) == 1
     assert g.pair_table()[0] == 3 and g.pair_table()[3] == 0
     with pytest.raises(ValueError):
         g.add_edge(0, 4)  # slot 0 occupied
@@ -242,8 +240,8 @@ def test_least_vertex_girth_matches_the_oracle_on_corpus_and_builds():
 def test_girth_restricted_to_component():
     g = CubicRibbonGraph(3)
     g.add_edge(0, 1)  # loop at vertex 0
-    g.add_edge(slot(1, 0), slot(2, 0))
-    g.add_edge(slot(1, 1), slot(2, 1))
+    g.add_edge(3, 6)  # slot 0 of vertex 1 to slot 0 of vertex 2
+    g.add_edge(4, 7)
     assert girth(g) == 1
     assert girth(g, vertices=[1, 2]) == 2
     assert girth(g, vertices=[-1, 1, 2, 7]) == 2  # ids outside the graph are ignored
@@ -338,6 +336,36 @@ def test_deserialize_errors():
     with pytest.raises(CrgParseError, match="ASCII"):
         deserialize(good + "SEED\n0.0–1.0\n")
 
+    # every slot, count and SEED spelling but serialize's own is an error
+    # on its line, even where int() would read the same number
+    second = "1: 0.0 0.1 0.2\n"  # good's vertex 1; 0.i pairs 1.i, and 1.2 is the last slot
+
+    def rejected(text, line):
+        with pytest.raises(CrgParseError) as info:
+            deserialize(text)
+        assert info.value.line == line, (text, str(info.value))
+
+    for token in ("1.00", "+1.0", "0_1.0", "01.0", "1.0.", "1."):
+        rejected(f"CRG 1\n2\n0: {token} 1.1 1.2\n" + second, 3)
+    rejected("CRG 1\n2\n0: 1.0 1.1 1.2\n1: -0.0 0.1 0.2\n", 4)
+    for line in ("0:\t1.0 1.1 1.2", "0: 1.0  1.1 1.2", "0: 1.0 1.1 1.2 ", " 0: 1.0 1.1 1.2", "0:1.0 1.1 1.2"):
+        rejected(f"CRG 1\n2\n{line}\n" + second, 3)
+    for count in ("02", "+2", " 2", "2 ", "-0", "2_0", "", "9" * 5000):
+        rejected(f"CRG 1\n{count}\n0: 1.0 1.1 1.2\n" + second, 2)
+    rejected("CRG 1\n0", 2)  # no newline at the end
+    rejected(good + "SEED\n", 5)  # an empty SEED section
+    rejected(good + "SEED\n1.0-0.0\n", 6)  # high slot first
+    rejected(good + "SEED\n0.1-1.1\n0.0-1.0\n", 7)  # out of order
+    rejected(good + "SEED\n0.0-1.0\n0.1-1.1\n0.0-1.0\n", 8)  # repeated after a later edge
+    # '-' is never a slot on a SEED line: not beside the last slot, whose
+    # index is -1 from the end (1.2 pairs 0.2), nor beside a free slot,
+    # whose partner is -1
+    for seed_line in ("0.2--", "-0.2", "--1.2", "-1.2", "-", "0.2-1.2-", "0.2-1.2-1.2"):
+        rejected(good + "SEED\n" + seed_line + "\n", 6)
+    rejected("CRG 1\n2\n0: - 1.1 1.2\n1: - 0.1 0.2\nSEED\n0.0--\n", 6)
+    seeded = good + "SEED\n0.0-1.0\n0.1-1.1\n"
+    assert serialize(deserialize(seeded)) == seeded
+
 
 def test_parse_error_carries_line_number():
     try:
@@ -352,7 +380,7 @@ def test_parse_error_carries_line_number():
 def test_relabeled_permutes_vertices():
     g = theta_graph(True)
     h = relabeled(g, [1, 0])
-    assert h.pair_table()[slot(1, 0)] == slot(0, 0)
+    assert h.pair_table()[3] == 0  # slot 1.0 pairs 0.0
     assert sorted(len(f) for f in faces(h)) == [2, 2, 2]
     with pytest.raises(ValueError):
         relabeled(g, [0, 0])
@@ -360,8 +388,8 @@ def test_relabeled_permutes_vertices():
 
 def test_components():
     g = CubicRibbonGraph(4)
-    g.add_edge(slot(0, 0), slot(1, 0))
-    g.add_edge(slot(2, 0), slot(3, 0))
+    g.add_edge(0, 3)
+    g.add_edge(6, 9)
     assert g.components() == [[0, 1], [2, 3]]
 
 
