@@ -6,34 +6,39 @@ For a trace m >= 3 the count is
 
 where d is the number-of-divisors function: the trace fixes d = m - a, and
 the determinant relation forces b*c = a*d - 1, so b runs over the divisors
-of a*(m-a) - 1.  The same count can be reproduced a third way by walking
-the binary tree of words in L and R, pruning on the monotone trace, which
-is what ``count_words_by_trace`` does; the three routes are compared by
-``CensusTable.build(check=True)``.  ``CensusTable.to_csv`` is the one view
-of the growth of N(m): its last two columns are N/(m^2 log m) and
-N/(m^2 log log m), reported and never judged, since the growth statements
-hide unspecified constants.
+of a*(m-a) - 1.  The same counts are reproduced two more ways: by building
+every matrix (``n_by_enumeration``) and by walking the binary tree of words
+in L and R, pruning on the monotone trace (``count_words_by_trace``).  The
+three routes are compared by ``CensusTable.build(check=True)``.
+``CensusTable.to_csv`` is the one view of the growth of N(m): its last two
+columns are N/(m^2 log m) and N/(m^2 log log m), reported and never
+judged, since the growth statements hide unspecified constants.
 
-Each route does half the work through a symmetry.  The summand
-a*(m-a) - 1 is unchanged under a <-> m-a, so the formula and the
-enumeration visit a <= m // 2 only, counting each a < m - a twice and the
-centre a = m/2 of an even m once.  Swapping L and R is conjugation by
-[[0, 1], [1, 0]], which maps (a, b, c, d) to (d, c, b, a) and keeps the
-trace, so the word walk descends from the root L alone and counts each
-node twice.  The routes stay independent: the formula and the enumeration
-each read the sieve on their own (divisor counts against divisor lists
-checked by the determinant), and the walk reads no sieve at all.
+Each route does its work once through a symmetry.  The summand
+a*(m-a) - 1 is unchanged under a <-> m-a, so the formula visits
+a <= m // 2 only, counting each a < m - a twice and the centre a = m/2 of
+an even m once.  The enumeration uses that symmetry and the transpose
+together: every orbit under a <-> d and b <-> c has exactly one member
+with a <= d and b <= c, and from ad - bc = 1 that member has
+gcd(a, b) = 1, b*b <= a*d - 1 and d = a^-1 (mod b).  So one walk over the
+whole table steps d along that progression for each coprime pair (a, b),
+and weighs each matrix it builds by the size of its orbit.  Swapping L and
+R is conjugation by [[0, 1], [1, 0]], which maps (a, b, c, d) to
+(d, c, b, a) and keeps the trace, so the word walk descends from the root
+L alone and counts each node twice.  The routes stay independent: only the
+formula reads the divisor sieve, the enumeration checks every matrix it
+builds against the determinant, and the walk multiplies letters.
 
 The divisor sieve is built once and then read-only; table rows are
-independent and assembled in deterministic order.  Divisor counts and
-divisor lists come straight from the smallest-prime-factor table: one walk
-down it per query, multiplying in each prime power as it is read, with no
-factor list in between.  The word walk needs no length cap either.  The
-spine L^j keeps trace 2 for every j, so it is the one branch the trace
-bound cannot end; the walk lists it directly, seeding its stack with the
-R children L^j R of trace j + 2 for j <= m - 2, and follows L-chains
-below them.  Every other word has trace at least its length + 1, so the
-trace bound ends each remaining branch.
+independent and assembled in deterministic order.  Divisor counts come
+straight from the smallest-prime-factor table: one walk down it per query,
+multiplying in each e + 1 as the prime power p^e is read, with no factor
+list in between.  The word walk needs no length cap either.  The spine L^j
+keeps trace 2 for every j, so it is the one branch the trace bound cannot
+end; the walk lists it directly, seeding its stack with the R children
+L^j R of trace j + 2 for j <= m - 2, and follows L-chains below them.
+Every other word has trace at least its length + 1, so the trace bound
+ends each remaining branch.
 """
 
 from __future__ import annotations
@@ -77,7 +82,7 @@ def divisor_count(n: int) -> int:
 
 
 class DivisorSieve:
-    """Smallest-prime-factor table supporting bulk divisor queries.
+    """Smallest-prime-factor table supporting bulk divisor-count queries.
 
     Memory is O(limit); for a census up to trace m the arguments reach
     roughly m*m/4, so the table for m = 300 holds ~22500 entries.
@@ -118,26 +123,6 @@ class DivisorSieve:
             count *= e + 1
         return count
 
-    def divisors(self, n: int) -> list[int]:
-        """All positive divisors, ascending.
-
-        Each prime power p^i read off the sieve multiplies the divisors
-        found before p, so no factor list is built.
-        """
-        self._require(n)
-        spf = self._spf
-        out = [1]
-        while n > 1:
-            p = spf[n]
-            base = out
-            q = 1
-            while n % p == 0:
-                n //= p
-                q *= p
-                out = out + [d * q for d in base]
-        out.sort()
-        return out
-
 
 def _require_trace(m: int) -> None:
     if m <= 2:
@@ -167,28 +152,40 @@ def n_by_formula(m: int, sieve: DivisorSieve | None = None) -> int:
     return total
 
 
-def n_by_enumeration(m: int, sieve: DivisorSieve | None = None) -> int:
-    """Count trace-m elements by constructing them.
+def n_by_enumeration(max_trace: int) -> dict[int, int]:
+    """Histogram of matrix counts per trace in [3, max_trace], by building
+    every matrix.
 
-    For each diagonal (a, m-a) with a <= m - a the off-diagonal entries run
-    over the factorizations b*c = a*(m-a) - 1.  Every constructed quadruple
-    is checked against the determinant relation, which also covers its
-    mirror (m-a, b, c, a) counted with it.
+    Swapping a <-> d and transposing (b <-> c) both keep the trace and the
+    determinant, so each orbit of a matrix (a, b, c, d) has exactly one
+    member with a <= d and b <= c, which the walk builds and weighs by the
+    orbit's size.  From ad - bc = 1 that member has gcd(a, b) = 1,
+    b*b <= a*d - 1 and d = a^-1 (mod b), so for each a <= max_trace // 2
+    and each b coprime to it with b*b <= a*(max_trace - a) - 1, d steps
+    through its progression mod b, from the least d >= a with
+    a*d >= b*b + 1 to the trace bound, with c = (a*d - 1) / b growing by a
+    at each step.  An orbit has 4 members unless a = d or b = c, which halve
+    it; both at once would need a*a - b*b = 1 with b >= 1.  Every quadruple
+    built is checked against the determinant.  The walk reads no sieve.
     """
-    _require_trace(m)
-    sieve = _sieve_for(m, sieve)
-    count = 0
-    for a in range(1, m // 2 + 1):
-        d = m - a
-        k = a * d - 1
-        found = 0
-        for b in sieve.divisors(k):
-            c = k // b
-            if a * d - b * c != 1:
-                raise AssertionError(f"enumeration produced a bad matrix ({a},{b},{c},{d})")
-            found += 1
-        count += found if a == d else 2 * found
-    return count
+    if max_trace < 3:
+        raise ValueError(f"max_trace must be >= 3, got {max_trace}")
+    counts = [0] * (max_trace + 1)
+    for a in range(1, max_trace // 2 + 1):
+        d_max = max_trace - a
+        for b in range(1, math.isqrt(a * d_max - 1) + 1):
+            if math.gcd(a, b) != 1:
+                continue
+            low = max(a, -(-(b * b + 1) // a))
+            d = low + (pow(a, -1, b) - low) % b
+            c = (a * d - 1) // b
+            while d <= d_max:
+                if a * d - b * c != 1:
+                    raise AssertionError(f"enumeration produced a bad matrix ({a},{b},{c},{d})")
+                counts[a + d] += (1 if c == b else 2) * (1 if a == d else 2)
+                d += b
+                c += a
+    return {m: counts[m] for m in range(3, max_trace + 1)}
 
 
 def N_of(m: int) -> int:
@@ -283,14 +280,16 @@ class CensusTable:
     ) -> "CensusTable":
         _require_trace(m_max)
         sieve = _sieve_for(m_max, sieve)
-        word_counts = count_words_by_trace(m_max) if check else None
+        if check:
+            word_counts = count_words_by_trace(m_max)
+            enum_counts = n_by_enumeration(m_max)
         rows: list[CensusRow] = []
         running = 0
         for m in range(3, m_max + 1):
             n_formula = n_by_formula(m, sieve)
             checked = False
             if check:
-                n_enum = n_by_enumeration(m, sieve)
+                n_enum = enum_counts[m]
                 n_words = word_counts[m]
                 if not (n_formula == n_enum == n_words):
                     raise CensusMismatch(m, n_formula, n_enum, n_words)

@@ -311,6 +311,19 @@ class CrgParseError(ValueError):
         super().__init__(prefix + message)
 
 
+# Most characters of input text that a parse error quotes.
+_QUOTE_LIMIT = 32
+
+
+def _quote(text: str) -> str:
+    """``repr(text)`` for an error message; text longer than _QUOTE_LIMIT
+    characters is cut to that many and its full length stated, so that a
+    hostile line makes a short message."""
+    if len(text) <= _QUOTE_LIMIT:
+        return repr(text)
+    return f"{text[:_QUOTE_LIMIT]!r}... ({len(text)} characters)"
+
+
 def _slot_tokens(n: int) -> list[str]:
     """The one spelling of a slot in .crg text: entry s is slot s of an
     n-vertex graph as ``v.i``, and the last entry, which a free slot's -1
@@ -368,9 +381,10 @@ def deserialize(text: str) -> CubicRibbonGraph:
     except ValueError:  # not a number, or more digits than int() converts
         n = -1
     if n < 0 or lines[1] != str(n):
-        raise CrgParseError(f"bad vertex count {lines[1]!r} (expected a plain decimal)", 2)
+        raise CrgParseError(f"bad vertex count {_quote(lines[1])} (expected a plain decimal)", 2)
     if len(lines) < 2 + n:
-        raise CrgParseError(f"expected {n} vertex lines, found {len(lines) - 2}", len(lines))
+        count = lines[1] if len(lines[1]) <= _QUOTE_LIMIT else _quote(lines[1])
+        raise CrgParseError(f"expected {count} vertex lines, found {len(lines) - 2}", len(lines))
 
     tok = _slot_tokens(n)
     slot_of = {tok[s]: s for s in range(-1, 3 * n)}  # the inverse of tok, '-' -> -1
@@ -378,12 +392,12 @@ def deserialize(text: str) -> CubicRibbonGraph:
     for v, line in enumerate(lines[2 : 2 + n]):
         head, *targets = line.split(" ")
         if head != f"{v}:" or len(targets) != 3:
-            raise CrgParseError(f"expected '{v}: t0 t1 t2', got {line!r}", 3 + v)
+            raise CrgParseError(f"expected '{v}: t0 t1 t2', got {_quote(line)}", 3 + v)
         try:
             pair += map(slot_of.__getitem__, targets)
         except KeyError as exc:
             token = exc.args[0]
-            raise CrgParseError(f"unknown slot token {token!r} (outside 0.0..{n - 1}.2 and -)", 3 + v) from None
+            raise CrgParseError(f"unknown slot token {_quote(token)} (outside 0.0..{n - 1}.2 and -)", 3 + v) from None
     for s, t in enumerate(pair):
         if t == s:
             raise CrgParseError(f"slot {tok[s]} pairs with itself", 3 + s // 3)
@@ -399,7 +413,7 @@ def deserialize(text: str) -> CubicRibbonGraph:
     rest = lines[2 + n :]
     if rest:
         if rest[0] != "SEED":
-            raise CrgParseError(f"unexpected content {rest[0]!r} (expected SEED or end of file)", 3 + n)
+            raise CrgParseError(f"unexpected content {_quote(rest[0])} (expected SEED or end of file)", 3 + n)
         if len(rest) == 1:
             raise CrgParseError("SEED section lists no edge", 3 + n)
         seed = g._seed
@@ -411,12 +425,12 @@ def deserialize(text: str) -> CubicRibbonGraph:
             a, b = slot_of.get(low, -1), slot_of.get(high, -1)
             if not last < a < b:
                 raise CrgParseError(
-                    f"bad seed edge {line!r} (expected u.i-v.j, low slot first, in ascending "
+                    f"bad seed edge {_quote(line)} (expected u.i-v.j, low slot first, in ascending "
                     "order of the low slot, with no duplicate)",
                     lineno,
                 )
             if pair[a] != b:
-                raise CrgParseError(f"seed edge {line!r} is not an edge of the graph", lineno)
+                raise CrgParseError(f"seed edge {_quote(line)} is not an edge of the graph", lineno)
             seed[a] = seed[b] = True
             last = a
     return g

@@ -12,10 +12,12 @@ a word in the free generators off a networkx spanning forest, forbidden
 sets by a stack search that does its own matrix arithmetic, and graph
 corpora by exhausting perfect matchings over the free slots of fixed
 circuit shapes.  The census routes the
-library halved by symmetry are kept here whole: the word walk from both
-roots and the enumeration over every diagonal, which also lists its
-matrices.  So is the word walk from L under a length cap, which the
-library replaced by a walk along L-chains from the spine L^j.  So is
+library cuts down by symmetry are kept here whole: the word walk from both
+roots and the enumeration over every diagonal, which reads the divisors
+of each a*(m-a) - 1 off the sieve and also lists its matrices, where the
+library steps each coprime pair (a, b) along d = a^-1 (mod b).  So is
+the word walk from L under a length cap, which the library replaced by a
+walk along L-chains from the spine L^j.  So is
 girth: a breadth-first search from every vertex over the whole subgraph,
 where the library searches only above each root.  So is .crg output
 formatted one slot token at a time, where the library reads every line off
@@ -23,7 +25,8 @@ one token table.  The
 helpers that only tests call live here too: the matrix product, the turn
 letter between two slots and the word of a dart sequence, the edge and
 seed-edge lists, vertex degrees, the free-slot lists and vertex
-relabelling, the word of a seed circuit, letter insertion, the
+relabelling, the word of a seed circuit, letter insertion, the sieve's
+divisor lists, the
 golden-ratio bounds on traces and girth, and the forbidden-set cap.
 """
 
@@ -123,13 +126,37 @@ def length_capped_word_counts(max_trace: int) -> dict[int, int]:
     return counts
 
 
+def sieve_divisors(sieve: census.DivisorSieve, n: int) -> list[int]:
+    """All positive divisors of n, ascending, read off the sieve's
+    smallest-prime-factor table.
+
+    Each prime power p^i read off the table multiplies the divisors found
+    before p, so no factor list is built.
+    """
+    if not 1 <= n <= sieve.limit:
+        raise ValueError(f"n={n} outside sieve range [1, {sieve.limit}]")
+    spf = sieve._spf
+    out = [1]
+    while n > 1:
+        p = spf[n]
+        base = out
+        q = 1
+        while n % p == 0:
+            n //= p
+            q *= p
+            out = out + [d * q for d in base]
+    out.sort()
+    return out
+
+
 def full_range_enumeration(
     m: int,
     sieve: census.DivisorSieve | None = None,
     with_matrices: bool = False,
 ):
     """Count trace-m elements by constructing them over every diagonal
-    (a, m-a), 1 <= a <= m-1; with ``with_matrices`` also list them."""
+    (a, m-a), 1 <= a <= m-1, with b over the divisors of a*(m-a) - 1 read
+    off the sieve; with ``with_matrices`` also list them."""
     if m <= 2:
         raise ValueError(f"trace {m} rejected: the count is only finite for traces >= 3")
     if sieve is None:
@@ -139,7 +166,7 @@ def full_range_enumeration(
     for a in range(1, m):
         d = m - a
         k = a * d - 1
-        for b in sieve.divisors(k):
+        for b in sieve_divisors(sieve, k):
             c = k // b
             if a * d - b * c != 1:
                 raise AssertionError(f"enumeration produced a bad matrix ({a},{b},{c},{d})")

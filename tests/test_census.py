@@ -19,6 +19,7 @@ from _oracles import (
     brute_force_trace_count,
     full_range_enumeration,
     length_capped_word_counts,
+    sieve_divisors,
     two_root_word_counts,
 )
 
@@ -40,11 +41,11 @@ def test_sieve_matches_trial_division():
 def test_sieve_divisors_are_exact():
     sieve = DivisorSieve(3000)
     for n in range(1, 3001):
-        divs = sieve.divisors(n)
+        divs = sieve_divisors(sieve, n)
         assert divs == [d for d in range(1, n + 1) if n % d == 0]
         assert sieve.divisor_count(n) == len(divs)
     with pytest.raises(ValueError):
-        sieve.divisors(3001)
+        sieve_divisors(sieve, 3001)
 
 
 def test_spot_values():
@@ -57,10 +58,12 @@ def test_spot_values():
 
 
 def test_counts_match_bruteforce_search():
+    enumerated = n_by_enumeration(14)
+    assert sorted(enumerated) == list(range(3, 15))
     for m in range(3, 15):
         expected = brute_force_trace_count(m)
         assert n_by_formula(m) == expected
-        assert n_by_enumeration(m) == expected
+        assert enumerated[m] == expected
 
 
 def test_traces_two_and_below_are_rejected():
@@ -95,16 +98,28 @@ def test_trace_four_matrices_are_the_length_three_words():
 
 
 def test_halved_routes_match_the_full_range_oracles():
-    # a <-> m-a halves the formula and the enumeration, L <-> R the walk;
-    # m = 3..120 takes both parities, so the weight-1 centre a = m/2 too
+    # a <-> m-a halves the formula, a <-> d with the transpose quarters the
+    # enumeration, and L <-> R halves the walk; m = 3..120 takes both
+    # parities, so the weight-1 centre a = m/2 too
     sieve = DivisorSieve(120 * 120 // 4)
     full_walk = two_root_word_counts(120)
+    enumerated = n_by_enumeration(120)
     for m in range(3, 121):
         full = full_range_enumeration(m, sieve)
         assert full == sum(divisor_count(a * (m - a) - 1) for a in range(1, m))
         assert n_by_formula(m, sieve) == full
-        assert n_by_enumeration(m, sieve) == full
+        assert enumerated[m] == full
         assert count_words_by_trace(m) == {t: full_walk[t] for t in range(3, m + 1)}
+
+
+def test_progression_walk_matches_the_divisor_list_oracle_at_every_bound():
+    # the walk's bounds depend on max_trace (a <= max_trace // 2, the isqrt
+    # cap on b, the stop at d > max_trace - a), so every bound is walked
+    # on its own and each of its rows compared with the oracle's count
+    sieve = DivisorSieve(150 * 150 // 4)
+    full = {m: full_range_enumeration(m, sieve) for m in range(3, 151)}
+    for bound in range(3, 151):
+        assert n_by_enumeration(bound) == {m: full[m] for m in range(3, bound + 1)}, bound
 
 
 def test_chain_walk_matches_the_length_capped_and_two_root_walks():
@@ -143,15 +158,15 @@ def test_check_mode_flags_rows_and_catches_corruption():
     # 224 = 15*15 - 1 (the centre a = d = 15, counted once) and
     # 160 = 7*23 - 1 (a = 7 with its mirror a = 23, counted twice) feed only
     # the trace-30 row; pretending either is prime collapses its divisor
-    # count to 2, which the formula and the enumeration both read from the
-    # sieve and the word search does not
+    # count to 2, which only the formula reads from the sieve: the
+    # enumeration and the word search build their matrices
     for poisoned in (224, 160):
         bad = DivisorSieve(30 * 30 // 4)
         bad._spf[poisoned] = poisoned
         with pytest.raises(CensusMismatch) as exc:
             CensusTable.build(30, check=True, sieve=bad)
         assert exc.value.trace == 30
-        assert exc.value.formula == exc.value.enumeration < exc.value.words
+        assert exc.value.formula < exc.value.enumeration == exc.value.words
 
 
 def test_csv_shape():

@@ -148,6 +148,31 @@ def test_malformed_file_is_exit_3(tmp_path, capsys):
     assert "not pure ASCII" in err
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("CRG 1\n" + "9" * 5000 + "\n", 2),  # more digits than int() converts
+        ("CRG 1\n" + "9" * 4000 + "\n0: - - -\n", 3),  # a count int() reads, with one vertex line
+        ("CRG 1\n1\n0: " + "1" * 5000 + "\n", 3),
+        ("CRG 1\n1\n0: - - " + "1" * 3000 + ".0\n", 3),
+        ("CRG 1\n1\n0: - - -\n" + "X" * 5000 + "\n", 4),
+        ("CRG 1\n1\n0: 0.1 0.0 -\nSEED\n0.0-" + "0" * 5000 + ".1\n", 5),
+        ("CRG 1\n1\n0: 0.1 0.0 -\nSEED\n0.0-0.1\n0.0-0.1" + " " * 5000 + "\n", 6),
+    ],
+    ids=["count", "count-lines", "vertex-line", "slot-token", "content", "seed-token", "seed-line"],
+)
+def test_long_malformed_text_is_quoted_short(tmp_path, capsys, text, line):
+    # a parse error quotes a bounded head of the offending text and states
+    # its length, so hostile input cannot flood stderr
+    crg = tmp_path / "long.crg"
+    crg.write_text(text, newline="\n")
+    code, out, err = run(capsys, "verify", "--k", "5", str(crg))
+    assert (code, out) == (3, "")
+    assert err.startswith(f"malformed input file: line {line}: "), err[:200]
+    assert err.count("\n") == 1 and len(err.encode()) < 200, err[:200]
+    assert " characters)" in err
+
+
 def test_recover(capsys):
     code, out, _ = run(capsys, "recover", "--matrix", "2,1,1,1")
     assert code == 0 and out == "LR\n"
@@ -285,6 +310,17 @@ def test_construct_reproduces_the_benchmark_pins(tmp_path, capsys):
         assert code == 0
         assert hashlib.sha256(crg.read_bytes()).hexdigest() == want["crg"], layout
         assert hashlib.sha256(rep.read_bytes()).hexdigest() == want["report"], layout
+
+
+def test_census_reproduces_the_benchmark_pin(capsys):
+    # the digest that the benchmark gates its census workload on, read as
+    # it is: a byte change in the checked trace-300 CSV fails here
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "perfbench", "pins.json"), encoding="ascii") as fh:
+        pinned = json.load(fh)["census"]
+    code, out, err = run(capsys, "census", "--max-trace", "300", "--check")
+    assert code == 0, err
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == pinned
 
 
 def _fresh_python(cwd, *args, preexec_fn=None):
