@@ -30,21 +30,24 @@ formula reads the divisor sieve, the enumeration checks every matrix it
 builds against the determinant, and the walk multiplies letters.
 
 The divisor sieve is built once and then read-only; table rows are
-independent and assembled in deterministic order.  Divisor counts come
-straight from the smallest-prime-factor table: one walk down it per query,
-multiplying in each e + 1 as the prime power p^e is read, with no factor
-list in between.  The word walk needs no length cap either.  The spine L^j
-keeps trace 2 for every j, so it is the one branch the trace bound cannot
-end; the walk lists it directly, seeding its stack with the R children
-L^j R of trace j + 2 for j <= m - 2, and follows L-chains below them.
-Every other word has trace at least its length + 1, so the trace bound
-ends each remaining branch.
+independent and assembled in deterministic order.  The sieve keeps one
+table, the divisor count of every n up to its limit, derived in one pass
+from a smallest-prime-factor table that is then dropped, so the formula
+reads each summand with one index.  The word walk needs no length cap
+either.  The spine L^j keeps trace 2 for every j, so it is the one branch
+the trace bound cannot end; the walk lists it directly, seeding its stack
+with the R children L^j R of trace j + 2 for j <= m - 2, and follows
+L-chains below them.  Every other word has trace at least its length + 1,
+so the trace bound ends each remaining branch.  Along an L-chain the trace
+and the R child's trace only grow, so once the R child passes the bound
+the rest of the chain is an arithmetic progression of traces, counted
+without pushing anything.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 __all__ = [
     "divisor_count",
@@ -61,10 +64,12 @@ __all__ = [
 
 
 # Largest sieve the library will allocate.  A trace-m census needs about
-# m*m/4 entries, so 10**7 covers traces up to 6,324; as a Python list it
-# takes about 0.4 GB.  A larger request is refused with ValueError before
-# anything is allocated, rather than ending in MemoryError or exhausting the
-# host.
+# m*m/4 entries, so 10**7 covers traces up to 6,324.  Building it peaks at
+# about 0.4 GB, the smallest-prime-factor list of 10**7 Python ints; the
+# divisor-count table kept afterwards takes about 76 MiB (tracemalloc at
+# 10**6: 38.1 MiB peak, 7.6 MiB held, scaled tenfold).  A larger request
+# is refused with ValueError before anything is allocated, rather than
+# ending in MemoryError or exhausting the host.
 MAX_SIEVE_LIMIT = 10**7
 
 
@@ -82,10 +87,15 @@ def divisor_count(n: int) -> int:
 
 
 class DivisorSieve:
-    """Smallest-prime-factor table supporting bulk divisor-count queries.
+    """Divisor-count table for every n in [1, limit].
 
-    Memory is O(limit); for a census up to trace m the arguments reach
-    roughly m*m/4, so the table for m = 300 holds ~22500 entries.
+    The smallest-prime-factor table is built first and read once: for
+    n >= 2 with p = spf(n) and q = n // p, tau(n) = 2 tau(q) - tau(q // p)
+    when p divides q, and 2 tau(q) otherwise.  Writing n = p^e m with p not
+    dividing m, tau(n) = (e + 1) tau(m), tau(q) = e tau(m) and
+    tau(q // p) = (e - 1) tau(m).  Only the count table is kept.  Memory is
+    O(limit); for a census up to trace m the arguments reach roughly m*m/4,
+    so the table for m = 300 holds ~22500 entries.
     """
 
     def __init__(self, limit: int):
@@ -103,25 +113,24 @@ class DivisorSieve:
                 for multiple in range(p * p, limit + 1, p):
                     if spf[multiple] == multiple:
                         spf[multiple] = p
-        self._spf = spf
-
-    def _require(self, n: int) -> None:
-        if not 1 <= n <= self.limit:
-            raise ValueError(f"n={n} outside sieve range [1, {self.limit}]")
+        tau = [0] * (limit + 1)
+        tau[1] = 1
+        for n in range(2, limit + 1):
+            p = spf[n]
+            q = n // p
+            # spf(q) == p exactly when p divides q, since every prime
+            # factor of q divides n and so is at least p
+            if spf[q] == p:
+                tau[n] = 2 * tau[q] - tau[q // p]
+            else:
+                tau[n] = 2 * tau[q]
+        self._tau = tau
 
     def divisor_count(self, n: int) -> int:
-        """Number of positive divisors: the product of e + 1 over p^e || n."""
-        self._require(n)
-        spf = self._spf
-        count = 1
-        while n > 1:
-            p = spf[n]
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            count *= e + 1
-        return count
+        """Number of positive divisors, read from the table."""
+        if not 1 <= n <= self.limit:
+            raise ValueError(f"n={n} outside sieve range [1, {self.limit}]")
+        return self._tau[n]
 
 
 def _require_trace(m: int) -> None:
@@ -145,10 +154,12 @@ def n_by_formula(m: int, sieve: DivisorSieve | None = None) -> int:
     twice and the centre a = m/2 of an even m once.
     """
     _require_trace(m)
-    sieve = _sieve_for(m, sieve)
-    total = 2 * sum(sieve.divisor_count(a * (m - a) - 1) for a in range(1, (m + 1) // 2))
+    # _sieve_for checks the largest index read, (m // 2) ** 2 - 1 < m*m/4;
+    # the least, m - 2, is at least 1
+    tau = _sieve_for(m, sieve)._tau
+    total = 2 * sum(tau[a * (m - a) - 1] for a in range(1, (m + 1) // 2))
     if m % 2 == 0:
-        total += sieve.divisor_count((m // 2) ** 2 - 1)
+        total += tau[(m // 2) ** 2 - 1]
     return total
 
 
@@ -208,9 +219,12 @@ def count_words_by_trace(max_trace: int) -> dict[int, int]:
     appending letters never lowers the trace.  Below L lies the spine
     L^j = (1, j, 0, 1), all of trace 2, whose R children L^j R =
     (1 + j, j, 1, 1) of trace j + 2 seed the stack.  Each node popped walks
-    its own L-chain (t += c, b += a, d += c), pushing the R child of every
-    link, until the trace passes the bound; off the spine c >= 1, so the
-    chain ends.  The spine, whose trace stays 2, is the one branch the trace
+    its own L-chain (t += c, b += a, d += c), counting every link and
+    pushing its R child.  Along the chain c stays fixed and, off the spine,
+    a, c >= 1, so t and b only grow: once t + b passes the bound, no later
+    link has an R child within it, and the rest of the chain is just the
+    traces t, t + c, t + 2c, ... up to the bound, counted by one range with
+    no pushes.  The spine, whose trace stays 2, is the one branch the trace
     bound cannot end; listing it directly replaces the length cap, since
     every other word has trace at least its length + 1, and the trace bound
     alone ends each remaining branch.  Distinct words have
@@ -219,26 +233,20 @@ def count_words_by_trace(max_trace: int) -> dict[int, int]:
     """
     if max_trace < 3:
         raise ValueError(f"max_trace must be >= 3, got {max_trace}")
-    counts = {m: 0 for m in range(3, max_trace + 1)}
-    stack = []
-    for j in range(1, max_trace - 1):
-        counts[j + 2] += 2
-        stack.append((1 + j, j, 1, 1))
+    counts = [0] * (max_trace + 1)
+    stack = [(1 + j, j, 1, 1) for j in range(1, max_trace - 1)]
     while stack:
         a, b, c, d = stack.pop()
         t = a + d
-        while True:
-            t_right = t + b
-            if t_right <= max_trace:
-                counts[t_right] += 2
-                stack.append((a + b, b, c + d, d))
+        while t + b <= max_trace:
+            counts[t] += 1
+            stack.append((a + b, b, c + d, d))
             t += c
-            if t > max_trace:
-                break
-            counts[t] += 2
             b += a
             d += c
-    return counts
+        for u in range(t, max_trace + 1, c):
+            counts[u] += 1
+    return {m: 2 * counts[m] for m in range(3, max_trace + 1)}
 
 
 class CensusMismatch(Exception):
@@ -255,20 +263,15 @@ class CensusMismatch(Exception):
         )
 
 
-@dataclass(frozen=True)
-class CensusRow:
-    m: int
-    n: int
-    N: int
-    checked: bool
+CensusRow = namedtuple("CensusRow", "m n N checked")
 
 
-@dataclass
 class CensusTable:
     """Rows n(m), N(m) for 3 <= m <= m_max with optional triple cross-check."""
 
-    m_max: int
-    rows: list[CensusRow] = field(default_factory=list)
+    def __init__(self, m_max: int, rows: list[CensusRow] | None = None):
+        self.m_max = m_max
+        self.rows = [] if rows is None else rows
 
     @classmethod
     def build(

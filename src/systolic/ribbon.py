@@ -409,7 +409,9 @@ def deserialize(text: str) -> CubicRibbonGraph:
             )
 
     g = CubicRibbonGraph(n)
-    g._pair = pair  # a fixed-point-free partial involution by now
+    # a fixed-point-free partial involution by now; the copy drops the spare
+    # capacity that growing the list with += left behind
+    g._pair = pair[:]
     rest = lines[2 + n :]
     if rest:
         if rest[0] != "SEED":

@@ -14,7 +14,7 @@ corpora by exhausting perfect matchings over the free slots of fixed
 circuit shapes.  The census routes the
 library cuts down by symmetry are kept here whole: the word walk from both
 roots and the enumeration over every diagonal, which reads the divisors
-of each a*(m-a) - 1 off the sieve and also lists its matrices, where the
+of each a*(m-a) - 1 by trial division and also lists its matrices, where the
 library steps each coprime pair (a, b) along d = a^-1 (mod b).  So is
 the word walk from L under a length cap, which the library replaced by a
 walk along L-chains from the spine L^j.  So is
@@ -25,8 +25,8 @@ one token table.  The
 helpers that only tests call live here too: the matrix product, the turn
 letter between two slots and the word of a dart sequence, the edge and
 seed-edge lists, vertex degrees, the free-slot lists and vertex
-relabelling, the word of a seed circuit, letter insertion, the sieve's
-divisor lists, the
+relabelling, the word of a seed circuit, letter insertion, divisor lists
+by trial division over the sieve's range, the
 golden-ratio bounds on traces and girth, and the forbidden-set cap.
 """
 
@@ -127,24 +127,26 @@ def length_capped_word_counts(max_trace: int) -> dict[int, int]:
 
 
 def sieve_divisors(sieve: census.DivisorSieve, n: int) -> list[int]:
-    """All positive divisors of n, ascending, read off the sieve's
-    smallest-prime-factor table.
+    """All positive divisors of n, ascending, for n in the sieve's range.
 
-    Each prime power p^i read off the table multiplies the divisors found
-    before p, so no factor list is built.
+    n is factored by trial division, not read off the sieve, so the lists
+    share nothing with the library's table.  Each prime power p^i found
+    multiplies the divisors found before p, so no factor list is built.
     """
     if not 1 <= n <= sieve.limit:
         raise ValueError(f"n={n} outside sieve range [1, {sieve.limit}]")
-    spf = sieve._spf
     out = [1]
+    p = 2
     while n > 1:
-        p = spf[n]
+        if p * p > n:
+            p = n  # what is left is prime
         base = out
         q = 1
         while n % p == 0:
             n //= p
             q *= p
             out = out + [d * q for d in base]
+        p += 1
     out.sort()
     return out
 
@@ -155,8 +157,8 @@ def full_range_enumeration(
     with_matrices: bool = False,
 ):
     """Count trace-m elements by constructing them over every diagonal
-    (a, m-a), 1 <= a <= m-1, with b over the divisors of a*(m-a) - 1 read
-    off the sieve; with ``with_matrices`` also list them."""
+    (a, m-a), 1 <= a <= m-1, with b over the divisors of a*(m-a) - 1 found
+    by trial division; with ``with_matrices`` also list them."""
     if m <= 2:
         raise ValueError(f"trace {m} rejected: the count is only finite for traces >= 3")
     if sieve is None:

@@ -33,9 +33,14 @@ def test_divisor_count_examples():
 
 
 def test_sieve_matches_trial_division():
-    sieve = DivisorSieve(3000)
-    for n in range(1, 3001):
-        assert sieve.divisor_count(n) == divisor_count(n)
+    # limits 1 and 2 leave the derivation loop empty or at its first step
+    for limit in (1, 2, 3000):
+        sieve = DivisorSieve(limit)
+        for n in range(1, limit + 1):
+            assert sieve.divisor_count(n) == divisor_count(n)
+        for n in (0, limit + 1):
+            with pytest.raises(ValueError):
+                sieve.divisor_count(n)
 
 
 def test_sieve_divisors_are_exact():
@@ -157,12 +162,12 @@ def test_check_mode_flags_rows_and_catches_corruption():
 
     # 224 = 15*15 - 1 (the centre a = d = 15, counted once) and
     # 160 = 7*23 - 1 (a = 7 with its mirror a = 23, counted twice) feed only
-    # the trace-30 row; pretending either is prime collapses its divisor
-    # count to 2, which only the formula reads from the sieve: the
-    # enumeration and the word search build their matrices
+    # the trace-30 row; setting either divisor count to 2, as for a prime,
+    # is read only by the formula: the enumeration and the word search
+    # build their matrices
     for poisoned in (224, 160):
         bad = DivisorSieve(30 * 30 // 4)
-        bad._spf[poisoned] = poisoned
+        bad._tau[poisoned] = 2
         with pytest.raises(CensusMismatch) as exc:
             CensusTable.build(30, check=True, sieve=bad)
         assert exc.value.trace == 30

@@ -193,8 +193,9 @@ def test_selftest(capsys, monkeypatch):
         def __init__(self, limit):
             super().__init__(limit)
             # 538 = 11*49 - 1 = 2*269 feeds the a = 11 term of trace 60 (and
-            # its mirror a = 49), so the triple check must notice
-            self._spf[538] = 538
+            # its mirror a = 49); a divisor count of 2, as for a prime, must
+            # be noticed by the triple check
+            self._tau[538] = 2
 
     monkeypatch.setattr(census, "DivisorSieve", PoisonedSieve)
     code, _, err = run(capsys, "selftest")
@@ -467,7 +468,8 @@ def test_fuzzed_crg_text_never_raises(tmp_path, capsys):
 
 
 # Run by a fresh interpreter: ``cli.main(argv)`` (nothing for an empty argv),
-# then one JSON line with the exit code and the loaded ``systolic.*`` modules.
+# then one JSON line with the exit code, the loaded ``systolic.*`` modules
+# and whether ``dataclasses`` was loaded.
 _FOOTPRINT = """
 import contextlib, io, json, sys
 import systolic, systolic.cli
@@ -476,7 +478,8 @@ code = None
 if argv:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = systolic.cli.main(argv)
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("systolic."))]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("systolic.")),
+                  "dataclasses" in sys.modules]))
 """
 
 
@@ -496,13 +499,16 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("systolic.
 def test_each_subcommand_imports_only_the_modules_it_runs(tmp_path, argv, loaded):
     # a one-shot process pays for every module it imports: census loads
     # census alone, verify and report never load the builder or the census,
-    # construct never loads the scanner, and recover needs only words
+    # construct never loads the scanner, and recover needs only words;
+    # census and the bare import do not load dataclasses either
     (tmp_path / "g.crg").write_text(ribbon.serialize(builder.build(builder.SeedSpec(k=5))[0]))
     done = _fresh_python(tmp_path, "-c", _FOOTPRINT, json.dumps(argv))
     assert done.returncode == 0, done.stderr
-    code, modules = json.loads(done.stdout)
+    code, modules, dataclasses_loaded = json.loads(done.stdout)
     assert code == (0 if argv else None)
     assert set(modules) == {f"systolic.{name}" for name in loaded}
+    if loaded <= {"cli", "census"}:
+        assert not dataclasses_loaded
 
 
 def test_package_exports_resolve_lazily_to_their_home_objects(tmp_path):

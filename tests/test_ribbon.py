@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -266,6 +267,10 @@ def test_serialize_roundtrip():
     assert "SEED" in text and "0.0-1.2" in text
     assert deserialize(text) == g
     assert serialize(deserialize(text)) == text
+    # the parsed pair table holds no spare capacity
+    for n in (1, 3, 10, 100):
+        parsed = deserialize(serialize(CubicRibbonGraph(n)))
+        assert sys.getsizeof(parsed.pair_table()) == sys.getsizeof([-1] * (3 * n))
 
 
 def test_serialize_matches_the_per_token_oracle_and_round_trips():
