@@ -145,8 +145,11 @@ class SeedSpec:
                 raise SeedSpecError("planted words must be non-empty")
             if not isinstance(plant.multiplicity, int) or plant.multiplicity < 1:
                 raise SeedSpecError(f"multiplicity {plant.multiplicity!r} must be a positive integer")
-            self._check_plant_word(plant.word)
+        # the budget reads only lengths: check it before any plant's trace,
+        # whose product grows quadratically with the word
         check_planted_budget(self.k, self.planted_vertices())
+        for plant in self.plants:
+            self._check_plant_word(plant.word)
         if self.size is None:
             return
         if self.size > MAX_VERTICES:

@@ -30,10 +30,10 @@ formula reads the divisor sieve, the enumeration checks every matrix it
 builds against the determinant, and the walk multiplies letters.
 
 The divisor sieve is built once and then read-only; table rows are
-independent and assembled in deterministic order.  The sieve keeps one
-table, the divisor count of every n up to its limit, derived in one pass
-from a smallest-prime-factor table that is then dropped, so the formula
-reads each summand with one index.  The word walk needs no length cap
+independent and assembled in deterministic order.  The sieve is one
+table, the divisor count of every n up to its limit, filled by counting
+each pair of divisors i <= j with i*j = n, so the formula reads each
+summand with one index.  The word walk needs no length cap
 either.  The spine L^j keeps trace 2 for every j, so it is the one branch
 the trace bound cannot end; the walk lists it directly, seeding its stack
 with the R children L^j R of trace j + 2 for j <= m - 2, and follows
@@ -65,11 +65,11 @@ __all__ = [
 
 # Largest sieve the library will allocate.  A trace-m census needs about
 # m*m/4 entries, so 10**7 covers traces up to 6,324.  Building it peaks at
-# about 0.4 GB, the smallest-prime-factor list of 10**7 Python ints; the
-# divisor-count table kept afterwards takes about 76 MiB (tracemalloc at
-# 10**6: 38.1 MiB peak, 7.6 MiB held, scaled tenfold).  A larger request
-# is refused with ValueError before anything is allocated, rather than
-# ending in MemoryError or exhausting the host.
+# the table it keeps, about 76 MiB (tracemalloc at 10**6: 7.6 MiB at the
+# peak and held, scaled tenfold; a fresh process that builds it reads a
+# ru_maxrss of 91 MiB) and takes about 6-7 s on a 2-vCPU Xeon VM.  A larger
+# request is refused with ValueError before anything is allocated, rather
+# than ending in MemoryError or exhausting the host.
 MAX_SIEVE_LIMIT = 10**7
 
 
@@ -89,13 +89,10 @@ def divisor_count(n: int) -> int:
 class DivisorSieve:
     """Divisor-count table for every n in [1, limit].
 
-    The smallest-prime-factor table is built first and read once: for
-    n >= 2 with p = spf(n) and q = n // p, tau(n) = 2 tau(q) - tau(q // p)
-    when p divides q, and 2 tau(q) otherwise.  Writing n = p^e m with p not
-    dividing m, tau(n) = (e + 1) tau(m), tau(q) = e tau(m) and
-    tau(q // p) = (e - 1) tau(m).  Only the count table is kept.  Memory is
-    O(limit); for a census up to trace m the arguments reach roughly m*m/4,
-    so the table for m = 300 holds ~22500 entries.
+    Each pair of divisors i <= j with i*j = n adds 2 to n's count, or 1
+    when i = j.  Memory is O(limit); for a census up to trace m the
+    arguments reach roughly m*m/4, so the table for m = 300 holds ~22500
+    entries.
     """
 
     def __init__(self, limit: int):
@@ -107,23 +104,11 @@ class DivisorSieve:
                 f"(traces above 6324)"
             )
         self.limit = limit
-        spf = list(range(limit + 1))
-        for p in range(2, math.isqrt(limit) + 1):
-            if spf[p] == p:
-                for multiple in range(p * p, limit + 1, p):
-                    if spf[multiple] == multiple:
-                        spf[multiple] = p
         tau = [0] * (limit + 1)
-        tau[1] = 1
-        for n in range(2, limit + 1):
-            p = spf[n]
-            q = n // p
-            # spf(q) == p exactly when p divides q, since every prime
-            # factor of q divides n and so is at least p
-            if spf[q] == p:
-                tau[n] = 2 * tau[q] - tau[q // p]
-            else:
-                tau[n] = 2 * tau[q]
+        for i in range(1, math.isqrt(limit) + 1):
+            tau[i * i] += 1
+            for j in range(i * i + i, limit + 1, i):
+                tau[j] += 2
         self._tau = tau
 
     def divisor_count(self, n: int) -> int:
@@ -263,15 +248,14 @@ class CensusMismatch(Exception):
         )
 
 
-CensusRow = namedtuple("CensusRow", "m n N checked")
+CensusRow = namedtuple("CensusRow", "m n N")
 
 
 class CensusTable:
     """Rows n(m), N(m) for 3 <= m <= m_max with optional triple cross-check."""
 
-    def __init__(self, m_max: int, rows: list[CensusRow] | None = None):
-        self.m_max = m_max
-        self.rows = [] if rows is None else rows
+    def __init__(self, rows: list[CensusRow]):
+        self.rows = rows
 
     @classmethod
     def build(
@@ -290,16 +274,14 @@ class CensusTable:
         running = 0
         for m in range(3, m_max + 1):
             n_formula = n_by_formula(m, sieve)
-            checked = False
             if check:
                 n_enum = enum_counts[m]
                 n_words = word_counts[m]
                 if not (n_formula == n_enum == n_words):
                     raise CensusMismatch(m, n_formula, n_enum, n_words)
-                checked = True
             running += n_formula
-            rows.append(CensusRow(m, n_formula, running, checked))
-        return cls(m_max=m_max, rows=rows)
+            rows.append(CensusRow(m, n_formula, running))
+        return cls(rows)
 
     def to_csv(self) -> str:
         """CSV with header m,n,N,ratio_mlogm,ratio_mloglogm and one row per trace."""

@@ -95,13 +95,6 @@ class UniMat:
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
 
-    @property
-    def trace(self) -> int:
-        return self.a + self.d
-
-    def __str__(self) -> str:
-        return f"{self.a},{self.b},{self.c},{self.d}"
-
 
 def _product(word: str) -> tuple[int, int, int, int]:
     """Entries (a, b, c, d) of the generator product along ``word``."""

@@ -88,6 +88,17 @@ def test_plant_budget_is_enforced_exactly():
         SeedSpec(k=10, plants=(Plant(word, 18),)).validate()  # 180 > 172
 
 
+def test_plant_budget_is_checked_before_any_trace(monkeypatch):
+    # a plant too long for the budget is refused on its length alone: its
+    # trace, a product over every letter, is never computed
+    def no_trace(word):
+        raise AssertionError(f"trace of a {len(word)}-letter plant computed")
+
+    monkeypatch.setattr(words, "trace_of", no_trace)
+    with pytest.raises(SeedSpecError, match="budget"):
+        SeedSpec(k=5, plants=(Plant("L" * 21 + "R", 1),)).validate()  # 22 > 20
+
+
 def test_make_seed_minimum_for_k5():
     g = make_seed(SeedSpec(k=5))
     assert g.num_vertices == 20

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -33,14 +34,28 @@ def test_divisor_count_examples():
 
 
 def test_sieve_matches_trial_division():
-    # limits 1 and 2 leave the derivation loop empty or at its first step
-    for limit in (1, 2, 3000):
+    # limits 1 and 2 run the pair loop for i = 1 only; the perfect square
+    # 3025 = 55**2 makes its last i count the limit itself as i*i
+    for limit in (1, 2, 3000, 3025):
         sieve = DivisorSieve(limit)
         for n in range(1, limit + 1):
             assert sieve.divisor_count(n) == divisor_count(n)
         for n in (0, limit + 1):
             with pytest.raises(ValueError):
                 sieve.divisor_count(n)
+
+
+def test_sieve_peak_memory_is_the_table_it_keeps():
+    # the cap on the sieve bounds the host's memory only if building it
+    # allocates no more than the one table it keeps
+    tracemalloc.start()
+    try:
+        sieve = DivisorSieve(10**5)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sieve.limit == 10**5
+    assert peak <= 1.5 * held, (peak, held)
 
 
 def test_sieve_divisors_are_exact():
@@ -155,11 +170,7 @@ def test_partial_sums_strictly_increase():
         prev = row.N
 
 
-def test_check_mode_flags_rows_and_catches_corruption():
-    table = CensusTable.build(30, check=True)
-    assert all(row.checked for row in table.rows)
-    assert not any(row.checked for row in CensusTable.build(30).rows)
-
+def test_check_mode_catches_corruption():
     # 224 = 15*15 - 1 (the centre a = d = 15, counted once) and
     # 160 = 7*23 - 1 (a = 7 with its mirror a = 23, counted twice) feed only
     # the trace-30 row; setting either divisor count to 2, as for a prime,
