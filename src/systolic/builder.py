@@ -117,6 +117,11 @@ def check_planted_budget(k: int, planted_vertices: int) -> None:
         )
 
 
+def _is_int(value) -> bool:
+    """An int that is not a bool, which would build as 0 or 1 but print as false or true."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Plant:
     word: str
@@ -137,13 +142,19 @@ class SeedSpec:
     def validate(self) -> None:
         if not isinstance(self.k, int) or self.k < 3:
             raise SeedSpecError(f"floor k={self.k!r} must be an integer >= 3")
-        if not isinstance(self.rng_seed, int) or not 0 <= self.rng_seed < 2**64:
-            raise SeedSpecError(f"rng_seed {self.rng_seed!r} must fit in 64 bits")
+        if not _is_int(self.rng_seed) or not 0 <= self.rng_seed < 2**64:
+            raise SeedSpecError(f"rng_seed {self.rng_seed!r} must be an integer that fits in 64 bits")
+        if not isinstance(self.strict_seed_trace, bool):
+            raise SeedSpecError(f"strict_seed_trace {self.strict_seed_trace!r} must be a bool")
+        if not (self.size is None or _is_int(self.size)):
+            raise SeedSpecError(f"size {self.size!r} must be an integer or None")
         for plant in self.plants:
+            if not isinstance(plant, Plant):
+                raise SeedSpecError(f"plant {plant!r} is not a Plant")
             words.check_word(plant.word)
             if not plant.word:
                 raise SeedSpecError("planted words must be non-empty")
-            if not isinstance(plant.multiplicity, int) or plant.multiplicity < 1:
+            if not _is_int(plant.multiplicity) or plant.multiplicity < 1:
                 raise SeedSpecError(f"multiplicity {plant.multiplicity!r} must be a positive integer")
         # the budget reads only lengths: check it before any plant's trace,
         # whose product grows quadratically with the word
@@ -194,7 +205,8 @@ def _resolve_layout(spec: SeedSpec) -> tuple[int, int, bool]:
 
     Padding uses circuits of k - 1 vertices plus at most one of k vertices,
     so the residue of size - planted modulo k - 1 decides realizability; the
-    minimum search scans even sizes upward from the admissible bound.
+    minimum search scans even sizes upward from the admissible bound, which
+    is even and, as ``validate`` checked, no smaller than the plants.
     """
     k = spec.k
     planted = spec.planted_vertices()
@@ -202,8 +214,6 @@ def _resolve_layout(spec: SeedSpec) -> tuple[int, int, bool]:
 
     def split(size: int) -> tuple[int, bool] | None:
         r = size - planted
-        if r < 0:
-            return None
         if r % (k - 1) == 0:
             return r // (k - 1), False
         if r >= k and (r - k) % (k - 1) == 0:
@@ -219,9 +229,7 @@ def _resolve_layout(spec: SeedSpec) -> tuple[int, int, bool]:
             )
         return spec.size, got[0], got[1]
 
-    size = max(bound, planted)
-    if size % 2:
-        size += 1
+    size = bound
     while size <= bound + 4 * k + 4:
         got = split(size)
         if got is not None:

@@ -258,15 +258,9 @@ class CensusTable:
         self.rows = rows
 
     @classmethod
-    def build(
-        cls,
-        m_max: int,
-        *,
-        check: bool = False,
-        sieve: DivisorSieve | None = None,
-    ) -> "CensusTable":
+    def build(cls, m_max: int, *, check: bool = False) -> "CensusTable":
         _require_trace(m_max)
-        sieve = _sieve_for(m_max, sieve)
+        sieve = _sieve_for(m_max, None)
         if check:
             word_counts = count_words_by_trace(m_max)
             enum_counts = n_by_enumeration(m_max)

@@ -170,11 +170,11 @@ def _cmd_recover(args) -> int:
 def _selftest_census() -> str | None:
     from . import census
 
-    sieve = census.DivisorSieve(60 * 60 // 4)
     try:
-        census.CensusTable.build(60, check=True, sieve=sieve)
+        census.CensusTable.build(60, check=True)
     except census.CensusMismatch as exc:
         return str(exc)
+    sieve = census.DivisorSieve(60 * 60 // 4)
     for n in range(1, sieve.limit + 1):
         if sieve.divisor_count(n) != census.divisor_count(n):
             return f"divisor count mismatch at {n}"

@@ -128,25 +128,27 @@ class CubicRibbonGraph:
     # -- structure ----------------------------------------------------------
 
     def components(self) -> list[list[int]]:
-        """Connected components as sorted vertex lists, sorted by first vertex."""
-        n = self.num_vertices
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for s, p in enumerate(self._pair):
-            if p >= 0:
-                a, b = find(s // 3), find(p // 3)
-                if a != b:
-                    parent[a] = b
-        groups: dict[int, list[int]] = {}
-        for v in range(n):
-            groups.setdefault(find(v), []).append(v)
-        return sorted(groups.values())
+        """Connected components as sorted vertex lists, sorted by first vertex:
+        a flood fill labels them from each unlabelled vertex in ascending order."""
+        pair = self._pair
+        label = [-1] * self.num_vertices
+        count = 0
+        for root in range(len(label)):
+            if label[root] >= 0:
+                continue
+            label[root] = count
+            todo = [root]
+            while todo:
+                u = todo.pop()
+                for p in pair[3 * u : 3 * u + 3]:
+                    if p >= 0 and label[p // 3] < 0:
+                        label[p // 3] = count
+                        todo.append(p // 3)
+            count += 1
+        comps: list[list[int]] = [[] for _ in range(count)]
+        for v, c in enumerate(label):
+            comps[c].append(v)
+        return comps
 
     def copy(self) -> "CubicRibbonGraph":
         g = CubicRibbonGraph(self.num_vertices)
@@ -163,11 +165,6 @@ class CubicRibbonGraph:
         return f"CubicRibbonGraph(V={self.num_vertices}, E={self.num_edges()})"
 
 
-def _require_complete(g: CubicRibbonGraph) -> None:
-    if not g.is_complete():
-        raise ValueError("graph is not 3-regular: free slots remain")
-
-
 def faces(g: CubicRibbonGraph) -> list[tuple[int, ...]]:
     """Left-turn cycles as dart orbits (a dart is its origin slot).
 
@@ -175,7 +172,8 @@ def faces(g: CubicRibbonGraph) -> list[tuple[int, ...]]:
     the 3V darts, so face lengths always sum to 3V.  Each orbit is returned
     starting at its least dart, orbits sorted by that dart.
     """
-    _require_complete(g)
+    if not g.is_complete():
+        raise ValueError("graph is not 3-regular: free slots remain")
     pair = g.pair_table()
     n = len(pair)
     left, _ = turn_tables(n)
@@ -214,7 +212,6 @@ def genus_closed(g: CubicRibbonGraph) -> list[ComponentSurface]:
     3V/2 edges and one point per face of the ribbon structure, so its Euler
     characteristic is (#faces) - V/2 and the genus is (2 - chi) / 2.
     """
-    _require_complete(g)
     comps = g.components()
     comp_index = {}
     for idx, vs in enumerate(comps):

@@ -178,11 +178,8 @@ def _enumerate(g: CubicRibbonGraph, max_trace: int) -> dict[tuple[int, ...], str
             if tr == max_trace and nb > 0 and nc > 0:
                 continue
             keep = tuple(map(ge, e, st))
-            if all(keep):
-                stack.append((st, e, na, nb, nc, nd, n + 1))
-            elif any(keep):
-                kept = tuple(compress(st, keep)), tuple(compress(e, keep))
-                stack.append((*kept, na, nb, nc, nd, n + 1))
+            if any(keep):
+                stack.append((tuple(compress(st, keep)), tuple(compress(e, keep)), na, nb, nc, nd, n + 1))
     return found
 
 
@@ -253,14 +250,12 @@ def _first_classes(g: CubicRibbonGraph, start: int) -> list[CycleClass]:
     cut to its least trace s.  An essential word of trace t has at most
     t - 1 letters, so that cut is exactly the bound-s scan.
     """
-    if not g.is_complete():
-        raise ValueError("graph is not 3-regular")
-    if g.num_vertices == 0:
-        # the one complete graph whose every class is peripheral (vacuously)
-        raise ValueError("graph has no cycles, so no essential class exists")
     found = low_trace_cycles(g, start)
     if found:
         return found
+    if g.num_vertices == 0:
+        # the one complete graph whose every class is peripheral (vacuously)
+        raise ValueError("graph has no cycles, so no essential class exists")
     found = low_trace_cycles(g, _probe_bound(g))
     return [cls for cls in found if cls.trace == found[0].trace]
 

@@ -79,6 +79,30 @@ def test_spec_accepts_and_rejects_plants():
         SeedSpec(k=5, rng_seed=-1).validate()
 
 
+def test_spec_rejects_values_of_the_wrong_type():
+    # each would build (or fail later with a bare TypeError): a float or
+    # bool size, a bool seed or multiplicity, which builds as 0 or 1 but
+    # reads true in the report JSON, a non-bool strictness flag, and a
+    # plant that is not a Plant
+    wrong = [
+        SeedSpec(k=5, size=24.0),
+        SeedSpec(k=5, size="min"),
+        SeedSpec(k=5, size=True),
+        SeedSpec(k=5, rng_seed=True),
+        SeedSpec(k=5, rng_seed=1.0),
+        SeedSpec(k=5, strict_seed_trace=1),
+        SeedSpec(k=5, plants=(Plant("LLLLR", True),)),
+        SeedSpec(k=5, plants=(("LLLLR", 1),)),
+    ]
+    for spec in wrong:
+        with pytest.raises(SeedSpecError):
+            spec.validate()
+        with pytest.raises(SeedSpecError):
+            builder.build(spec)
+    SeedSpec(k=5, size=24, rng_seed=2**64 - 1, strict_seed_trace=True,
+             plants=(Plant("LLLLR", 2),)).validate()
+
+
 def test_plant_budget_is_enforced_exactly():
     # at k=10 the admissible budget is 2*N(8) + 36 = 172 vertices
     assert seed_size_bound(10) == 172

@@ -170,17 +170,23 @@ def test_partial_sums_strictly_increase():
         prev = row.N
 
 
-def test_check_mode_catches_corruption():
+def test_check_mode_catches_corruption(monkeypatch):
     # 224 = 15*15 - 1 (the centre a = d = 15, counted once) and
     # 160 = 7*23 - 1 (a = 7 with its mirror a = 23, counted twice) feed only
     # the trace-30 row; setting either divisor count to 2, as for a prime,
     # is read only by the formula: the enumeration and the word search
-    # build their matrices
+    # build their matrices.  The table builds its own sieve, so the poison
+    # goes in through the class it builds from.
     for poisoned in (224, 160):
-        bad = DivisorSieve(30 * 30 // 4)
-        bad._tau[poisoned] = 2
+
+        class PoisonedSieve(DivisorSieve):
+            def __init__(self, limit):
+                super().__init__(limit)
+                self._tau[poisoned] = 2
+
+        monkeypatch.setattr(census, "DivisorSieve", PoisonedSieve)
         with pytest.raises(CensusMismatch) as exc:
-            CensusTable.build(30, check=True, sieve=bad)
+            CensusTable.build(30, check=True)
         assert exc.value.trace == 30
         assert exc.value.formula < exc.value.enumeration == exc.value.words
 

@@ -398,6 +398,26 @@ def test_components():
     assert g.components() == [[0, 1], [2, 3]]
 
 
+def test_components_against_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(29)
+    graphs = [random_complete_graph(rng, 24) for _ in range(200)]
+    graphs += [_random_partial_graph(rng, 16) for _ in range(200)]
+    graphs += list(small_complete_corpus())
+    seen = set()
+    for g in graphs:
+        G = nx.MultiGraph()
+        G.add_nodes_from(range(g.num_vertices))
+        G.add_edges_from((a // 3, b // 3) for a, b in edges(g))
+        want = sorted(sorted(c) for c in nx.connected_components(G))
+        assert g.components() == want, edges(g)
+        seen |= {"isolated"} if any(G.degree(v) == 0 for v in G) else set()
+        seen |= {"loop"} if nx.number_of_selfloops(G) else set()
+        seen |= {"parallel"} if any(G.number_of_edges(u, v) > 1 for u, v in G.edges() if u != v) else set()
+        seen |= {"split"} if len(want) > 1 else set()
+    assert seen == {"isolated", "loop", "parallel", "split"}
+
+
 def test_serialize_roundtrip_fuzzed_partial_graphs():
     rng = random.Random(11)
     for _ in range(60):
