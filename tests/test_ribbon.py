@@ -411,10 +411,13 @@ def test_components_against_networkx():
         G.add_edges_from((a // 3, b // 3) for a, b in edges(g))
         want = sorted(sorted(c) for c in nx.connected_components(G))
         assert g.components() == want, edges(g)
-        seen |= {"isolated"} if any(G.degree(v) == 0 for v in G) else set()
-        seen |= {"loop"} if nx.number_of_selfloops(G) else set()
-        seen |= {"parallel"} if any(G.number_of_edges(u, v) > 1 for u, v in G.edges() if u != v) else set()
-        seen |= {"split"} if len(want) > 1 else set()
+        cases = {
+            "isolated": any(G.degree(v) == 0 for v in G),
+            "loop": nx.number_of_selfloops(G) > 0,
+            "parallel": any(G.number_of_edges(u, v) > 1 for u, v in G.edges() if u != v),
+            "split": len(want) > 1,
+        }
+        seen |= {case for case, occurs in cases.items() if occurs}
     assert seen == {"isolated", "loop", "parallel", "split"}
 
 
