@@ -240,50 +240,70 @@ def genus_closed(g: CubicRibbonGraph) -> list[ComponentSurface]:
 def girth(g: CubicRibbonGraph, vertices: list[int] | None = None) -> int | None:
     """Length of the shortest cycle of the underlying multigraph, or None.
 
-    A truncated breadth-first search from each vertex in ascending order,
-    over edges named by their lower slot, so a loop closes at length 1 and a
-    parallel pair at 2 with no special case.  Each search steps only to
-    vertices at or above its root: a shortest cycle lies entirely above its
-    least vertex m, so the search from m still closes it, and every length a
-    search reports is that of a closed walk, never below the girth.
+    A breadth-first search from each vertex in ascending order, over arrival
+    slots: the root is left by its three slots and every other vertex only
+    by the successor and predecessor of the slot it was entered by (read
+    from the cached ``turn_tables``), so no search turns back along the
+    edge it came in on, and a loop closes at length 1 and a parallel pair
+    at 2 with no special case.  Each search enters only
+    vertices above its root: a shortest cycle lies entirely above its least
+    vertex m, so the search from m still closes it.  Every length a search
+    reports is that of two tree paths joined by an edge outside the tree,
+    which holds a cycle, so it is never below the girth.
+
+    Level d, the vertices at distance d from the root, is expanded only
+    while 2d + 1 < best.  This is exact: the search from a cycle's least
+    vertex closes a cycle of length 2j + 1 (two vertices at distance j
+    joined) or 2j + 2 (a vertex at distance j + 1 reached twice) while it
+    expands level j.  So a cycle of length at most 2d is already closed
+    while level d - 1 is expanded, and level d can add only the lengths
+    2d + 1 and 2d + 2.
+
     ``vertices`` restricts the search to the subgraph induced on them (a
     component, say); only their own slots are read, and ids outside the
-    graph are ignored.
+    graph are ignored.  Every root reuses one stamp list and one distance
+    list of V entries.
     """
     pair = g.pair_table()
     n = g.num_vertices
-    keep = range(n) if vertices is None else {v for v in vertices if 0 <= v < n}
-    adj = {
-        v: [
-            (p // 3, min(s, p))
-            for s in range(3 * v, 3 * v + 3)
-            if (p := pair[s]) >= 0 and p // 3 in keep
-        ]
-        for v in sorted(keep)
-    }
-    best: int | None = None
-    for src in adj:
-        dist = {src: 0}
-        via = {src: -1}
-        frontier = [src]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                if best is not None and 2 * dist[u] >= best:
-                    continue
-                for w, eid in adj[u]:
-                    if w < src or eid == via[u]:
-                        continue
-                    if w in dist:
-                        cand = dist[u] + dist[w] + 1
-                        if best is None or cand < best:
-                            best = cand
-                    else:
-                        dist[w] = dist[u] + 1
-                        via[w] = eid
-                        nxt.append(w)
-            frontier = nxt
-    return best
+    left, right = turn_tables(len(pair))
+    # stamp[v] is the last root whose search entered v, below the current
+    # root when v is unvisited; n marks a vertex no search may enter: one
+    # outside ``vertices``, a finished root, and the entry a free slot's
+    # -1 // 3 indexes
+    stamp = [n] * (n + 1)
+    for v in range(n) if vertices is None else vertices:
+        if 0 <= v < n:
+            stamp[v] = -1
+    dist = [0] * n
+    best = n + 1  # no cycle is longer than n
+    for root in range(n):
+        if stamp[root] == n:
+            continue
+        stamp[root] = root
+        dist[root] = 0
+        leave: range | list[int] = range(3 * root, 3 * root + 3)
+        d = 0
+        while leave and 2 * d + 1 < best:
+            # leave: the slots by which level d is left; nxt: those of level e
+            nxt: list[int] = []
+            add = nxt.append
+            e = d + 1
+            for s in leave:
+                p = pair[s]
+                w = p // 3
+                t = stamp[w]
+                if t < root:
+                    stamp[w] = root
+                    dist[w] = e
+                    add(left[p])
+                    add(right[p])
+                elif t == root and e + dist[w] < best:
+                    best = e + dist[w]
+            leave = nxt
+            d = e
+        stamp[root] = n
+    return best if best <= n else None
 
 
 def beineke_harary_lower_bound(p: int, q: int, h: int) -> Fraction:

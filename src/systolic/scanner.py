@@ -108,7 +108,8 @@ def _edge_major_tables(
     stepped fewer darts than ascending on seed-0 and planted builds."""
     pair = g.pair_table()
     seed = g.seed_table()
-    order = sorted((s for s, p in enumerate(pair) if p > s), key=lambda s: (seed[s], -s))
+    lows = [s for s in range(len(pair) - 1, -1, -1) if pair[s] > s]
+    order = [s for s in lows if not seed[s]] + [s for s in lows if seed[s]]
     orig = [x for s in order for x in (s, pair[s])]
     label = [0] * len(orig)
     for x, s in enumerate(orig):

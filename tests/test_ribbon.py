@@ -1,5 +1,6 @@
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -246,6 +247,48 @@ def test_girth_restricted_to_component():
     assert girth(g) == 1
     assert girth(g, vertices=[1, 2]) == 2
     assert girth(g, vertices=[-1, 1, 2, 7]) == 2  # ids outside the graph are ignored
+
+
+def _completed(g: CubicRibbonGraph, rng: random.Random) -> CubicRibbonGraph:
+    """g with its free slots paired by a uniformly random perfect matching."""
+    slots = free_slots(g)
+    rng.shuffle(slots)
+    for a, b in zip(slots[::2], slots[1::2]):
+        g.add_edge(a, b)
+    return g
+
+
+def test_girth_reads_no_slot_after_a_loop():
+    # a loop is the least possible girth, so once the search from vertex 0
+    # has read its three slots, no level of any later root may be expanded
+    class CountingList(list):
+        reads = 0
+
+        def __getitem__(self, index):
+            self.reads += 1
+            return super().__getitem__(index)
+
+    g = CubicRibbonGraph(1000)
+    g.add_edge(0, 1)
+    _completed(g, random.Random(3))
+    g._pair = pair = CountingList(g.pair_table())
+    assert girth(g) == 1
+    assert pair.reads <= 3, pair.reads
+
+
+def test_girth_peak_memory_is_linear_in_the_vertex_count():
+    # two lists of V entries, shared by every root; the turn tables are a
+    # cache that `faces` and the scan fill for the same graph anyway
+    g = _completed(CubicRibbonGraph(20_000), random.Random(4))
+    ribbon.turn_tables(len(g.pair_table()))
+    tracemalloc.start()
+    try:
+        h = girth(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert h is not None
+    assert peak <= 3 * sys.getsizeof(g.pair_table()), (peak, sys.getsizeof(g.pair_table()))
 
 
 def test_beineke_harary_examples():
