@@ -52,9 +52,15 @@ def pred(s: int) -> int:
 
 @functools.lru_cache(maxsize=4)
 def turn_tables(n_slots: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(succ, pred) of every slot below ``n_slots``, for hot loops to index
-    instead of calling ``succ``/``pred`` per step; cached per slot count."""
-    return tuple(map(succ, range(n_slots))), tuple(map(pred, range(n_slots)))
+    """(succ, pred) of every slot below ``n_slots``, a multiple of 3, for hot
+    loops to index instead of calling ``succ``/``pred`` per step; cached per
+    slot count.  Both tables are filled by slice from one list of slot ids,
+    so they share one int object per slot."""
+    ids = list(range(n_slots))
+    left, right = [0] * n_slots, [0] * n_slots
+    left[0::3], left[1::3], left[2::3] = ids[1::3], ids[2::3], ids[0::3]
+    right[0::3], right[1::3], right[2::3] = ids[2::3], ids[0::3], ids[1::3]
+    return tuple(left), tuple(right)
 
 
 class CubicRibbonGraph:

@@ -27,6 +27,14 @@ onto the graph, so its free homotopy classes are those of closed walks that
 never turn back, up to rotation and reversal, and each class carries its own
 geodesic.
 
+The same facts make many subtrees of the word tree a chain of one letter:
+once a node's R child is over the bound, so is the R child of every node
+along its L-chain, and the same with L and R swapped.  The scan finishes
+such a chain in one pass instead of level by level.  Only a walk whose
+start lies on its current dart's orbit under the chain's letter (its face
+for L, its right-turn cycle for R) can close on the chain, so only those
+walks are stepped, one by one.
+
 The starts rest on one rule, which holds for any labelling.  The darts
 are relabelled edge by edge, and a closed walk crosses its least edge, so
 the walk or its reversal starts at that edge's lower dart and never steps
@@ -46,6 +54,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from collections.abc import Iterable
 from itertools import compress
 from operator import eq, ge, itemgetter
 
@@ -122,6 +131,52 @@ def _edge_major_tables(
     )
 
 
+def _getter(idx: tuple[int, ...]) -> itemgetter:
+    """Gather at ``idx`` into a sequence of the same length (itemgetter of
+    one index returns a bare item; a slice keeps a sequence)."""
+    return itemgetter(*idx) if len(idx) > 1 else itemgetter(slice(idx[0], idx[0] + 1))
+
+
+def _orbit_tables(
+    steps: tuple[tuple[int, ...], tuple[int, ...]], letter: int
+) -> tuple[list[int], list[list[int]]]:
+    """Orbits of the labels under the step table of ``letter`` (0 for L, 1
+    for R): the orbit id (least label) of each label, and for each letter
+    the orbit id of the label that letter steps to."""
+    step = steps[letter]
+    ids = [-1] * len(step)
+    for x in range(len(step)):
+        y = x
+        while ids[y] < 0:
+            ids[y] = x
+            y = step[y]
+    return ids, [ids if i == letter else [ids[y] for y in other] for i, other in enumerate(steps)]
+
+
+def _record(
+    found: dict[tuple[int, ...], str],
+    g: CubicRibbonGraph,
+    orig: list[int],
+    steps: tuple[tuple[int, ...], tuple[int, ...]],
+    mat: tuple[int, int, int, int],
+    closing: Iterable[int],
+) -> None:
+    """Add to ``found`` the walks from the start labels ``closing`` that
+    close on the word of matrix ``mat``, replayed along the word and mapped
+    back to slots."""
+    word = words.word_of_matrix(words.UniMat(*mat))
+    cw = None
+    for d0 in closing:
+        darts = [orig[d0]]
+        for letter in word[:-1]:
+            d0 = steps[letter == "R"][d0]
+            darts.append(orig[d0])
+        canon = canonical_walk(tuple(darts), g)
+        if canon not in found:
+            cw = cw or words.canonical(word)
+            found[canon] = cw
+
+
 def _enumerate(g: CubicRibbonGraph, max_trace: int) -> dict[tuple[int, ...], str]:
     """Closed-walk classes of a complete graph with word trace <= max_trace,
     as {canonical dart sequence: canonical word}.  Walks stop at
@@ -144,43 +199,83 @@ def _enumerate(g: CubicRibbonGraph, max_trace: int) -> dict[tuple[int, ...], str
     matrix, and each closing walk's darts are replayed from its start
     along the word and mapped back to slots.  The nodes wait on one
     explicit stack.
+
+    Many subtrees are chains of a single letter, and the scan finishes
+    each in one pass.  Take a child (a, b, c, d) of trace t below the
+    length cap.  Its R child has trace t + b, and along its L-chain t grows
+    by c >= 0 and b by a >= 1, so if t + b > max_trace every R child on
+    the chain is over the bound too: the child's subtree is its L-chain
+    alone.  With L and R swapped, t + c > max_trace makes it an R-chain.
+    If both hold the child is a leaf and is not pushed; that also cuts a
+    non-letter-power at the bound, which can only close above it.  A chain
+    head is no letter power (L^b has trace 2 and b letters, so 2 + b >
+    max_trace puts it at the length cap), so each step along the chain
+    adds delta = c (L) or b (R) >= 1 to the trace, and the j-th node of
+    the chain is checked exactly when t + j * delta <= max_trace: a word
+    that is no letter power has at most trace - 1 letters, so the length
+    cap never cuts a chain first.  A walk can close on the chain only if
+    its start lies on the orbit of its current label under the chain
+    letter's step table (a face for L, a right-turn cycle for R).  One
+    pass over the orbit ids picks those walks; each is stepped along the
+    chain in Python, dropped at its first label below its start and closed
+    at every return to it.  The orbit tables are built from the step
+    tables on a letter's first chain, so the rule holds for any labelling.
     """
     found: dict[tuple[int, ...], str] = {}
     max_len = max_trace - 1
     orig, step_l, step_r = _edge_major_tables(g)
+    steps = (step_l, step_r)
+    orbits = [None, None]  # _orbit_tables of each letter, built on its first chain
     starts = tuple(range(0, len(orig), 2))
     stack = [(starts, starts, 1, 0, 0, 1, 1)] if starts else []
     while stack:
         st, cur, a, b, c, d, n = stack.pop()
-        # itemgetter of one index returns a bare dart; a slice keeps a tuple
-        get = itemgetter(*cur) if len(cur) > 1 else itemgetter(slice(cur[0], cur[0] + 1))
-        for step, na, nb, nc, nd in ((step_l, a, a + b, c, c + d), (step_r, a + b, b, c + d, d)):
+        get = _getter(cur)
+        get_st = None
+        for i, na, nb, nc, nd in ((0, a, a + b, c, c + d), (1, a + b, b, c + d, d)):
             tr = na + nd
             if tr > max_trace:
                 continue
-            e = get(step)
+            e = get(steps[i])
             if any(map(eq, e, st)):
-                word = words.word_of_matrix(words.UniMat(na, nb, nc, nd))
-                cw = None
-                for d0, x in zip(st, e):
-                    if x != d0:
-                        continue
-                    darts = [orig[d0]]
-                    for letter in word[:-1]:
-                        d0 = (step_l if letter == "L" else step_r)[d0]
-                        darts.append(orig[d0])
-                    canon = canonical_walk(tuple(darts), g)
-                    if canon not in found:
-                        cw = cw or words.canonical(word)
-                        found[canon] = cw
+                _record(found, g, orig, steps, (na, nb, nc, nd), compress(st, map(eq, e, st)))
             if n >= max_len:
                 continue
-            # a non-letter-power at the bound can only close above it
-            if tr == max_trace and nb > 0 and nc > 0:
+            # a child whose R child (trace tr + nb) and L child (tr + nc)
+            # are both over the bound is a leaf, as is any word at the
+            # bound that is no letter power; with one over, it heads a chain
+            if tr + nb > max_trace:
+                if tr + nc > max_trace:
+                    continue
+                letter, delta = 0, nc
+            elif tr + nc > max_trace:
+                letter, delta = 1, nb
+            else:
+                keep = tuple(map(ge, e, st))
+                if any(keep):
+                    stack.append((tuple(compress(st, keep)), tuple(compress(e, keep)), na, nb, nc, nd, n + 1))
                 continue
-            keep = tuple(map(ge, e, st))
-            if any(keep):
-                stack.append((tuple(compress(st, keep)), tuple(compress(e, keep)), na, nb, nc, nd, n + 1))
+            # the child heads a chain of its letter: finish it here
+            if orbits[letter] is None:
+                orbits[letter] = _orbit_tables(steps, letter)
+            ids, after = orbits[letter]
+            if get_st is None:
+                get_st = _getter(st)
+            step = steps[letter]
+            last = (max_trace - tr) // delta
+            for s0, x in compress(zip(st, e), map(eq, get_st(ids), get(after[i]))):
+                if x < s0:
+                    continue
+                for j in range(1, last + 1):
+                    x = step[x]
+                    if x < s0:
+                        break
+                    if x == s0:
+                        if letter:
+                            mat = (na + j * nb, nb, nc + j * nd, nd)
+                        else:
+                            mat = (na, nb + j * na, nc, nd + j * nc)
+                        _record(found, g, orig, steps, mat, (s0,))
     return found
 
 

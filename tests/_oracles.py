@@ -5,8 +5,9 @@ Everything here recomputes results through a different route than the
 library code it checks: matrix counts by bounded quadruple search, word
 classes by listing every rotation of a word and of its star, closed
 walks by composing per-letter dart maps and reading off fixed points, by
-walking the word tree once per start dart, or by one word-major walk from
-every dart with no regard to seed flags, the probe bound by deepening
+walking the word tree once per start dart (also over the scan's own
+labels, level by level, to list each closing walk), or by one word-major
+walk from every dart with no regard to seed flags, the probe bound by deepening
 over that dart-major walk, free homotopy classes by reading each walk as
 a word in the free generators off a networkx spanning forest, forbidden
 sets by a stack search that does its own matrix arithmetic, and graph
@@ -435,6 +436,35 @@ def dart_major_enumerate(
                     continue
                 stack.append((e, na, nb, nc, nd, n + 1))
     return found
+
+
+def label_closing_walks(step_l, step_r, max_trace: int) -> list[tuple[int, str]]:
+    """Every (start label, word) at which a walk of ``scanner._enumerate``
+    closes, sorted, over its label step tables: one walk of the word tree
+    per even start label, level by level with no chain rule, dropped once
+    it steps below its start, with the scan's trace cut, length cap
+    (max_trace - 1 letters) and at-bound cut."""
+    out = []
+    for s in range(0, len(step_l), 2):
+        stack = [(s, "", 1, 0, 0, 1)]
+        while stack:
+            x, word, a, b, c, d = stack.pop()
+            for letter, step, na, nb, nc, nd in (
+                ("L", step_l, a, a + b, c, c + d),
+                ("R", step_r, a + b, b, c + d, d),
+            ):
+                tr = na + nd
+                if tr > max_trace:
+                    continue
+                e = step[x]
+                if e == s:
+                    out.append((s, word + letter))
+                if e < s or len(word) + 1 >= max_trace - 1:
+                    continue
+                if tr == max_trace and nb > 0 and nc > 0:
+                    continue
+                stack.append((e, word + letter, na, nb, nc, nd))
+    return sorted(out)
 
 
 def all_darts_enumerate(g: CubicRibbonGraph, max_trace: int) -> dict[tuple[int, ...], str]:

@@ -9,8 +9,9 @@ Each entry runs one ``systolic`` command in-process through ``cli.main``
 and keeps its exit code and the sha256 of its stdout, its stderr and each
 file it writes; no output itself is kept.  The entries cover seed-0
 ``--size min`` builds at several floors, ``report`` (text and JSON, with no
-spectrum bound, at the floor and at floor + 3), ``verify`` at the floor and
-one above it, ``census --max-trace 300 --check``, ``selftest``, two planted
+spectrum bound, at the floor and at floor + 3), ``verify`` at the floor, one
+above it and four above it (a failing scan whose findings cover several
+traces), ``census --max-trace 300 --check``, ``selftest``, two planted
 specs and the benchmark's report command.  ``test_golden.py`` replays them,
 so a change in any output byte fails the suite.  A change that alters an
 output on purpose regenerates the file and names each entry it changes.
@@ -48,7 +49,7 @@ def grid():
                 argv = ["report", crg] + ([] if spectrum is None else ["--spectrum-max", str(spectrum)])
                 yield (f"report k={k} {fmt} spectrum={spectrum}",
                        argv + (["--json"] if fmt == "json" else []), ())
-        for floor in (k, k + 1):
+        for floor in (k, k + 1, k + 4):
             yield f"verify k={k} --k {floor}", ["verify", "--k", str(floor), crg], ()
     # the benchmark's report command; its stdout is the "report" pin
     yield ("report k=16 json spectrum=18", ["report", "{dir}/g16.crg", "--spectrum-max", "18", "--json"], ())

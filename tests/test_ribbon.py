@@ -291,6 +291,22 @@ def test_girth_peak_memory_is_linear_in_the_vertex_count():
     assert peak <= 3 * sys.getsizeof(g.pair_table()), (peak, sys.getsizeof(g.pair_table()))
 
 
+def test_turn_tables_hold_one_int_per_slot():
+    # succ and pred index the same slot ids, so the two tables share one
+    # int object per slot (32 bytes under tracemalloc) instead of making
+    # one per entry (64 bytes per slot)
+    n = 3 * 20_011  # a slot count that no other test caches
+    tracemalloc.start()
+    try:
+        left, right = ribbon.turn_tables(n)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert left == tuple(map(succ, range(n))) and right == tuple(map(pred, range(n)))
+    tables = sys.getsizeof(left) + sys.getsizeof(right)
+    assert held <= tables + 40 * n, (held, tables)
+
+
 def test_beineke_harary_examples():
     assert beineke_harary_lower_bound(2, 3, 2) == 0
     assert beineke_harary_lower_bound(14, 21, 6) == 1

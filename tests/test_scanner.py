@@ -26,6 +26,7 @@ from _oracles import (
     edges,
     deepening_probe_bound,
     free_group_word,
+    label_closing_walks,
     log_phi_ceil,
     naive_cycle_classes,
     naive_walk_classes,
@@ -216,6 +217,90 @@ def test_word_major_scan_matches_the_dart_major_oracle():
     assert closures
     # the small corpus has a seed circuit short enough to close twice
     assert seed_powers
+
+
+def _chain_shapes(events, bound):
+    """Which shapes of chain the closing walks (start label, word) show.  A
+    walk closes on a chain when its word's last letter extends a node
+    whose other child is over the bound (see ``scanner._enumerate``)."""
+    shapes = set()
+    on_chain = set()
+    for s, word in events:
+        if len(word) < 2:
+            continue
+        p = words.matrix_of(word[:-1])
+        other = p.b if word[-1] == "L" else p.c  # the other child's trace step
+        if p.a + p.d + other <= bound:
+            continue
+        m = words.matrix_of(word)
+        on_chain.add((s, word))
+        shapes.add(word[-1] + "-chain")
+        if len(word) == bound - 1:
+            shapes.add("at the length cap")
+        elif m.a + m.d == bound:
+            shapes.add("at the bound below the length cap")
+    for s, word in on_chain:
+        for more in range(1, bound):
+            if (s, word + word[-1] * more) in on_chain:
+                shapes.add("closes twice")
+    return shapes
+
+
+def test_chain_finish_matches_the_oracles_on_every_chain_shape(monkeypatch):
+    # the scan finishes single-letter chains of the word tree in one pass;
+    # its closing walks must be exactly those of a level-by-level walk
+    events = []
+    real = scanner._record
+
+    def spy(found, g, orig, steps, mat, closing):
+        closing = tuple(closing)
+        word = words.word_of_matrix(words.UniMat(*mat))
+        events.extend((s, word) for s in closing)
+        real(found, g, orig, steps, mat, closing)
+
+    monkeypatch.setattr(scanner, "_record", spy)
+    rng = random.Random(28)
+    graphs = [
+        theta_graph(False),
+        theta_graph(True),
+        *list(small_complete_corpus())[::4],
+        *(random_complete_graph(rng, 10) for _ in range(20)),
+    ]
+    shapes = set()
+    for g in graphs:
+        for bound in range(3, 14):
+            events.clear()
+            got = scanner._enumerate(g, bound)
+            assert got == all_darts_enumerate(g, bound)
+            assert got == dart_major_enumerate(g, bound, bound - 1, range(len(g.pair_table())))
+            _, step_l, step_r = scanner._edge_major_tables(g)
+            want = label_closing_walks(step_l, step_r, bound)
+            assert sorted(events) == want
+            shapes |= _chain_shapes(want, bound)
+    assert shapes == {
+        "L-chain",
+        "R-chain",
+        "at the length cap",
+        "at the bound below the length cap",
+        "closes twice",
+    }
+
+
+def test_chains_are_finished_without_level_gathers(monkeypatch):
+    # the scan's work, as the indices it gathers through itemgetter; a
+    # scan that walks every chain level by level gathers 47,684 here
+    gathered = []
+    real = scanner.itemgetter
+
+    def counting(*idx):
+        gathered.append(1 if isinstance(idx[0], slice) else len(idx))
+        return real(*idx)
+
+    g, _ = builder.build(builder.SeedSpec(k=16))
+    monkeypatch.setattr(scanner, "itemgetter", counting)
+    found = scanner._enumerate(g, 18)
+    assert len(found) == 49
+    assert sum(gathered) == 27545
 
 
 def _flagged_graphs(st):
