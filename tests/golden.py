@@ -6,13 +6,15 @@ Usage, from the repository root:
     python tests/golden.py --write            rewrite tests/golden.json
 
 Each entry runs one ``systolic`` command in-process through ``cli.main``
-and keeps its exit code and the sha256 of its stdout, its stderr and each
+(or, with no command, writes its one file from ``disjoint_crg``) and keeps its exit code and the sha256 of its stdout, its stderr and each
 file it writes; no output itself is kept.  The entries cover seed-0
 ``--size min`` builds at several floors, ``report`` (text and JSON, with no
 spectrum bound, at the floor and at floor + 3), ``verify`` at the floor, one
 above it and four above it (a failing scan whose findings cover several
 traces), ``census --max-trace 300 --check``, ``selftest``, two planted
-specs and the benchmark's report command.  ``test_golden.py`` replays them,
+specs, the benchmark's report command, and a disconnected graph whose
+components have different girths (``disjoint_crg``, written by this
+script), reported with and without a spectrum bound and failing ``verify``.  ``test_golden.py`` replays them,
 so a change in any output byte fails the suite.  A change that alters an
 output on purpose regenerates the file and names each entry it changes.
 
@@ -55,6 +57,12 @@ def grid():
     yield ("report k=16 json spectrum=18", ["report", "{dir}/g16.crg", "--spectrum-max", "18", "--json"], ())
     yield "census 300 check", ["census", "--max-trace", "300", "--check"], ()
     yield "selftest", ["selftest"], ()
+    yield "disjoint crg", None, ("{dir}/disjoint.crg",)
+    for fmt in ("text", "json"):
+        for spectrum in (None, 8):
+            argv = ["report", "{dir}/disjoint.crg"] + ([] if spectrum is None else ["--spectrum-max", str(spectrum)])
+            yield f"disjoint report {fmt} spectrum={spectrum}", argv + (["--json"] if fmt == "json" else []), ()
+    yield "disjoint verify --k 5", ["verify", "--k", "5", "{dir}/disjoint.crg"], ()
     for name, k, plant in (("planted-trace", 10, ["--plant-trace", "11:3"]),
                            ("planted-word", 12, ["--plant", "LLLLLRLLLLLR:2"])):
         crg, rep = f"{{dir}}/{name}.crg", f"{{dir}}/{name}.json"
@@ -62,6 +70,28 @@ def grid():
                ["construct", "--k", str(k), *plant, "-o", crg, "--report", rep], (crg, rep))
         yield f"{name} report json", ["report", crg, "--spectrum-max", str(k + 2), "--json"], ()
         yield f"{name} verify --k {k + 2}", ["verify", "--k", str(k + 2), crg], ()
+
+
+def disjoint_crg() -> str:
+    """.crg text of three components with girths 2, 4 and 6: a theta graph
+    (two vertices joined by three edges) and the seed-0 ``--size min`` builds
+    at k=5 and k=8, seed flags kept.  The theta graph takes the first and the
+    last vertex, so its component is not a run of consecutive ids."""
+    from systolic import builder, ribbon
+
+    theta = ribbon.CubicRibbonGraph(2)
+    for a, b in ((0, 3), (1, 4), (2, 5)):
+        theta.add_edge(a, b)
+    k5, k8 = (builder.build(builder.SeedSpec(k=k))[0] for k in (5, 8))
+    n = 2 + k5.num_vertices + k8.num_vertices
+    ids = ([0, n - 1], range(1, 1 + k5.num_vertices), range(1 + k5.num_vertices, n - 1))
+    union = ribbon.CubicRibbonGraph(n)
+    for part, vid in zip((theta, k5, k8), ids):
+        pair, seed = part.pair_table(), part.seed_table()
+        for s, p in enumerate(pair):
+            if p > s:
+                union.add_edge(3 * vid[s // 3] + s % 3, 3 * vid[p // 3] + p % 3, seed=seed[s])
+    return ribbon.serialize(union)
 
 
 def _sha(data: bytes) -> str:
@@ -78,12 +108,17 @@ def digests(workdir: str, only: str = "") -> dict[str, dict]:
     for name, argv, files in reversed(list(grid())):
         if name.startswith(only) or reads.intersection(files):
             runs.append((name, argv, files))
-            reads.update(argv)
+            reads.update(argv or ())
     out: dict[str, dict] = {}
     for name, argv, files in reversed(runs):
         streams = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(streams[0]), contextlib.redirect_stderr(streams[1]):
-            code = main([a.format(dir=workdir) for a in argv])
+        if argv is None:
+            code = 0
+            with open(files[0].format(dir=workdir), "w", encoding="ascii", newline="\n") as fh:
+                fh.write(disjoint_crg())
+        else:
+            with contextlib.redirect_stdout(streams[0]), contextlib.redirect_stderr(streams[1]):
+                code = main([a.format(dir=workdir) for a in argv])
         if not name.startswith(only):
             continue
         entry = {"exit": code,
