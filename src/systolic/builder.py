@@ -204,38 +204,25 @@ def _resolve_layout(spec: SeedSpec) -> tuple[int, int, bool]:
     """Choose (total size, bulk padding circuits, parity circuit?).
 
     Padding uses circuits of k - 1 vertices plus at most one of k vertices,
-    so the residue of size - planted modulo k - 1 decides realizability; the
-    minimum search scans even sizes upward from the admissible bound, which
-    is even and, as ``validate`` checked, no smaller than the plants.
+    so the residue r = size - planted modulo k - 1 decides realizability.
+    The minimum search scans even sizes upward from the admissible bound,
+    which is even and, as ``validate`` checked, no smaller than the plants.
+    It always succeeds: stepping an even size by 2 makes r mod (k - 1) reach
+    0, or 1 with r >= k, within k - 1 steps, well inside its range.
     """
     k = spec.k
     planted = spec.planted_vertices()
     bound = seed_size_bound(k)
-
-    def split(size: int) -> tuple[int, bool] | None:
+    for size in (spec.size,) if spec.size is not None else range(bound, bound + 4 * k + 6, 2):
         r = size - planted
         if r % (k - 1) == 0:
-            return r // (k - 1), False
+            return size, r // (k - 1), False
         if r >= k and (r - k) % (k - 1) == 0:
-            return (r - k) // (k - 1), True
-        return None
-
-    if spec.size is not None:
-        got = split(spec.size)
-        if got is None:
-            raise SeedSpecError(
-                f"size {spec.size} is not reachable: plants occupy {planted} vertices and "
-                f"padding adds circuits of {k - 1} vertices plus at most one of {k}"
-            )
-        return spec.size, got[0], got[1]
-
-    size = bound
-    while size <= bound + 4 * k + 4:
-        got = split(size)
-        if got is not None:
-            return size, got[0], got[1]
-        size += 2
-    raise SeedSpecError("no realizable size found near the admissible bound")  # pragma: no cover
+            return size, (r - k) // (k - 1), True
+    raise SeedSpecError(
+        f"size {spec.size} is not reachable: plants occupy {planted} vertices and "
+        f"padding adds circuits of {k - 1} vertices plus at most one of {k}"
+    )
 
 
 def _install_circuit(g: CubicRibbonGraph, ids: list[int], word: str) -> None:

@@ -21,6 +21,7 @@ a construction is being assembled.
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -200,11 +201,13 @@ def faces(g: CubicRibbonGraph) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class ComponentSurface:
-    """Topology of the surface carried by one connected component."""
+    """Topology of the surface carried by one connected component, and the
+    girth of the component (a complete component always has a cycle)."""
 
     vertices: tuple[int, ...]
     genus: int
     cusp_lengths: tuple[int, ...]
+    girth: int
 
     @property
     def num_cusps(self) -> int:
@@ -212,104 +215,99 @@ class ComponentSurface:
 
 
 def genus_closed(g: CubicRibbonGraph) -> list[ComponentSurface]:
-    """Per-component genus and cusp data of the glued surface.
+    """Per-component genus, cusp data and girth of the glued surface.
 
     The triangulated surface of a component with V vertices has V triangles,
     3V/2 edges and one point per face of the ribbon structure, so its Euler
-    characteristic is (#faces) - V/2 and the genus is (2 - chi) / 2.
+    characteristic is (#faces) - V/2 and the genus is (2 - chi) / 2.  A face
+    belongs to the component of its least dart.  One girth sweep serves
+    every component.
     """
     comps = g.components()
-    comp_index = {}
-    for idx, vs in enumerate(comps):
-        for v in vs:
-            comp_index[v] = idx
-    face_lengths: list[list[int]] = [[] for _ in comps]
-    for face in faces(g):
-        face_lengths[comp_index[face[0] // 3]].append(len(face))
+    face_at = {face[0]: len(face) for face in faces(g)}
     out = []
-    for vs, lengths in zip(comps, face_lengths):
+    for vs, h in zip(comps, _girths(g, comps)):
+        lengths = sorted(face_at[s] for v in vs for s in range(3 * v, 3 * v + 3) if s in face_at)
         if len(vs) % 2:
             raise ValueError(f"component {vs[0]} has odd vertex count {len(vs)}")
         chi = len(lengths) - len(vs) // 2
         if (2 - chi) % 2:
             raise ValueError(f"component {vs[0]} has odd Euler defect (chi={chi})")
-        out.append(
-            ComponentSurface(
-                vertices=tuple(vs),
-                genus=(2 - chi) // 2,
-                cusp_lengths=tuple(sorted(lengths)),
-            )
-        )
+        out.append(ComponentSurface(tuple(vs), (2 - chi) // 2, tuple(lengths), h))
     return out
 
 
-def girth(g: CubicRibbonGraph, vertices: list[int] | None = None) -> int | None:
-    """Length of the shortest cycle of the underlying multigraph, or None.
+def girth(g: CubicRibbonGraph) -> int | None:
+    """Length of the shortest cycle of the underlying multigraph, or None:
+    the sweep of ``_girths`` with all vertices as one group."""
+    return _girths(g, (range(g.num_vertices),))[0]
 
-    A breadth-first search from each vertex in ascending order, over arrival
-    slots: the root is left by its three slots and every other vertex only
-    by the successor and predecessor of the slot it was entered by (read
-    from the cached ``turn_tables``), so no search turns back along the
-    edge it came in on, and a loop closes at length 1 and a parallel pair
-    at 2 with no special case.  Each search enters only
-    vertices above its root: a shortest cycle lies entirely above its least
-    vertex m, so the search from m still closes it.  Every length a search
-    reports is that of two tree paths joined by an edge outside the tree,
-    which holds a cycle, so it is never below the girth.
+
+def _girths(g: CubicRibbonGraph, groups: Iterable[Iterable[int]]) -> list[int | None]:
+    """Girth of each group of vertices, or None where it has no cycle.  A
+    group is a whole component or a union of components, in ascending
+    vertex order.
+
+    A breadth-first search from each vertex of a group in ascending order,
+    over arrival slots: the root is left by its three slots and every other
+    vertex only by the successor and predecessor of the slot it was entered
+    by (read from the cached ``turn_tables``), so no search turns back along
+    the edge it came in on, and a loop closes at length 1 and a parallel
+    pair at 2 with no special case.  Each search enters only vertices above
+    its root: a shortest cycle lies entirely above its least vertex m, so
+    the search from m still closes it.  Every length a search reports is
+    that of two tree paths joined by an edge outside the tree, which holds a
+    cycle, so it is never below the girth.  A search never leaves the
+    components of its root, so it stays inside its group.
 
     Level d, the vertices at distance d from the root, is expanded only
-    while 2d + 1 < best.  This is exact: the search from a cycle's least
-    vertex closes a cycle of length 2j + 1 (two vertices at distance j
-    joined) or 2j + 2 (a vertex at distance j + 1 reached twice) while it
-    expands level j.  So a cycle of length at most 2d is already closed
-    while level d - 1 is expanded, and level d can add only the lengths
-    2d + 1 and 2d + 2.
+    while 2d + 1 < best, where best restarts at each group.  This is exact:
+    the search from a cycle's least vertex closes a cycle of length 2j + 1
+    (two vertices at distance j joined) or 2j + 2 (a vertex at distance
+    j + 1 reached twice) while it expands level j.  So a cycle of length at
+    most 2d is already closed while level d - 1 is expanded, and level d can
+    add only the lengths 2d + 1 and 2d + 2.
 
-    ``vertices`` restricts the search to the subgraph induced on them (a
-    component, say); only their own slots are read, and ids outside the
-    graph are ignored.  Every root reuses one stamp list and one distance
-    list of V entries.
+    Every root of every group reuses one stamp list and one distance list
+    of V entries.
     """
     pair = g.pair_table()
     n = g.num_vertices
     left, right = turn_tables(len(pair))
     # stamp[v] is the last root whose search entered v, below the current
-    # root when v is unvisited; n marks a vertex no search may enter: one
-    # outside ``vertices``, a finished root, and the entry a free slot's
-    # -1 // 3 indexes
-    stamp = [n] * (n + 1)
-    for v in range(n) if vertices is None else vertices:
-        if 0 <= v < n:
-            stamp[v] = -1
+    # root when v is unvisited; n marks a vertex no search may enter: a
+    # finished root, and the entry a free slot's -1 // 3 indexes
+    stamp = [-1] * n + [n]
     dist = [0] * n
-    best = n + 1  # no cycle is longer than n
-    for root in range(n):
-        if stamp[root] == n:
-            continue
-        stamp[root] = root
-        dist[root] = 0
-        leave: range | list[int] = range(3 * root, 3 * root + 3)
-        d = 0
-        while leave and 2 * d + 1 < best:
-            # leave: the slots by which level d is left; nxt: those of level e
-            nxt: list[int] = []
-            add = nxt.append
-            e = d + 1
-            for s in leave:
-                p = pair[s]
-                w = p // 3
-                t = stamp[w]
-                if t < root:
-                    stamp[w] = root
-                    dist[w] = e
-                    add(left[p])
-                    add(right[p])
-                elif t == root and e + dist[w] < best:
-                    best = e + dist[w]
-            leave = nxt
-            d = e
-        stamp[root] = n
-    return best if best <= n else None
+    out: list[int | None] = []
+    for roots in groups:
+        best = n + 1  # no cycle is longer than n
+        for root in roots:
+            stamp[root] = root
+            dist[root] = 0
+            leave: range | list[int] = range(3 * root, 3 * root + 3)
+            d = 0
+            while leave and 2 * d + 1 < best:
+                # leave: the slots by which level d is left; nxt: those of level e
+                nxt: list[int] = []
+                add = nxt.append
+                e = d + 1
+                for s in leave:
+                    p = pair[s]
+                    w = p // 3
+                    t = stamp[w]
+                    if t < root:
+                        stamp[w] = root
+                        dist[w] = e
+                        add(left[p])
+                        add(right[p])
+                    elif t == root and e + dist[w] < best:
+                        best = e + dist[w]
+                leave = nxt
+                d = e
+            stamp[root] = n
+        out.append(best if best <= n else None)
+    return out
 
 
 def beineke_harary_lower_bound(p: int, q: int, h: int) -> Fraction:

@@ -233,9 +233,9 @@ def _enumerate(g: CubicRibbonGraph, max_trace: int) -> dict[tuple[int, ...], str
         get = _getter(cur)
         get_st = None
         for i, na, nb, nc, nd in ((0, a, a + b, c, c + d), (1, a + b, b, c + d, d)):
+            # no child is over the bound: the root's children have trace 2,
+            # and a node is pushed only when both its children are within it
             tr = na + nd
-            if tr > max_trace:
-                continue
             e = get(steps[i])
             if any(map(eq, e, st)):
                 _record(found, g, orig, steps, (na, nb, nc, nd), compress(st, map(eq, e, st)))
@@ -403,9 +403,8 @@ class CertificationResult:
 def certify(g: CubicRibbonGraph, k: int) -> CertificationResult:
     """Pass iff no essential cycle class has trace below k and every face
     has at least k edges.  For k = 3 the trace condition is vacuous, since
-    essential classes start at trace 3."""
-    if not g.is_complete():
-        raise ValueError("graph is not 3-regular")
+    essential classes start at trace 3.  A graph with free slots is refused
+    by the scan (k >= 4) or by ``faces`` (k = 3)."""
     if k < 3:
         raise ValueError(f"floor {k} is below 3")
     short_cycles = tuple(low_trace_cycles(g, k - 1)) if k >= 4 else ()
@@ -506,11 +505,10 @@ def report(g: CubicRibbonGraph, *, spectrum_max: int | None = None) -> SurfaceRe
     classes = _first_classes(g, max(3, spectrum_max or 3))
     shortest = classes[0]
     spectrum = tuple(_spectrum(classes))
-    girths = [ribbon.girth(g, vertices=list(c.vertices)) for c in comps]
     bh_bound = Fraction(0)
-    for c, h in zip(comps, girths):
+    for c in comps:
         p = len(c.vertices)
-        bh_bound += ribbon.beineke_harary_lower_bound(p, 3 * p // 2, h)
+        bh_bound += ribbon.beineke_harary_lower_bound(p, 3 * p // 2, c.girth)
     log_genus = log_log_genus = systole_gap = None
     if genus_sum >= 2:
         log_genus = math.log(genus_sum)
@@ -521,7 +519,7 @@ def report(g: CubicRibbonGraph, *, spectrum_max: int | None = None) -> SurfaceRe
         edges=g.num_edges(),
         components=tuple(comps),
         genus_sum=genus_sum,
-        girth=min(girths),
+        girth=min(c.girth for c in comps),
         systole_trace=shortest.trace,
         systole_length=shortest.length,
         systole_word=shortest.word,

@@ -6,17 +6,18 @@ Usage, from the repository root:
     python tests/golden.py --write            rewrite tests/golden.json
 
 Each entry runs one ``systolic`` command in-process through ``cli.main``
-(or, with no command, writes its one file from ``disjoint_crg``) and keeps its exit code and the sha256 of its stdout, its stderr and each
-file it writes; no output itself is kept.  The entries cover seed-0
-``--size min`` builds at several floors, ``report`` (text and JSON, with no
-spectrum bound, at the floor and at floor + 3), ``verify`` at the floor, one
-above it and four above it (a failing scan whose findings cover several
-traces), ``census --max-trace 300 --check``, ``selftest``, two planted
-specs, the benchmark's report command, and a disconnected graph whose
-components have different girths (``disjoint_crg``, written by this
-script), reported with and without a spectrum bound and failing ``verify``.  ``test_golden.py`` replays them,
-so a change in any output byte fails the suite.  A change that alters an
-output on purpose regenerates the file and names each entry it changes.
+(or, with no command, writes its one file from ``disjoint_crg``) and keeps
+its exit code and the sha256 of its stdout, its stderr and each file it
+writes; no output itself is kept.  The entries cover seed-0 ``--size min``
+builds at several floors, ``report`` (text and JSON, with no spectrum
+bound, at the floor and at floor + 3), ``verify`` at the floor, one above
+it and four above it (a failing scan whose findings cover several traces),
+``census --max-trace 300 --check``, ``selftest``, two planted specs, the
+benchmark's report command, and a disconnected graph whose components have
+different girths (``report`` text and JSON, with no spectrum bound and at
+8, and a failing ``verify``).  ``test_golden.py`` replays them, so a change
+in any output byte fails the suite.  A change that alters an output on
+purpose regenerates the file and names each entry it changes.
 
 pytest collects only ``test_*.py``, so this module runs only when imported.
 """

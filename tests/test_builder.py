@@ -50,6 +50,8 @@ def test_padding_words():
         assert len(word_for_trace(k)) == k - 1
         assert words.trace_of(parity_word(k)) == 2 * k - 2
         assert len(parity_word(k)) == k
+    with pytest.raises(ValueError, match="trace 2 is below 3"):
+        word_for_trace(2)
 
 
 def test_seed_size_bound_values():

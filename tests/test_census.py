@@ -43,6 +43,11 @@ def test_sieve_matches_trial_division():
         for n in (0, limit + 1):
             with pytest.raises(ValueError):
                 sieve.divisor_count(n)
+    for limit in (0, census.MAX_SIEVE_LIMIT + 1):  # refused before any table is built
+        with pytest.raises(ValueError, match="sieve limit"):
+            DivisorSieve(limit)
+    with pytest.raises(ValueError, match="too small for trace 60"):
+        n_by_formula(60, DivisorSieve(10))
 
 
 def test_sieve_peak_memory_is_the_table_it_keeps():
@@ -92,6 +97,10 @@ def test_traces_two_and_below_are_rejected():
         for bad in (0, 1, 2):
             with pytest.raises(ValueError):
                 fn(bad)
+    with pytest.raises(ValueError, match="max_trace must be >= 3"):
+        count_words_by_trace(2)
+    with pytest.raises(ValueError, match="m >= 2"):
+        N_of(1)
 
 
 def test_enumerated_matrices_are_exactly_the_bruteforce_set():

@@ -81,6 +81,12 @@ def test_construct_usage_errors(tmp_path, capsys):
     assert code == 2
     code, _, err = run(capsys, "construct", "--k", "5", "--plant-trace", "11:x", "-o", str(crg))
     assert code == 2
+    code, _, err = run(capsys, "construct", "--k", "5", "--plant-trace", "2:1", "-o", str(crg))
+    assert code == 2
+    assert "trace must be at least 3" in err
+    code, _, err = run(capsys, "construct", "--k", "5", "--plant", "L:0", "-o", str(crg))
+    assert code == 2
+    assert "value must be positive" in err
     # rejected against the seed budget before its 10^14-letter word is built
     code, _, err = run(
         capsys, "construct", "--k", "5", "--plant-trace", "99999999999999:1", "-o", str(crg)

@@ -53,12 +53,18 @@ def test_turn_letter_convention():
 
 
 def test_add_and_remove_edges():
+    with pytest.raises(ValueError, match="negative vertex count"):
+        CubicRibbonGraph(-1)
     g = CubicRibbonGraph(2)
     g.add_edge(0, 3)
     assert degree(g, 0) == 1 and degree(g, 1) == 1
     assert g.pair_table()[0] == 3 and g.pair_table()[3] == 0
     with pytest.raises(ValueError):
         g.add_edge(0, 4)  # slot 0 occupied
+    with pytest.raises(ValueError, match="slot 3 is already paired"):
+        g.add_edge(4, 3)  # the second slot occupied
+    with pytest.raises(ValueError, match="outside"):
+        g.add_edge(1, 6)
     with pytest.raises(ValueError):
         g.add_edge(1, 1)
     before = serialize(g := g.copy())
@@ -164,7 +170,7 @@ def _random_partial_graph(rng: random.Random, max_vertices: int) -> CubicRibbonG
     return g
 
 
-def test_girth_on_multigraphs_and_vertex_subsets_against_networkx():
+def test_girth_on_multigraphs_and_components_against_networkx():
     nx = pytest.importorskip("networkx")
 
     def oracle(G):
@@ -183,12 +189,13 @@ def test_girth_on_multigraphs_and_vertex_subsets_against_networkx():
         G = nx.MultiGraph()
         G.add_nodes_from(range(g.num_vertices))
         G.add_edges_from((a // 3, b // 3) for a, b in edges(g))
-        subsets = [None] + g.components()
-        subsets.append(sorted(rng.sample(range(g.num_vertices), rng.randint(1, g.num_vertices))))
-        for vs in subsets:
-            want = oracle(G if vs is None else G.subgraph(vs))
-            assert girth(g, vertices=vs) == want, (edges(g), vs)
-            seen.add(want if want is None else min(want, 3))
+        comps = g.components()
+        want = [oracle(G.subgraph(vs)) for vs in comps]
+        assert girth(g) == oracle(G), edges(g)
+        assert ribbon._girths(g, comps) == want, edges(g)
+        if g.is_complete():
+            assert [c.girth for c in genus_closed(g)] == want, edges(g)
+        seen.update(h if h is None else min(h, 3) for h in want)
     assert seen == {None, 1, 2, 3}  # acyclic, loop, parallel pair and simple cases all ran
 
 
@@ -201,8 +208,7 @@ def test_least_vertex_girth_matches_the_all_roots_oracle():
     def partial_graphs(draw):
         # a random matching of some of the slots of up to 30 vertices; by
         # mode, pairs that would make a loop, or a loop or parallel edge, are
-        # dropped so that longer girths occur; the vertex subset may repeat
-        # ids and name ids outside the graph
+        # dropped so that longer girths occur
         n = draw(st.integers(1, 30))
         slots = draw(st.permutations(range(3 * n)))
         m = draw(st.integers(0, 3 * n // 2))
@@ -215,16 +221,18 @@ def test_least_vertex_girth_matches_the_all_roots_oracle():
                 continue
             joined.add(ends)
             g.add_edge(a, b)
-        vertices = draw(st.none() | st.lists(st.integers(-3, n + 3), max_size=n + 6))
-        return g, vertices
+        return g
 
     @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @hypothesis.given(partial_graphs())
-    def check(case):
-        g, vertices = case
-        want = all_roots_girth(g, vertices)
-        assert girth(g, vertices) == want, (edges(g), vertices)
-        seen.add(want if want is None else min(want, 4))
+    def check(g):
+        assert girth(g) == all_roots_girth(g), edges(g)
+        # one sweep over the components, in either order of the groups
+        comps = g.components()
+        want = [all_roots_girth(g, vs) for vs in comps]
+        assert ribbon._girths(g, comps) == want, edges(g)
+        assert ribbon._girths(g, comps[::-1]) == want[::-1], edges(g)
+        seen.update(h if h is None else min(h, 4) for h in want)
 
     check()
     assert seen == {None, 1, 2, 3, 4}  # acyclic, loop, parallel pair, triangle and longer all ran
@@ -235,8 +243,8 @@ def test_least_vertex_girth_matches_the_oracle_on_corpus_and_builds():
     graphs += [builder.build(builder.SeedSpec(k=k))[0] for k in (10, 20, 30)]
     for g in graphs:
         assert girth(g) == all_roots_girth(g), edges(g)
-        for comp in g.components():
-            assert girth(g, comp) == all_roots_girth(g, comp), (edges(g), comp)
+        want = [all_roots_girth(g, comp) for comp in g.components()]
+        assert [c.girth for c in genus_closed(g)] == want, edges(g)
 
 
 def test_girth_restricted_to_component():
@@ -245,8 +253,12 @@ def test_girth_restricted_to_component():
     g.add_edge(3, 6)  # slot 0 of vertex 1 to slot 0 of vertex 2
     g.add_edge(4, 7)
     assert girth(g) == 1
-    assert girth(g, vertices=[1, 2]) == 2
-    assert girth(g, vertices=[-1, 1, 2, 7]) == 2  # ids outside the graph are ignored
+    assert ribbon._girths(g, g.components()) == [1, 2]
+    # complete, with interleaved ids: a theta graph on vertices 0 and 5, K4 on 1..4
+    g = CubicRibbonGraph(6)
+    for a, b in ((0, 15), (1, 16), (2, 17), (3, 7), (4, 9), (5, 12), (6, 10), (8, 13), (11, 14)):
+        g.add_edge(a, b)
+    assert [(c.vertices, c.girth) for c in genus_closed(g)] == [((0, 5), 2), ((1, 2, 3, 4), 3)]
 
 
 def _completed(g: CubicRibbonGraph, rng: random.Random) -> CubicRibbonGraph:
@@ -314,6 +326,8 @@ def test_beineke_harary_examples():
     assert isinstance(beineke_harary_lower_bound(3, 4, 3), Fraction)
     with pytest.raises(ValueError):
         beineke_harary_lower_bound(2, 3, 0)
+    with pytest.raises(ValueError, match="p >= 1"):
+        beineke_harary_lower_bound(0, 1, 3)
 
 
 def test_serialize_roundtrip():
@@ -374,6 +388,8 @@ def test_deserialize_errors():
         deserialize("CRG 2\n0\n")
     with pytest.raises(CrgParseError, match="vertex count"):
         deserialize("CRG 1\nxx\n")
+    with pytest.raises(CrgParseError, match="missing vertex count"):
+        deserialize("CRG 1\n")
     with pytest.raises(CrgParseError, match="pairs with itself"):
         deserialize("CRG 1\n1\n0: 0.0 - -\n")
     # a loop (two distinct slots of one vertex) is legal, not a self-pair

@@ -103,6 +103,8 @@ def test_low_trace_cycles_preconditions():
         low_trace_cycles(ribbon.CubicRibbonGraph(2), 5)
     with pytest.raises(ValueError, match="bound"):
         low_trace_cycles(theta_graph(False), 2)
+    with pytest.raises(ValueError, match="floor 2 is below 3"):
+        certify(theta_graph(False), 2)
     # the scan has no free-slot mode: every entry refuses a partial graph
     seed = circuit_graph(["LLLR"] * 5)
     for scan in (
@@ -110,6 +112,7 @@ def test_low_trace_cycles_preconditions():
         lambda: systole(seed),
         lambda: bottom_spectrum(seed, 5),
         lambda: certify(seed, 5),
+        lambda: certify(seed, 3),  # refused by faces, with no scan
         lambda: report(seed),
     ):
         with pytest.raises(ValueError, match="3-regular"):
@@ -534,6 +537,35 @@ def test_report_on_disconnected_graph():
     rep = report(_disjoint_union(theta_graph(False), theta_graph(True)))
     assert len(rep.components) == 2
     assert rep.bh_bound <= rep.genus_sum
+
+
+def test_report_work_in_ribbon_is_linear_on_many_components():
+    # one girth sweep serves every component: 4x the theta components cost
+    # 4x the lines of ``ribbon`` that report executes (a count of work that
+    # does not depend on the machine), where a search over all V roots per
+    # component costs 16x
+    def ribbon_lines(copies):
+        g = ribbon.CubicRibbonGraph(2 * copies)
+        for i in range(copies):
+            for a, b in ((0, 3), (1, 4), (2, 5)):
+                g.add_edge(6 * i + a, 6 * i + b)
+        count = 0
+
+        def local(frame, event, arg):
+            nonlocal count
+            count += event == "line"
+            return local
+
+        previous = sys.gettrace()
+        sys.settrace(lambda frame, event, arg: local if frame.f_code.co_filename == ribbon.__file__ else None)
+        try:
+            report(g)
+        finally:
+            sys.settrace(previous)
+        return count
+
+    small, large = ribbon_lines(250), ribbon_lines(1000)
+    assert large <= 4.5 * small, (small, large)
 
 
 def test_report_handles_zero_genus():

@@ -69,6 +69,8 @@ def test_unimat_parse():
 def test_word_validation():
     with pytest.raises(ValueError):
         trace_of("LXR")
+    with pytest.raises(ValueError, match="must be a string"):
+        words.check_word(5)  # type: ignore[arg-type]
     with pytest.raises(ValueError):
         matrix_of("lr")
 
