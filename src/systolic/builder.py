@@ -33,7 +33,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import census, ribbon, words
 from .ribbon import CubicRibbonGraph
@@ -122,22 +122,21 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class Plant:
-    word: str
-    multiplicity: int
+class Plant(namedtuple("Plant", "word multiplicity")):
+    """A word to plant as ``multiplicity`` disjoint circuits."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SeedSpec:
-    """Everything needed to lay out a seed: floor k, planted circuits,
-    target size (None means the smallest realizable), and determinism knobs."""
+class SeedSpec(
+    namedtuple("SeedSpec", "k plants size rng_seed strict_seed_trace", defaults=((), None, 0, False))
+):
+    """Everything needed to lay out a seed: floor k, planted circuits (a
+    tuple of Plant, default none), target size (None, the default, means
+    the smallest realizable), and determinism knobs (rng_seed 0 and
+    strict_seed_trace False by default)."""
 
-    k: int
-    plants: tuple[Plant, ...] = ()
-    size: int | None = None
-    rng_seed: int = 0
-    strict_seed_trace: bool = False
+    __slots__ = ()
 
     def validate(self) -> None:
         if not isinstance(self.k, int) or self.k < 3:
@@ -266,13 +265,12 @@ def make_seed(spec: SeedSpec) -> CubicRibbonGraph:
     return g
 
 
-@dataclass(frozen=True)
-class ForbiddenReach:
-    """Endpoints of forbidden paths out of the free slot of one vertex; the
-    completion reads only ``members``, and so does the benchmark tracer's
-    member counter."""
+class ForbiddenReach(namedtuple("ForbiddenReach", "members")):
+    """Endpoints of forbidden paths out of the free slot of one vertex, the
+    frozenset ``members``; the completion reads only ``members``, and so
+    does the benchmark tracer's member counter."""
 
-    members: frozenset[int]
+    __slots__ = ()
 
 
 @functools.lru_cache(maxsize=4)
@@ -392,13 +390,6 @@ def _validate_seed_graph(g: CubicRibbonGraph, k: int, strict: bool) -> None:
             )
 
 
-@dataclass
-class _CompletionStats:
-    case1: int = 0
-    case2: int = 0
-    max_forbidden_set: int = 0
-
-
 def _state_dump(g: CubicRibbonGraph, note: str) -> str:
     return f"{note}\ndegree-2 vertices: {g.degree2_vertices()}\n{ribbon.serialize(g)}"
 
@@ -419,10 +410,11 @@ def _non_seed_edge(g: CubicRibbonGraph, v: int) -> tuple[int, int]:
 
 def _run_completion(
     g: CubicRibbonGraph, k: int, *, strict_seed_trace: bool = False
-) -> _CompletionStats:
-    """Complete the seed g in place; returns the step counts."""
+) -> tuple[int, int, int]:
+    """Complete the seed g in place; returns the step counts (Case 1 joins,
+    Case 2 swaps) and the largest forbidden set seen."""
     _validate_seed_graph(g, k, strict_seed_trace)
-    stats = _CompletionStats()
+    case1 = case2 = max_forbidden_set = 0
     pair = g.pair_table()
     # The seed check leaves one free slot per vertex, so the frontier is the
     # ascending free slots, in vertex order.  Each step pairs the slots of x
@@ -432,13 +424,13 @@ def _run_completion(
         reaches: dict[int, frozenset[int]] = {}
         for sx in free:
             fx = reaches[sx] = forbidden_reach(g, sx // 3, k).members
-            stats.max_forbidden_set = max(stats.max_forbidden_set, len(fx))
+            max_forbidden_set = max(max_forbidden_set, len(fx))
             # x is in F(x), so sx itself is never the partner
             sy = next((s for s in free if s // 3 not in fx), None)
             if sy is not None:
                 # Case 1: the first x, in ascending order, with a partner outside F(x).
                 g.add_edge(sx, sy)
-                stats.case1 += 1
+                case1 += 1
                 break
         else:
             # Case 2: every ordered degree-2 pair is mutually forbidden.
@@ -460,11 +452,11 @@ def _run_completion(
             g.remove_edge(slot_wp, slot_w)
             g.add_edge(first, slot_wp)
             g.add_edge(second, slot_w)
-            stats.case2 += 1
+            case2 += 1
         free.remove(sx)
         free.remove(sy)
     _require(g.is_complete(), g, "completion left free slots")
-    return stats
+    return case1, case2, max_forbidden_set
 
 
 def complete(
@@ -480,19 +472,33 @@ def complete(
     return done
 
 
-@dataclass(frozen=True)
-class BuildReport:
-    spec: SeedSpec
-    iterations: int
-    case1: int
-    case2: int
-    max_forbidden_set: int
-    vertices: int
-    edges: int
-    output_sha: str
-    # the .crg text that output_sha digests, for the caller to write as is;
-    # not part of the report's JSON or of its equality
-    crg: str = field(compare=False, repr=False)
+class BuildReport(
+    namedtuple(
+        "BuildReport", "spec iterations case1 case2 max_forbidden_set vertices edges output_sha crg"
+    )
+):
+    """What ``build`` did, and ``crg``, the .crg text that ``output_sha``
+    digests, for the caller to write as is; ``crg`` is not part of the
+    report's JSON, equality, hash or repr."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self[:-1] == other[:-1]
+
+    def __ne__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self[:-1] != other[:-1]
+
+    def __hash__(self) -> int:
+        return hash(self[:-1])
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields[:-1], self))
+        return f"BuildReport({shown})"
 
     def to_json_dict(self) -> dict:
         return {
@@ -510,14 +516,14 @@ class BuildReport:
 def build(spec: SeedSpec) -> tuple[CubicRibbonGraph, BuildReport]:
     """Lay out the seed for a spec and complete it; returns graph and report."""
     done = make_seed(spec)
-    stats = _run_completion(done, spec.k, strict_seed_trace=spec.strict_seed_trace)
+    case1, case2, max_forbidden_set = _run_completion(done, spec.k, strict_seed_trace=spec.strict_seed_trace)
     crg = ribbon.serialize(done)
     report = BuildReport(
         spec=spec,
-        iterations=stats.case1 + stats.case2,
-        case1=stats.case1,
-        case2=stats.case2,
-        max_forbidden_set=stats.max_forbidden_set,
+        iterations=case1 + case2,
+        case1=case1,
+        case2=case2,
+        max_forbidden_set=max_forbidden_set,
         vertices=done.num_vertices,
         edges=done.num_edges(),
         output_sha=hashlib.sha256(crg.encode("ascii")).hexdigest(),

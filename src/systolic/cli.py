@@ -14,7 +14,6 @@ small sizes a one-shot command spends about as long importing as working.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 EXIT_OK = 0
@@ -48,6 +47,9 @@ def _load_graph(args) -> ribbon.CubicRibbonGraph | None:
 
 
 def _json_text(obj) -> str:
+    # imported here, since only report --json and construct --report write JSON
+    import json
+
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 

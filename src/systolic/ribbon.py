@@ -21,9 +21,8 @@ a construction is being assembled.
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 from collections.abc import Iterable
-from dataclasses import dataclass
-from fractions import Fraction
 
 __all__ = [
     "succ",
@@ -199,15 +198,13 @@ def faces(g: CubicRibbonGraph) -> list[tuple[int, ...]]:
     return out
 
 
-@dataclass(frozen=True)
-class ComponentSurface:
+class ComponentSurface(namedtuple("ComponentSurface", "vertices genus cusp_lengths girth")):
     """Topology of the surface carried by one connected component, and the
-    girth of the component (a complete component always has a cycle)."""
+    girth of the component (a complete component always has a cycle):
+    the tuple of its vertices, its genus, the tuple of its cusp lengths and
+    its girth."""
 
-    vertices: tuple[int, ...]
-    genus: int
-    cusp_lengths: tuple[int, ...]
-    girth: int
+    __slots__ = ()
 
     @property
     def num_cusps(self) -> int:
@@ -268,8 +265,9 @@ def _girths(g: CubicRibbonGraph, groups: Iterable[Iterable[int]]) -> list[int | 
     most 2d is already closed while level d - 1 is expanded, and level d can
     add only the lengths 2d + 1 and 2d + 2.
 
-    Every root of every group reuses one stamp list and one distance list
-    of V entries.
+    A group draws no root after one whose search closes a loop, the least
+    possible length.  Every root of every group reuses one stamp list and
+    one distance list of V entries.
     """
     pair = g.pair_table()
     n = g.num_vertices
@@ -306,6 +304,8 @@ def _girths(g: CubicRibbonGraph, groups: Iterable[Iterable[int]]) -> list[int | 
                 leave = nxt
                 d = e
             stamp[root] = n
+            if best == 1:
+                break  # no cycle is shorter than a loop
         out.append(best if best <= n else None)
     return out
 
@@ -313,6 +313,9 @@ def _girths(g: CubicRibbonGraph, groups: Iterable[Iterable[int]]) -> list[int | 
 def beineke_harary_lower_bound(p: int, q: int, h: int) -> Fraction:
     """Exact genus lower bound 1 + (1/2)(1 - 2/h)q - p/2 for a connected
     graph with p vertices, q edges and girth h embedded in a surface."""
+    # imported here, since only ``report`` asks for the bound
+    from fractions import Fraction
+
     if h < 1:
         raise ValueError(f"girth {h} must be at least 1")
     if p < 1 or q < 1:

@@ -52,8 +52,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from collections.abc import Iterable
 from itertools import compress
 from operator import eq, ge, itemgetter
@@ -74,15 +73,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CycleClass:
-    """All cycle classes carrying one word class, with a concrete witness."""
+class CycleClass(namedtuple("CycleClass", "word trace length multiplicity witness")):
+    """All cycle classes carrying one word class, with a concrete witness:
+    ``word`` is the canonical representative of the word class, ``length``
+    the hyperbolic length 2*arccosh(trace/2), ``multiplicity`` the number
+    of distinct cycle classes carrying the word and ``witness`` the
+    canonical dart sequence of one of them."""
 
-    word: str  # canonical representative of the word class
-    trace: int
-    length: float  # hyperbolic length 2*arccosh(trace/2)
-    multiplicity: int  # number of distinct cycle classes carrying the word
-    witness: tuple[int, ...]  # canonical dart sequence of one of them
+    __slots__ = ()
 
     def sort_key(self):
         return (self.trace, self.word, self.witness)
@@ -378,12 +376,11 @@ def bottom_spectrum(g: CubicRibbonGraph, bound: int) -> list[tuple[int, int]]:
     return _spectrum(low_trace_cycles(g, bound))
 
 
-@dataclass(frozen=True)
-class CertificationResult:
-    passed: bool
-    floor: int
-    short_cycles: tuple[CycleClass, ...]
-    short_faces: tuple[tuple[int, ...], ...]
+class CertificationResult(namedtuple("CertificationResult", "passed floor short_cycles short_faces")):
+    """Verdict of ``certify`` at a floor, with the tuples of cycle classes
+    and of faces below it."""
+
+    __slots__ = ()
 
     def findings(self) -> list[str]:
         out = []
@@ -417,22 +414,19 @@ def certify(g: CubicRibbonGraph, k: int) -> CertificationResult:
     )
 
 
-@dataclass(frozen=True)
-class SurfaceReport:
-    vertices: int
-    edges: int
-    components: tuple[ribbon.ComponentSurface, ...]
-    genus_sum: int
-    girth: int
-    systole_trace: int
-    systole_length: float
-    systole_word: str
-    spectrum: tuple[tuple[int, int], ...]
-    bh_bound: Fraction
-    bh_ok: bool
-    log_genus: float | None
-    log_log_genus: float | None
-    systole_gap: float | None
+class SurfaceReport(
+    namedtuple(
+        "SurfaceReport",
+        "vertices edges components genus_sum girth systole_trace systole_length systole_word "
+        "spectrum bh_bound bh_ok log_genus log_log_genus systole_gap",
+    )
+):
+    """What ``report`` finds: sizes, the ``ribbon.ComponentSurface`` of each
+    component, the systole, the (trace, multiplicity) spectrum, the exact
+    Beineke-Harary bound (a Fraction) with its verdict, and the asymptotic
+    logs, None below genus 2."""
+
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -505,10 +499,10 @@ def report(g: CubicRibbonGraph, *, spectrum_max: int | None = None) -> SurfaceRe
     classes = _first_classes(g, max(3, spectrum_max or 3))
     shortest = classes[0]
     spectrum = tuple(_spectrum(classes))
-    bh_bound = Fraction(0)
-    for c in comps:
-        p = len(c.vertices)
-        bh_bound += ribbon.beineke_harary_lower_bound(p, 3 * p // 2, c.girth)
+    # a sum of Fractions over at least one component, so a Fraction
+    bh_bound = sum(
+        ribbon.beineke_harary_lower_bound(len(c.vertices), 3 * len(c.vertices) // 2, c.girth) for c in comps
+    )
     log_genus = log_log_genus = systole_gap = None
     if genus_sum >= 2:
         log_genus = math.log(genus_sum)

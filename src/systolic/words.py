@@ -23,7 +23,7 @@ here is pure and safe to call concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 __all__ = [
     "UniMat",
@@ -57,28 +57,29 @@ def check_word(word: str) -> None:
             raise ValueError(f"invalid letter {ch!r} at position {i}: words use only L and R")
 
 
-@dataclass(frozen=True)
-class UniMat:
+class UniMat(namedtuple("UniMat", "a b c d")):
     """Determinant-1 integer matrix with non-negative entries.
 
     Entries are exact Python integers of unbounded magnitude, so traces of
     very long words never overflow or wrap.
     """
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("a", "b", "c", "d"):
-            v = getattr(self, name)
+    def __new__(cls, a: int, b: int, c: int, d: int) -> "UniMat":
+        for name, v in (("a", a), ("b", b), ("c", c), ("d", d)):
             if not isinstance(v, int) or isinstance(v, bool):
                 raise ValueError(f"matrix entry {name}={v!r} is not an integer")
             if v < 0:
                 raise ValueError(f"matrix entry {name}={v} is negative")
-        if self.a * self.d - self.b * self.c != 1:
-            raise ValueError(f"matrix {self.as_tuple()} does not have determinant 1")
+        if a * d - b * c != 1:
+            raise ValueError(f"matrix {(a, b, c, d)} does not have determinant 1")
+        return tuple.__new__(cls, (a, b, c, d))
+
+    @classmethod
+    def _make(cls, iterable) -> "UniMat":
+        # ``_replace`` builds through ``_make``, which would skip the checks
+        return cls(*iterable)
 
     @staticmethod
     def parse(text: str) -> "UniMat":
@@ -93,7 +94,7 @@ class UniMat:
         return UniMat(a, b, c, d)
 
     def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.a, self.b, self.c, self.d)
+        return tuple(self)
 
 
 def _product(word: str) -> tuple[int, int, int, int]:

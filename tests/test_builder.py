@@ -8,6 +8,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -277,6 +278,7 @@ def test_forbidden_reach_matches_the_path_oracle_on_partial_graphs():
 def test_admissible_tree_is_lazy_bounded_and_not_limited_by_the_recursion_limit():
     code = """
 import sys
+from fractions import Fraction
 from systolic import builder
 print(builder._admissible_tree.cache_info().currsize)
 print(builder._replay_plan.cache_info().currsize)
@@ -386,6 +388,68 @@ def test_iteration_accounting():
     assert report.vertices == 20 and report.edges == 30
 
 
+_COMPONENT = dict(vertices=(0, 1), genus=1, cusp_lengths=(6,), girth=2)
+_CYCLE = dict(word="LLR", trace=5, length=words.geodesic_length(5), multiplicity=2, witness=(0, 4, 8))
+_CERTIFICATE = dict(
+    passed=False, floor=6, short_cycles=(scanner.CycleClass(**_CYCLE),), short_faces=((0, 1, 2, 3, 4),)
+)
+_SURFACE = dict(
+    vertices=2, edges=3, components=(ribbon.ComponentSurface(**_COMPONENT),), genus_sum=1, girth=2,
+    systole_trace=3, systole_length=words.geodesic_length(3), systole_word="LR", spectrum=((3, 2),),
+    bh_bound=Fraction(1, 2), bh_ok=True, log_genus=None, log_log_genus=None, systole_gap=None,
+)
+_SPEC = dict(k=5, plants=(Plant("LLLR", 2),), size=40, rng_seed=3, strict_seed_trace=True)
+_BUILD = dict(
+    spec=SeedSpec(**_SPEC), iterations=9, case1=8, case2=1, max_forbidden_set=7, vertices=20, edges=30,
+    output_sha="ab", crg="CRG 1\n0\n",
+)
+
+# Each record class: its fields by keyword, fields of an unequal record,
+# the fields that have defaults, with them, and the fields kept out of
+# equality, hash and repr.
+RECORDS = {
+    "UniMat": (words.UniMat, dict(a=2, b=1, c=1, d=1), dict(a=1, b=1, c=0, d=1), {}, ()),
+    "ComponentSurface": (ribbon.ComponentSurface, _COMPONENT, dict(_COMPONENT, girth=3), {}, ()),
+    "CycleClass": (scanner.CycleClass, _CYCLE, dict(_CYCLE, multiplicity=3), {}, ()),
+    "CertificationResult": (scanner.CertificationResult, _CERTIFICATE, dict(_CERTIFICATE, floor=7), {}, ()),
+    "SurfaceReport": (scanner.SurfaceReport, _SURFACE, dict(_SURFACE, bh_bound=Fraction(1, 3)), {}, ()),
+    "Plant": (Plant, dict(word="LLLR", multiplicity=2), dict(word="LLLR", multiplicity=3), {}, ()),
+    "SeedSpec": (
+        SeedSpec, _SPEC, dict(_SPEC, k=6), dict(plants=(), size=None, rng_seed=0, strict_seed_trace=False), ()
+    ),
+    "ForbiddenReach": (
+        builder.ForbiddenReach, dict(members=frozenset({0, 1})), dict(members=frozenset({0})), {}, ()
+    ),
+    "BuildReport": (builder.BuildReport, _BUILD, dict(_BUILD, iterations=10), {}, ("crg",)),
+}
+
+
+@pytest.mark.parametrize("cls, fields, other, defaults, hidden", RECORDS.values(), ids=list(RECORDS))
+def test_record_classes_are_immutable_values(cls, fields, other, defaults, hidden):
+    # equality and hash read the shown fields as one tuple, so set and dict
+    # orders hold, and repr prints them by name
+    rec = cls(**fields)
+    shown = {name: value for name, value in fields.items() if name not in hidden}
+    assert [getattr(rec, name) for name in fields] == list(fields.values())
+    assert rec == cls(*fields.values()) and not rec != cls(**fields)
+    assert rec != cls(**other) and not rec == cls(**other)
+    assert hash(rec) == hash(tuple(shown.values()))
+    assert repr(rec) == f"{cls.__name__}({', '.join(f'{name}={value!r}' for name, value in shown.items())})"
+    for name in hidden:
+        twin = cls(**dict(fields, **{name: "other"}))
+        assert twin == rec and not twin != rec and hash(twin) == hash(rec) and repr(twin) == repr(rec)
+    for name, value in fields.items():
+        with pytest.raises(AttributeError):
+            setattr(rec, name, value)
+    with pytest.raises(AttributeError):
+        rec.note = "no such field"
+    required = {name: value for name, value in fields.items() if name not in defaults}
+    assert cls(**required) == cls(**dict(required, **defaults))
+    for name in required:
+        with pytest.raises(TypeError):
+            cls(**{k: v for k, v in fields.items() if k != name})
+
+
 CASE_TWO_SHAS = {
     (3, 0): "e9c23840c0ac66a5121f9a6e977d2f5052c625fd19207d9c53423d0dd0f1d098",
     (4, 5): "f733732b97f411ea83735bd36342b4d6fe04d024d43de26644cc0cec69c4d2ba",
@@ -447,6 +511,7 @@ def test_completion_invariants_hold_under_python_O():
     # the invariants are typed errors, not asserts that -O strips
     code = f"""
 import sys
+from fractions import Fraction
 from systolic import builder
 if sys.flags.optimize != 1:
     sys.exit("not running under -O")

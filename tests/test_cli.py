@@ -473,48 +473,56 @@ def test_fuzzed_crg_text_never_raises(tmp_path, capsys):
     check()
 
 
-# Run by a fresh interpreter: ``cli.main(argv)`` (nothing for an empty argv),
-# then one JSON line with the exit code, the loaded ``systolic.*`` modules
-# and whether ``dataclasses`` was loaded.
-_FOOTPRINT = """
-import contextlib, io, json, sys
+# Run by a fresh interpreter: ``cli.main(sys.argv[1:])`` (nothing for an
+# empty argv), then one JSON line with the exit code, the loaded
+# ``systolic.*`` modules and which of ``_STDLIB`` were loaded, read before
+# the script imports json for that line.
+_STDLIB = ("dataclasses", "fractions", "json")
+_FOOTPRINT = f"""
+import contextlib, io, sys
 import systolic, systolic.cli
-argv = json.loads(sys.argv[1])
+argv = sys.argv[1:]
 code = None
 if argv:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = systolic.cli.main(argv)
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("systolic.")),
-                  "dataclasses" in sys.modules]))
+stdlib = [m for m in {_STDLIB!r} if m in sys.modules]
+import json
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("systolic.")), stdlib]))
 """
 
 
 @pytest.mark.parametrize(
-    "argv, loaded",
+    "argv, loaded, stdlib",
     [
-        ([], {"cli"}),
-        (["census", "--max-trace", "20"], {"cli", "census"}),
-        (["recover", "--matrix", "2,1,1,1"], {"cli", "words"}),
-        (["verify", "--k", "5", "g.crg"], {"cli", "ribbon", "scanner", "words"}),
-        (["report", "g.crg", "--json"], {"cli", "ribbon", "scanner", "words"}),
-        (["construct", "--k", "5", "-o", "out.crg"], {"cli", "builder", "census", "ribbon", "words"}),
-        (["selftest"], {"cli", "census", "ribbon", "scanner", "words"}),
+        ([], {"cli"}, set()),
+        (["census", "--max-trace", "20"], {"cli", "census"}, set()),
+        (["recover", "--matrix", "2,1,1,1"], {"cli", "words"}, set()),
+        (["verify", "--k", "5", "g.crg"], {"cli", "ribbon", "scanner", "words"}, set()),
+        (["report", "g.crg", "--json"], {"cli", "ribbon", "scanner", "words"}, {"fractions", "json"}),
+        (["construct", "--k", "5", "-o", "out.crg"], {"cli", "builder", "census", "ribbon", "words"}, set()),
+        (
+            ["construct", "--k", "5", "-o", "out.crg", "--report", "out.json"],
+            {"cli", "builder", "census", "ribbon", "words"},
+            {"json"},
+        ),
+        (["selftest"], {"cli", "census", "ribbon", "scanner", "words"}, set()),
     ],
-    ids=["import", "census", "recover", "verify", "report", "construct", "selftest"],
+    ids=["import", "census", "recover", "verify", "report", "construct", "construct-report", "selftest"],
 )
-def test_each_subcommand_imports_only_the_modules_it_runs(tmp_path, argv, loaded):
+def test_each_subcommand_imports_only_the_modules_it_runs(tmp_path, argv, loaded, stdlib):
     # a one-shot process pays for every module it imports: census loads
     # census alone, verify and report never load the builder or the census,
-    # construct never loads the scanner, and recover needs only words;
-    # census and the bare import do not load dataclasses either
+    # construct never loads the scanner, and recover needs only words; no
+    # command loads dataclasses, only report loads fractions, and only the
+    # commands that write JSON load json
     (tmp_path / "g.crg").write_text(ribbon.serialize(builder.build(builder.SeedSpec(k=5))[0]))
-    done = _fresh_python(tmp_path, "-c", _FOOTPRINT, json.dumps(argv))
+    done = _fresh_python(tmp_path, "-c", _FOOTPRINT, *argv)
     assert done.returncode == 0, done.stderr
-    code, modules, dataclasses_loaded = json.loads(done.stdout)
+    code, modules, stdlib_loaded = json.loads(done.stdout)
     assert code == (0 if argv else None)
     assert set(modules) == {f"systolic.{name}" for name in loaded}
-    if loaded <= {"cli", "census"}:
-        assert not dataclasses_loaded
+    assert set(stdlib_loaded) == stdlib
 
 
 def test_package_exports_resolve_lazily_to_their_home_objects(tmp_path):

@@ -273,6 +273,8 @@ def _completed(g: CubicRibbonGraph, rng: random.Random) -> CubicRibbonGraph:
 def test_girth_reads_no_slot_after_a_loop():
     # a loop is the least possible girth, so once the search from vertex 0
     # has read its three slots, no level of any later root may be expanded
+    # and no later root of its group is drawn; a theta graph on vertices
+    # 1000 and 1001 is a second group, which still gets its own girth
     class CountingList(list):
         reads = 0
 
@@ -280,12 +282,24 @@ def test_girth_reads_no_slot_after_a_loop():
             self.reads += 1
             return super().__getitem__(index)
 
-    g = CubicRibbonGraph(1000)
+    g = CubicRibbonGraph(1002)
     g.add_edge(0, 1)
+    for i in range(3):
+        g.add_edge(3000 + i, 3003 + i)
     _completed(g, random.Random(3))
     g._pair = pair = CountingList(g.pair_table())
     assert girth(g) == 1
     assert pair.reads <= 3, pair.reads
+
+    drawn = []
+
+    def counted_roots():
+        for v in range(1000):
+            drawn.append(v)
+            yield v
+
+    assert ribbon._girths(g, (counted_roots(), [1000, 1001])) == [1, 2]
+    assert drawn == [0]
 
 
 def test_girth_peak_memory_is_linear_in_the_vertex_count():

@@ -50,12 +50,24 @@ def test_matmul_matches_word_concatenation():
 
 
 def test_unimat_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^matrix \(1, 1, 1, 1\) does not have determinant 1$"):
         UniMat(1, 1, 1, 1)  # det 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^matrix entry b=-1 is negative$"):
         UniMat(2, -1, 1, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^matrix entry a=1\.0 is not an integer$"):
         UniMat(1.0, 0, 0, 1)  # type: ignore[arg-type]
+    with pytest.raises(ValueError, match="^matrix entry d=True is not an integer$"):
+        UniMat(a=1, b=0, c=0, d=True)
+    # entries are checked in order, each for its type and then its sign
+    with pytest.raises(ValueError, match="^matrix entry a=-1 is negative$"):
+        UniMat(-1, "x", 0, 1)  # type: ignore[arg-type]
+
+
+def test_unimat_replace_checks_entries():
+    # a named tuple's _replace builds through _make, which must check too
+    assert UniMat(1, 0, 0, 1)._replace(b=3) == UniMat(1, 3, 0, 1)
+    with pytest.raises(ValueError, match="does not have determinant 1"):
+        UniMat(1, 0, 0, 1)._replace(c=2, b=3)
 
 
 def test_unimat_parse():
