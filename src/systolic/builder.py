@@ -36,7 +36,7 @@ import random
 from collections import namedtuple
 
 from . import census, ribbon, words
-from .ribbon import CubicRibbonGraph
+from .ribbon import MAX_VERTICES, CubicRibbonGraph
 
 __all__ = [
     "MAX_VERTICES",
@@ -58,12 +58,6 @@ __all__ = [
     "build",
 ]
 
-
-# Largest graph a seed spec may ask for.  A seed of 10**6 vertices and its
-# turn tables take some hundreds of MB.  A larger size is refused with
-# SeedSpecError before anything is allocated, rather than ending in
-# MemoryError or exhausting the host.
-MAX_VERTICES = 10**6
 
 # Largest floor whose least admissible count fits under MAX_VERTICES (that of
 # 385 is 1002104); checked before seed_size_bound builds its sieve of about
@@ -277,9 +271,10 @@ class ForbiddenReach(namedtuple("ForbiddenReach", "members")):
 def _admissible_tree(k: int):
     """Preorder arrays (letter, parent, subtree end) of the words of at most
     k - 2 letters and trace at most max(k - 2, 2), R subtrees before L;
-    letter 0 is L and 1 is R, as in ``ribbon.turn_tables``.  Node 0 is the
-    empty word, its own parent.  Each word's length and matrix live only on
-    the build stack, to prune."""
+    letter 0 is L and 1 is R, the index of the node's step table in a
+    ``_reach_plan``.  Node 0 is the empty word, its own parent.  Each word's
+    length and matrix live only on the build stack, to prune; the tree
+    depends on k alone, so it is cached per k."""
     max_trace = max(k - 2, 2)
     letter, parent = [], []
     stack = [(0, 0, 0, 1, 0, 0, 1)]
@@ -302,26 +297,30 @@ def _admissible_tree(k: int):
     return tuple(letter), tuple(parent), tuple(end)
 
 
-@functools.lru_cache(maxsize=4)
-def _replay_plan(k: int, n_slots: int):
-    """(turn table, parent, subtree end) of every ``_admissible_tree(k)``
-    node, the turn table being the ``ribbon.turn_tables(n_slots)`` entry of
-    the node's letter; cached per (k, slot count), since one completion
-    replays it on every step."""
+def _reach_plan(pair: list[int], k: int):
+    """The plan ``forbidden_reach`` replays: the step tables (L, R), where
+    L is ``pair`` after the slot successor and R ``pair`` after the
+    predecessor (a free slot reads -1), each ``_admissible_tree(k)`` node's
+    table (L or R, by its letter), the tree's parent and subtree-end arrays,
+    and an arrival buffer of one slot per node.  The tables follow ``pair``
+    only as long as whoever pairs or frees a slot s rewrites ``L[pred[s]]``
+    and ``R[succ[s]]``."""
+    succ, pred = ribbon.turn_tables(len(pair))
+    steps = (list(map(pair.__getitem__, succ)), list(map(pair.__getitem__, pred)))
     letter, parent, end = _admissible_tree(k)
-    steps = ribbon.turn_tables(n_slots)
-    return tuple(steps[t] for t in letter), parent, end
+    return steps, tuple(map(steps.__getitem__, letter)), parent, end, [0] * len(letter)
 
 
-def forbidden_reach(g: CubicRibbonGraph, x: int, k: int) -> ForbiddenReach:
+def forbidden_reach(g: CubicRibbonGraph, x: int, k: int, _plan=None) -> ForbiddenReach:
     """Every vertex reachable by a forbidden path: a replay of
-    ``_admissible_tree(k)``, through its cached ``_replay_plan``, from x's
-    free slot (x is reached by the empty path, node 0).  Node i arrives at
-    ``pair[tab[i][at[parent[i]]]]``, one arrival slot kept per node, and a
-    node that meets a free slot skips its subtree.  x's degree and free
-    slot are read straight off the pair table, and no matrix arithmetic is
-    done.  Raises ValueError unless x is a vertex of the graph with degree
-    2 and k is at least 3."""
+    ``_admissible_tree(k)`` from x's free slot (x is reached by the empty
+    path, node 0).  Node i arrives at ``tab[i][at[parent[i]]]``, its table
+    read at its parent's arrival slot, and a node that meets a free slot
+    skips its subtree.  The completion passes its live ``_reach_plan`` as
+    ``_plan``, kept in step with the graph; any other call composes one for
+    itself.  x's degree and free slot are read straight off the pair table,
+    and no matrix arithmetic is done.  Raises ValueError unless x is a
+    vertex of the graph with degree 2 and k is at least 3."""
     pair = g.pair_table()
     if not 0 <= x < len(pair) // 3:
         raise ValueError(f"vertex {x} outside 0..{len(pair) // 3 - 1}")
@@ -330,14 +329,14 @@ def forbidden_reach(g: CubicRibbonGraph, x: int, k: int) -> ForbiddenReach:
         raise ValueError(f"vertex {x} has degree {3 - len(free)}, expected 2")
     if k < 3:
         raise ValueError(f"floor {k} is below 3")
-    tab, parent, end = _replay_plan(k, len(pair))
+    _, tab, parent, end, at = _plan or _reach_plan(pair, k)
     n = len(tab)
-    at = free * n
+    at[0] = free[0]
     reached = {x}
     add = reached.add
     i = 1
     while i < n:
-        p = pair[tab[i][at[parent[i]]]]
+        p = tab[i][at[parent[i]]]
         if p < 0:
             i = end[i]
             continue
@@ -416,6 +415,9 @@ def _run_completion(
     _validate_seed_graph(g, k, strict_seed_trace)
     case1 = case2 = max_forbidden_set = 0
     pair = g.pair_table()
+    succ, pred = ribbon.turn_tables(len(pair))
+    plan = _reach_plan(pair, k)
+    left, right = plan[0]
     # The seed check leaves one free slot per vertex, so the frontier is the
     # ascending free slots, in vertex order.  Each step pairs the slots of x
     # and y; a swap frees one slot at w and at w' and pairs it again at once.
@@ -423,13 +425,14 @@ def _run_completion(
     while free:
         reaches: dict[int, frozenset[int]] = {}
         for sx in free:
-            fx = reaches[sx] = forbidden_reach(g, sx // 3, k).members
+            fx = reaches[sx] = forbidden_reach(g, sx // 3, k, plan).members
             max_forbidden_set = max(max_forbidden_set, len(fx))
             # x is in F(x), so sx itself is never the partner
             sy = next((s for s in free if s // 3 not in fx), None)
             if sy is not None:
                 # Case 1: the first x, in ascending order, with a partner outside F(x).
                 g.add_edge(sx, sy)
+                changed = (sx, sy)
                 case1 += 1
                 break
         else:
@@ -452,7 +455,11 @@ def _run_completion(
             g.remove_edge(slot_wp, slot_w)
             g.add_edge(first, slot_wp)
             g.add_edge(second, slot_w)
+            changed = (sx, sy, slot_wp, slot_w)
             case2 += 1
+        # keep the plan's step tables in step with every slot whose partner changed
+        for s in changed:
+            left[pred[s]] = right[succ[s]] = pair[s]
         free.remove(sx)
         free.remove(sy)
     _require(g.is_complete(), g, "completion left free slots")

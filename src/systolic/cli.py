@@ -95,22 +95,16 @@ def _positive_int(text: str, context: str) -> int:
 
 
 def _cmd_construct(args) -> int:
-    if args.size == "min":
-        size = None
-    else:
-        try:
-            size = int(args.size)
-        except ValueError:
-            print(f"--size must be an integer or 'min', got {args.size!r}", file=sys.stderr)
-            return EXIT_USAGE
+    try:
+        size = None if args.size == "min" else int(args.size)
+    except ValueError:
+        print(f"--size must be an integer or 'min', got {args.size!r}", file=sys.stderr)
+        return EXIT_USAGE
     from . import builder
 
     try:
         spec = builder.SeedSpec(
-            k=args.k,
-            plants=_parse_plants(args),
-            size=size,
-            rng_seed=args.seed,
+            k=args.k, plants=_parse_plants(args), size=size, rng_seed=args.seed,
             strict_seed_trace=args.strict_seed_trace,
         )
         _, report = builder.build(spec)
@@ -184,12 +178,12 @@ def _selftest_census() -> str | None:
 
 
 def _selftest_words() -> str | None:
-    import random as _random
+    import random
 
     from . import words
 
-    rng = _random.Random(0)
-    for length in range(0, 11):
+    rng = random.Random(0)
+    for length in range(11):
         for bits in range(2**length):
             word = "".join("L" if bits >> i & 1 else "R" for i in range(length))
             if words.word_of_matrix(words.matrix_of(word)) != word:
@@ -209,6 +203,7 @@ def _naive_cycle_classes(g, max_len: int, max_trace: int):
     from . import ribbon, scanner, words
 
     pair = g.pair_table()
+    turn = {"L": ribbon.succ, "R": ribbon.pred}
     found: dict[tuple[int, ...], str] = {}
     for length in range(1, max_len + 1):
         for letters in itertools.product("LR", repeat=length):
@@ -217,12 +212,9 @@ def _naive_cycle_classes(g, max_len: int, max_trace: int):
                 continue
             for d0 in range(len(pair)):
                 walk = [d0]
-                for ch in letters[:-1]:
-                    t = pair[walk[-1]]
-                    walk.append(ribbon.succ(t) if ch == "L" else ribbon.pred(t))
-                t = pair[walk[-1]]
-                closing = ribbon.succ(t) if letters[-1] == "L" else ribbon.pred(t)
-                if closing != d0:
+                for ch in letters:
+                    walk.append(turn[ch](pair[walk[-1]]))
+                if walk.pop() != d0:
                     continue
                 canon = scanner.canonical_walk(tuple(walk), g)
                 found.setdefault(canon, words.canonical(word))
@@ -246,72 +238,72 @@ def _selftest_scanner() -> str | None:
 
 
 def _cmd_selftest(args) -> int:
-    checks = [
+    for name, fn in (
         ("census triple oracle to trace 60", _selftest_census),
         ("word/matrix roundtrips", _selftest_words),
         ("scanner on the two-vertex graphs", _selftest_scanner),
-    ]
-    for name, fn in checks:
-        failure = fn()
-        if failure:
+    ):
+        if failure := fn():
             print(f"selftest {name}: FAIL: {failure}", file=sys.stderr)
             return EXIT_VERIFY
         print(f"selftest {name}: ok", file=sys.stderr)
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+_THREADS = {"--threads": dict(type=int, metavar="N", help="accepted for compatibility; no effect")}
+# name -> (help, handler, {flags: keywords} in help order)
+_COMMANDS = {
+    "census": ("count matrices by trace, as CSV", _cmd_census, {
+        "--max-trace": dict(type=int, required=True, metavar="M"),
+        "--check": dict(action="store_true", help="cross-check three counting routes"),
+        "-o --output": dict(metavar="PATH"),
+    }),
+    "construct": ("build a certified graph from a seed spec", _cmd_construct, {
+        "--k": dict(type=int, required=True, help="trace floor"),
+        "--plant": dict(action="append", metavar="WORD:MULT"),
+        "--plant-trace": dict(action="append", metavar="T:MULT"),
+        "--size": dict(default="min", metavar="N|min"),
+        "--seed": dict(type=int, default=0, help="layout seed (default 0)"),
+        "--strict-seed-trace": dict(action="store_true", help="reject letter-power plants even when long enough"),
+        "-o --output": dict(required=True, metavar="FILE.crg"),
+        "--report": dict(metavar="FILE.json"),
+    }),
+    "verify": ("exit 0 iff the graph certifies at floor K", _cmd_verify, {
+        "--k": dict(type=int, required=True), **_THREADS, "file": dict(metavar="FILE.crg"),
+    }),
+    "report": ("genus, girth, systole and spectrum of a graph", _cmd_report, {
+        "file": dict(metavar="FILE.crg"),
+        "--spectrum-max": dict(type=int, metavar="T"),
+        "--json": dict(action="store_true"),
+        **_THREADS,
+        "-o --output": dict(metavar="PATH"),
+    }),
+    "recover": ("factor a matrix back into its word", _cmd_recover, {"--matrix": dict(required=True, metavar="a,b,c,d")}),
+    "selftest": ("run the built-in oracle suites", _cmd_selftest, {}),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone with the same text."""
     parser = argparse.ArgumentParser(
         prog="systolic",
         description="Construct and certify cubic ribbon graphs with a floor on the systole trace.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("census", help="count matrices by trace, as CSV")
-    p.add_argument("--max-trace", type=int, required=True, metavar="M")
-    p.add_argument("--check", action="store_true", help="cross-check three counting routes")
-    p.add_argument("-o", "--output", metavar="PATH")
-    p.set_defaults(fn=_cmd_census)
-
-    p = sub.add_parser("construct", help="build a certified graph from a seed spec")
-    p.add_argument("--k", type=int, required=True, help="trace floor")
-    p.add_argument("--plant", action="append", metavar="WORD:MULT")
-    p.add_argument("--plant-trace", action="append", metavar="T:MULT")
-    p.add_argument("--size", default="min", metavar="N|min")
-    p.add_argument("--seed", type=int, default=0, help="layout seed (default 0)")
-    p.add_argument("--strict-seed-trace", action="store_true",
-                   help="reject letter-power plants even when long enough")
-    p.add_argument("-o", "--output", required=True, metavar="FILE.crg")
-    p.add_argument("--report", metavar="FILE.json")
-    p.set_defaults(fn=_cmd_construct)
-
-    p = sub.add_parser("verify", help="exit 0 iff the graph certifies at floor K")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--threads", type=int, metavar="N", help="accepted for compatibility; no effect")
-    p.add_argument("file", metavar="FILE.crg")
-    p.set_defaults(fn=_cmd_verify)
-
-    p = sub.add_parser("report", help="genus, girth, systole and spectrum of a graph")
-    p.add_argument("file", metavar="FILE.crg")
-    p.add_argument("--spectrum-max", type=int, default=None, metavar="T")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--threads", type=int, metavar="N", help="accepted for compatibility; no effect")
-    p.add_argument("-o", "--output", metavar="PATH")
-    p.set_defaults(fn=_cmd_report)
-
-    p = sub.add_parser("recover", help="factor a matrix back into its word")
-    p.add_argument("--matrix", required=True, metavar="a,b,c,d")
-    p.set_defaults(fn=_cmd_recover)
-
-    p = sub.add_parser("selftest", help="run the built-in oracle suites")
-    p.set_defaults(fn=_cmd_selftest)
-
+    # a lone subparser's usage line still names every choice
+    metavar = None if command is None else "{%s}" % ",".join(_COMMANDS)
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else (command,):
+        text, fn, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=text)
+        for flags, keywords in arguments.items():
+            p.add_argument(*flags.split(), **keywords)
+        p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         return args.fn(args)
     except OSError as exc:

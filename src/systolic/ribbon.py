@@ -25,6 +25,7 @@ from collections import namedtuple
 from collections.abc import Iterable
 
 __all__ = [
+    "MAX_VERTICES",
     "succ",
     "pred",
     "turn_tables",
@@ -38,6 +39,13 @@ __all__ = [
     "serialize",
     "deserialize",
 ]
+
+
+# Largest graph a seed spec may ask for or a .crg file may hold.  A graph of
+# 10**6 vertices and its turn tables take some hundreds of MB.  A larger size
+# is refused before anything is allocated for it, rather than ending in
+# MemoryError or exhausting the host.
+MAX_VERTICES = 10**6
 
 
 def succ(s: int) -> int:
@@ -383,12 +391,14 @@ def deserialize(text: str) -> CubicRibbonGraph:
 
     Every slot token is looked up in the table ``serialize`` writes from,
     so a slot has one spelling (``v.i``, ``-`` for a free slot on a vertex
-    line).  The vertex count has no sign, space or leading zero, each
-    vertex line is ``v: t0 t1 t2`` with single spaces, the last line ends
-    in a newline, and a SEED section, when present, lists at least one
-    edge, each once as ``u.i-v.j`` with the low slot first, in ascending
-    order of that slot.  The pairing must be a fixed-point-free partial
-    involution and every seed edge an edge of the graph."""
+    line).  The vertex count has no sign, space or leading zero and, once
+    the file has that many vertex lines, is refused above ``MAX_VERTICES``
+    before any slot is allocated; each vertex line is ``v: t0 t1 t2`` with
+    single spaces, the last line ends in a newline, and a SEED section,
+    when present, lists at least one edge, each once as ``u.i-v.j`` with
+    the low slot first, in ascending order of that slot.  The pairing must
+    be a fixed-point-free partial involution and every seed edge an edge of
+    the graph."""
     if not text.isascii():
         raise CrgParseError("file is not pure ASCII")
     if "\r" in text:
@@ -409,6 +419,8 @@ def deserialize(text: str) -> CubicRibbonGraph:
     if len(lines) < 2 + n:
         count = lines[1] if len(lines[1]) <= _QUOTE_LIMIT else _quote(lines[1])
         raise CrgParseError(f"expected {count} vertex lines, found {len(lines) - 2}", len(lines))
+    if n > MAX_VERTICES:
+        raise CrgParseError(f"vertex count {n} exceeds the cap of {MAX_VERTICES} vertices", 2)
 
     tok = _slot_tokens(n)
     slot_of = {tok[s]: s for s in range(-1, 3 * n)}  # the inverse of tok, '-' -> -1

@@ -93,9 +93,6 @@ class UniMat(namedtuple("UniMat", "a b c d")):
             raise ValueError(f"matrix entries must be integers: {text!r}") from None
         return UniMat(a, b, c, d)
 
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return tuple(self)
-
 
 def _product(word: str) -> tuple[int, int, int, int]:
     """Entries (a, b, c, d) of the generator product along ``word``."""
@@ -177,7 +174,7 @@ def word_of_matrix(mat: UniMat) -> str:
     """
     if not isinstance(mat, UniMat):
         raise ValueError(f"expected a UniMat, got {type(mat).__name__}")
-    a, b, c, d = mat.as_tuple()
+    a, b, c, d = mat
     out: list[str] = []
     # peeling stops one letter past the cap, so the check below raises
     while a + d > 2 and len(out) <= MAX_WORD_LETTERS:

@@ -732,14 +732,14 @@ def floor_checked_build(monkeypatch, run):
     real = builder.forbidden_reach
     checked: set[str] = set()
 
-    def checking(g, x, k):
+    def checking(g, x, k, *plan):
         text = ribbon.serialize(g)
         if text not in checked:
             checked.add(text)
             bad = naive_walk_classes(g, k - 1, k - 1)
             if bad:
                 raise AssertionError(f"floor {k} broken mid-completion: {sorted(bad.items())[:3]}")
-        return real(g, x, k)
+        return real(g, x, k, *plan)
 
     with monkeypatch.context() as m:
         m.setattr(builder, "forbidden_reach", checking)

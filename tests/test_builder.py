@@ -223,9 +223,9 @@ def _recorded_reach_calls(monkeypatch, specs):
     calls = []
     real = builder.forbidden_reach
 
-    def recording(g, x, k):
+    def recording(g, x, k, *plan):
         calls.append((g.copy(), x, k))
-        return real(g, x, k)
+        return real(g, x, k, *plan)
 
     with monkeypatch.context() as m:
         m.setattr(builder, "forbidden_reach", recording)
@@ -249,6 +249,31 @@ def test_tree_replay_matches_the_stack_search_oracle(monkeypatch):
         calls += [(g, x, k) for k in (3, 4, 5, 7) for x in g.degree2_vertices()]
     for g, x, k in calls:
         assert forbidden_reach(g, x, k).members == stack_forbidden_reach(g, x, k)
+
+
+def test_the_completion_keeps_its_step_tables_in_step(monkeypatch):
+    # at every call of three builds, each of which takes a Case-2 swap, the
+    # live plan's step tables equal tables composed afresh from the pair
+    # table, and its members equal those of the one-call route and of the
+    # stack-search oracle; the swap is each build's last step, so the
+    # tables are compared with the finished graph's as well
+    calls, plans = [], []
+    real = builder.forbidden_reach
+
+    def checking(g, x, k, plan):
+        plans.append(plan)
+        fresh = builder._reach_plan(g.pair_table(), k)
+        live = real(g, x, k, plan)
+        calls.append((plan[0] == fresh[0], live.members == real(g, x, k).members == stack_forbidden_reach(g, x, k)))
+        return live
+
+    monkeypatch.setattr(builder, "forbidden_reach", checking)
+    for k, rng_seed in ((4, 5), (16, 6), (10, 0)):
+        graph, report = build(SeedSpec(k=k, rng_seed=rng_seed))
+        assert report.case2 == 1
+        assert plans[-1][0] == builder._reach_plan(graph.pair_table(), k)[0]
+    assert len(calls) > 400
+    assert calls == [(True, True)] * len(calls)
 
 
 def test_forbidden_reach_matches_the_path_oracle_on_partial_graphs():
@@ -281,7 +306,6 @@ import sys
 from fractions import Fraction
 from systolic import builder
 print(builder._admissible_tree.cache_info().currsize)
-print(builder._replay_plan.cache_info().currsize)
 sys.setrecursionlimit(80)
 print(len(builder._admissible_tree(60)[0]))
 print(builder.build(builder.SeedSpec(k=10))[1].output_sha)
@@ -290,20 +314,23 @@ print(builder.build(builder.SeedSpec(k=10))[1].output_sha)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    cached, planned, nodes, sha = done.stdout.split()
-    assert cached == planned == "0"  # importing the builder builds no tree and no plan
+    cached, nodes, sha = done.stdout.split()
+    assert cached == "0"  # importing the builder builds no tree
     assert int(nodes) == len(builder._admissible_tree(60)[0])
     assert sha == build(SeedSpec(k=10))[1].output_sha
     for k in range(3, 13):
         letter, parent, end = builder._admissible_tree(k)
-        tab, plan_parent, plan_end = builder._replay_plan(k, 3 * k)
-        steps = ribbon.turn_tables(3 * k)
-        assert tab == tuple(steps[t] for t in letter)
+        g = circuit_graph(["L" * (k - 1)] * 2)
+        pair = g.pair_table()
+        succ, pred = ribbon.turn_tables(len(pair))
+        steps, tab, plan_parent, plan_end, at = builder._reach_plan(pair, k)
+        assert steps == ([pair[s] for s in succ], [pair[s] for s in pred])
+        assert all(tab[i] is steps[t] for i, t in enumerate(letter))
         assert (plan_parent, plan_end) == (parent, end)
+        assert len(at) == len(letter)
         assert all(parent[i] < i < end[i] <= end[parent[i]] for i in range(1, len(letter)))
-    for cached in (builder._admissible_tree, builder._replay_plan):
-        info = cached.cache_info()
-        assert info.currsize <= info.maxsize <= 8
+    info = builder._admissible_tree.cache_info()
+    assert info.currsize <= info.maxsize <= 8
 
 
 def test_forbidden_reach_requires_degree_two():

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from systolic import builder, census, ribbon, scanner, words
-from systolic.cli import main
+from systolic.cli import build_parser, main
 
 from _oracles import circuit_graph, edges, seed_edges, theta_graph
 
@@ -216,6 +216,32 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
 
 
+def test_each_command_parses_as_the_parser_of_every_command(capsys):
+    # main builds only the subparser that argv[0] names, and the parser of
+    # every command for help, no command or an unknown one; either way the
+    # help, usage and error text and the exit code are the full parser's
+    def outcome(parse, argv):
+        try:
+            code = parse(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    table = [[name, "-h"] for name in ("census", "construct", "verify", "report", "recover", "selftest")] + [
+        ["construct", "--k", "5"],  # a missing required flag
+        ["verify", "--k", "five", "g.crg"],  # a bad int
+        ["recover", "--matrix", "2,1,1,1", "extra", "more"],  # extra positionals
+        [],
+        ["bogus"],
+        ["--bogus", "construct"],
+    ]
+    for argv in table:
+        full = outcome(build_parser().parse_args, argv)
+        assert full[0] == (0 if argv[1:] == ["-h"] else 2) and full[1] + full[2], argv
+        assert outcome(main, argv) == full, argv
+
+
 def test_outputs_are_byte_identical_across_runs_and_threads(tmp_path, capsys):
     out1, out2 = tmp_path / "a.crg", tmp_path / "b.crg"
     rep1, rep2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -368,6 +394,18 @@ def test_oversized_sieves_exit_two_under_an_address_space_limit(tmp_path, argv):
     assert "exceeds the cap" in done.stderr
     assert "Traceback" not in done.stderr
     assert not (tmp_path / "x.crg").exists()
+
+
+def test_crg_over_the_vertex_cap_exits_three_under_an_address_space_limit(tmp_path):
+    # a well-formed file one vertex over the cap (about 14 MB) is refused
+    # before its slot tables are allocated, so a 1 GiB limit is never hit
+    n = ribbon.MAX_VERTICES + 1
+    (tmp_path / "big.crg").write_text(f"CRG 1\n{n}\n" + "".join(f"{v}: - - -\n" for v in range(n)))
+    for argv in (["verify", "--k", "5", "big.crg"], ["report", "big.crg"]):
+        done = _run_under_an_address_space_limit(tmp_path, argv)
+        assert done.returncode == 3, done.stderr
+        assert done.stderr == f"malformed input file: line 2: vertex count {n} exceeds the cap of {n - 1} vertices\n"
+        assert done.stdout == ""
 
 
 @pytest.mark.parametrize(

@@ -461,6 +461,26 @@ def test_deserialize_errors():
     assert serialize(deserialize(seeded)) == seeded
 
 
+def test_deserialize_refuses_a_vertex_count_above_the_cap(monkeypatch):
+    # the cap is checked once the count has its lines and before the slot
+    # tokens are built or any vertex line is read, so these empty vertex
+    # lines are never looked at; builder refuses seeds by the same cap
+    class Reached(Exception):
+        pass
+
+    def no_tokens(n):
+        raise Reached(n)
+
+    monkeypatch.setattr(ribbon, "_slot_tokens", no_tokens)
+    cap = ribbon.MAX_VERTICES
+    assert builder.MAX_VERTICES is cap
+    with pytest.raises(Reached):  # at the cap the parse goes on
+        deserialize(f"CRG 1\n{cap}\n" + "\n" * cap)
+    with pytest.raises(CrgParseError) as info:
+        deserialize(f"CRG 1\n{cap + 1}\n" + "\n" * (cap + 1))
+    assert str(info.value) == f"line 2: vertex count {cap + 1} exceeds the cap of {cap} vertices"
+
+
 def test_parse_error_carries_line_number():
     try:
         deserialize("CRG 1\n2\n0: 1.0 1.1 1.2\n1: 0.0 0.1 bogus\n")
