@@ -74,7 +74,15 @@ class HypothesisError(ValueError):
 
 
 class CompletionError(RuntimeError):
-    """A completion invariant failed; the message carries the state dump."""
+    """A completion invariant failed.  The message names the invariant, the
+    number of free slots and at most the first eight of them, so its length
+    does not grow with the graph, which is attached as ``graph``."""
+
+    def __init__(self, note: str, graph: CubicRibbonGraph):
+        free = [s for s, p in enumerate(graph.pair_table()) if p < 0]
+        shown = ", ".join(map(str, free[:8])) + (", ..." if len(free) > 8 else "")
+        super().__init__(f"{note} ({len(free)} free slots: {shown})")
+        self.graph = graph
 
 
 def word_for_trace(t: int) -> str:
@@ -317,10 +325,12 @@ def forbidden_reach(g: CubicRibbonGraph, x: int, k: int, _plan=None) -> Forbidde
     path, node 0).  Node i arrives at ``tab[i][at[parent[i]]]``, its table
     read at its parent's arrival slot, and a node that meets a free slot
     skips its subtree.  The completion passes its live ``_reach_plan`` as
-    ``_plan``, kept in step with the graph; any other call composes one for
-    itself.  x's degree and free slot are read straight off the pair table,
-    and no matrix arithmetic is done.  Raises ValueError unless x is a
-    vertex of the graph with degree 2 and k is at least 3."""
+    ``_plan``, kept in step with the graph, so its calls cost only the
+    replay; any other call first composes a plan for itself, which costs
+    O(V) time and memory per call.  x's degree and free slot are read
+    straight off the pair table, and no matrix arithmetic is done.  Raises
+    ValueError unless x is a vertex of the graph with degree 2 and k is at
+    least 3."""
     pair = g.pair_table()
     if not 0 <= x < len(pair) // 3:
         raise ValueError(f"vertex {x} outside 0..{len(pair) // 3 - 1}")
@@ -389,14 +399,10 @@ def _validate_seed_graph(g: CubicRibbonGraph, k: int, strict: bool) -> None:
             )
 
 
-def _state_dump(g: CubicRibbonGraph, note: str) -> str:
-    return f"{note}\ndegree-2 vertices: {g.degree2_vertices()}\n{ribbon.serialize(g)}"
-
-
 def _require(ok: bool, g: CubicRibbonGraph, note: str) -> None:
-    """Raise CompletionError with the state dump unless the invariant holds."""
+    """Raise CompletionError unless the invariant holds."""
     if not ok:
-        raise CompletionError(_state_dump(g, note))
+        raise CompletionError(note, g)
 
 
 def _non_seed_edge(g: CubicRibbonGraph, v: int) -> tuple[int, int]:
@@ -469,11 +475,8 @@ def _run_completion(
 def complete(
     g: CubicRibbonGraph, k: int, *, strict_seed_trace: bool = False
 ) -> CubicRibbonGraph:
-    """Complete a circuit seed to a 3-regular graph preserving the floor k.
-
-    The input graph is left untouched.  The completion is fully
-    deterministic; randomness only enters when the seed graph is laid out.
-    """
+    """Complete a circuit seed to a 3-regular graph preserving the floor k;
+    the input graph is left untouched."""
     done = g.copy()
     _run_completion(done, k, strict_seed_trace=strict_seed_trace)
     return done
@@ -521,7 +524,8 @@ class BuildReport(
 
 
 def build(spec: SeedSpec) -> tuple[CubicRibbonGraph, BuildReport]:
-    """Lay out the seed for a spec and complete it; returns graph and report."""
+    """Lay out the seed for a spec and complete it in place; returns graph
+    and report."""
     done = make_seed(spec)
     case1, case2, max_forbidden_set = _run_completion(done, spec.k, strict_seed_trace=spec.strict_seed_trace)
     crg = ribbon.serialize(done)

@@ -14,34 +14,12 @@ three routes are compared by ``CensusTable.build(check=True)``.
 columns are N/(m^2 log m) and N/(m^2 log log m), reported and never
 judged, since the growth statements hide unspecified constants.
 
-Each route does its work once through a symmetry.  The summand
-a*(m-a) - 1 is unchanged under a <-> m-a, so the formula visits
-a <= m // 2 only, counting each a < m - a twice and the centre a = m/2 of
-an even m once.  The enumeration uses that symmetry and the transpose
-together: every orbit under a <-> d and b <-> c has exactly one member
-with a <= d and b <= c, and from ad - bc = 1 that member has
-gcd(a, b) = 1, b*b <= a*d - 1 and d = a^-1 (mod b).  So one walk over the
-whole table steps d along that progression for each coprime pair (a, b),
-and weighs each matrix it builds by the size of its orbit.  Swapping L and
-R is conjugation by [[0, 1], [1, 0]], which maps (a, b, c, d) to
-(d, c, b, a) and keeps the trace, so the word walk descends from the root
-L alone and counts each node twice.  The routes stay independent: only the
-formula reads the divisor sieve, the enumeration checks every matrix it
-builds against the determinant, and the walk multiplies letters.
-
-The divisor sieve is built once and then read-only; table rows are
-independent and assembled in deterministic order.  The sieve is one
-table, the divisor count of every n up to its limit, filled by counting
-each pair of divisors i <= j with i*j = n, so the formula reads each
-summand with one index.  The word walk needs no length cap
-either.  The spine L^j keeps trace 2 for every j, so it is the one branch
-the trace bound cannot end; the walk lists it directly, seeding its stack
-with the R children L^j R of trace j + 2 for j <= m - 2, and follows
-L-chains below them.  Every other word has trace at least its length + 1,
-so the trace bound ends each remaining branch.  Along an L-chain the trace
-and the R child's trace only grow, so once the R child passes the bound
-the rest of the chain is an arithmetic progression of traces, counted
-without pushing anything.
+Each route does its work once through a symmetry, which its docstring
+states and proves.  The routes stay independent: only the formula reads the
+divisor sieve (``DivisorSieve``, built once and then read-only), the
+enumeration checks every matrix it builds against the determinant, and the
+word walk multiplies letters.  Table rows are assembled in deterministic
+order.
 """
 
 from __future__ import annotations

@@ -11,11 +11,12 @@ through the predecessor turns R.  The mirrored choice would map every cycle
 word w to star(w), which preserves traces, so nothing downstream depends on
 the chirality; reversing a closed walk realizes exactly that star duality.
 
-Faces are the orbits of dart -> successor(pair(dart)), i.e. the closed
-walks that always turn L; on the surface obtained by gluing one ideal
-triangle per vertex they are the cusps.  Queries here treat the graph as
-immutable and are safe under concurrent reads; mutation happens only while
-a construction is being assembled.
+Faces (``faces``) are the closed walks that always turn L; on the surface
+obtained by gluing one ideal triangle per vertex they are the cusps.
+``_girths`` proves the girth sweep that ``genus_closed`` and ``girth``
+share, and ``_slot_tokens`` is the one spelling of a slot in .crg text.
+Queries here treat the graph as immutable and are safe under concurrent
+reads; mutation happens only while a construction is being assembled.
 """
 
 from __future__ import annotations

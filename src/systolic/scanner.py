@@ -8,44 +8,19 @@ dart sequence; two vertex-disjoint cycles carrying the same word therefore
 count separately, which is what planted-multiplicity accounting needs.
 
 Only complete (3-regular) graphs are scanned: every entry point that scans
-raises ValueError on a graph with free slots.  The search walks the tree of
-words once, on an explicit stack with no recursion.  A node holds the
-word's matrix and length and the vector of live start darts with the
-current dart of each, so one letter steps every walk that reads the word
-at once.  The word of a closing walk is recovered
-from its matrix by unique factorization over L and R, and its darts by
-replaying the word.
-It prunes on two exact facts: appending a letter never lowers the trace,
-and a word that is not a pure letter power has trace at least its length
-plus one.  Pure letter powers (the faces and their reversals) are
-peripheral and excluded from results; walks whose dart sequence is a
-proper power are excluded as well, since their geodesics are iterates of
-shorter ones.  A primitive walk whose word happens to be a proper power is
-kept: it is primitive in the surface group, so its geodesic is a primitive
-one of that trace.  Multiplicities are exact: the cusped surface retracts
-onto the graph, so its free homotopy classes are those of closed walks that
-never turn back, up to rotation and reversal, and each class carries its own
-geodesic.
+raises ValueError on a graph with free slots.  Pure letter powers (the
+faces and their reversals) are peripheral and excluded from results; walks
+whose dart sequence is a proper power are excluded as well, since their
+geodesics are iterates of shorter ones.  A primitive walk whose word happens
+to be a proper power is kept: it is primitive in the surface group, so its
+geodesic is a primitive one of that trace.  Multiplicities are exact: the
+cusped surface retracts onto the graph, so its free homotopy classes are
+those of closed walks that never turn back, up to rotation and reversal, and
+each class carries its own geodesic.
 
-The same facts make many subtrees of the word tree a chain of one letter:
-once a node's R child is over the bound, so is the R child of every node
-along its L-chain, and the same with L and R swapped.  The scan finishes
-such a chain in one pass instead of level by level.  Only a walk whose
-start lies on its current dart's orbit under the chain's letter (its face
-for L, its right-turn cycle for R) can close on the chain, so only those
-walks are stepped, one by one.
-
-The starts rest on one rule, which holds for any labelling.  The darts
-are relabelled edge by edge, and a closed walk crosses its least edge, so
-the walk or its reversal starts at that edge's lower dart and never steps
-below it.  So the tree walk starts from the lower dart of every edge and
-drops a walk once it steps below its start.  Non-seed edges take the low
-labels, so walks started on seed edges die as soon as they leave them: the
-seed flags change the cost of a scan, never its answer, and a hostile file
-cannot hide a class.
-
-The systole comes from a probe that walks from dart 0 alone in order of
-trace, which bounds it from above, and one full scan at that bound.
+``_enumerate`` holds the scan: its pruning, its start rule, which lets the
+seed flags change the cost of a scan but never its answer, and its finish of
+single-letter chains.  ``_probe_bound`` holds the systole's upper bound.
 """
 
 from __future__ import annotations
@@ -73,12 +48,12 @@ __all__ = [
 ]
 
 
-class CycleClass(namedtuple("CycleClass", "word trace length multiplicity witness")):
+class CycleClass(namedtuple("CycleClass", "word trace multiplicity witness")):
     """All cycle classes carrying one word class, with a concrete witness:
-    ``word`` is the canonical representative of the word class, ``length``
-    the hyperbolic length 2*arccosh(trace/2), ``multiplicity`` the number
-    of distinct cycle classes carrying the word and ``witness`` the
-    canonical dart sequence of one of them."""
+    ``word`` is the canonical representative of the word class, ``trace``
+    its trace, ``multiplicity`` the number of distinct cycle classes
+    carrying the word and ``witness`` the canonical dart sequence of one of
+    them."""
 
     __slots__ = ()
 
@@ -109,10 +84,10 @@ def _edge_major_tables(
     over labels: the label after each label along an L turn (succ of its
     partner) and along an R turn (pred of its partner).
 
-    Any order of the edges and any choice of lower dart is sound.  Non-seed
-    edges come first, so that walks started on seed edges die as soon as
-    they leave them, and each group runs by descending low slot, which
-    stepped fewer darts than ascending on seed-0 and planted builds."""
+    Non-seed edges come first and each group runs by descending low slot,
+    which stepped fewer darts than ascending on seed-0 and planted builds;
+    the start rule of ``_enumerate`` holds for any order of the edges and
+    any choice of lower dart."""
     pair = g.pair_table()
     seed = g.seed_table()
     lows = [s for s in range(len(pair) - 1, -1, -1) if pair[s] > s]
@@ -160,8 +135,9 @@ def _record(
     closing: Iterable[int],
 ) -> None:
     """Add to ``found`` the walks from the start labels ``closing`` that
-    close on the word of matrix ``mat``, replayed along the word and mapped
-    back to slots."""
+    close on the word of matrix ``mat``: the word is the matrix's unique
+    factorization, and each walk's darts are replayed from its start along
+    the word and mapped back to slots."""
     word = words.word_of_matrix(words.UniMat(*mat))
     cw = None
     for d0 in closing:
@@ -193,10 +169,8 @@ def _enumerate(g: CubicRibbonGraph, max_trace: int) -> dict[tuple[int, ...], str
     One walk of the tree of words carries, per node, the matrix (a, b, c,
     d) and length of the word with the tuple of start darts still alive and
     the current dart of each; a letter steps them all at once.  At a node
-    where some walks close, the word is the unique factorization of the
-    matrix, and each closing walk's darts are replayed from its start
-    along the word and mapped back to slots.  The nodes wait on one
-    explicit stack.
+    where some walks close, ``_record`` recovers their word and darts.
+    The nodes wait on one explicit stack.
 
     Many subtrees are chains of a single letter, and the scan finishes
     each in one pass.  Take a child (a, b, c, d) of trace t below the
@@ -285,16 +259,7 @@ def _group_classes(raw: dict[tuple[int, ...], str]) -> list[CycleClass]:
         by_word.setdefault(word, []).append(canon_darts)
     out = []
     for word, walks in by_word.items():
-        t = words.trace_of(word)
-        out.append(
-            CycleClass(
-                word=word,
-                trace=t,
-                length=words.geodesic_length(t),
-                multiplicity=len(walks),
-                witness=min(walks),
-            )
-        )
+        out.append(CycleClass(word=word, trace=words.trace_of(word), multiplicity=len(walks), witness=min(walks)))
     out.sort(key=CycleClass.sort_key)
     return out
 
@@ -484,9 +449,9 @@ def report(g: CubicRibbonGraph, *, spectrum_max: int | None = None) -> SurfaceRe
     """Full surface report: topology, girth, systole, bottom spectrum, and
     the exact genus bound check (summed per component on disconnected input).
 
-    One scan at max(3, spectrum_max), or when that finds nothing one scan at
-    the probe bound, yields both the systole (its least class) and the
-    spectrum up to max(spectrum_max, systole trace).
+    One ``_first_classes`` call at max(3, spectrum_max) yields both the
+    systole (its least class) and the spectrum up to max(spectrum_max,
+    systole trace).  The systole's length is the one length computed.
 
     Lengths are those of the cusped surface; the compactified surface's
     lengths converge to them as the cusp neighbourhoods grow, but no
@@ -498,6 +463,7 @@ def report(g: CubicRibbonGraph, *, spectrum_max: int | None = None) -> SurfaceRe
     genus_sum = sum(c.genus for c in comps)
     classes = _first_classes(g, max(3, spectrum_max or 3))
     shortest = classes[0]
+    systole_length = words.geodesic_length(shortest.trace)
     spectrum = tuple(_spectrum(classes))
     # a sum of Fractions over at least one component, so a Fraction
     bh_bound = sum(
@@ -507,7 +473,7 @@ def report(g: CubicRibbonGraph, *, spectrum_max: int | None = None) -> SurfaceRe
     if genus_sum >= 2:
         log_genus = math.log(genus_sum)
         log_log_genus = math.log(log_genus)
-        systole_gap = log_genus - log_log_genus - shortest.length
+        systole_gap = log_genus - log_log_genus - systole_length
     return SurfaceReport(
         vertices=g.num_vertices,
         edges=g.num_edges(),
@@ -515,7 +481,7 @@ def report(g: CubicRibbonGraph, *, spectrum_max: int | None = None) -> SurfaceRe
         genus_sum=genus_sum,
         girth=min(c.girth for c in comps),
         systole_trace=shortest.trace,
-        systole_length=shortest.length,
+        systole_length=systole_length,
         systole_word=shortest.word,
         spectrum=spectrum,
         bh_bound=bh_bound,

@@ -6,6 +6,7 @@ import importlib.util
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -252,11 +253,13 @@ def test_tree_replay_matches_the_stack_search_oracle(monkeypatch):
 
 
 def test_the_completion_keeps_its_step_tables_in_step(monkeypatch):
-    # at every call of three builds, each of which takes a Case-2 swap, the
+    # at every call of four builds, each of which takes a Case-2 swap, the
     # live plan's step tables equal tables composed afresh from the pair
     # table, and its members equal those of the one-call route and of the
-    # stack-search oracle; the swap is each build's last step, so the
-    # tables are compared with the finished graph's as well
+    # stack-search oracle; the first three builds swap at their last step,
+    # so the tables are compared with the finished graph's as well, and the
+    # fourth swaps first with four free slots left, so later calls read the
+    # swap's writes
     calls, plans = [], []
     real = builder.forbidden_reach
 
@@ -268,10 +271,15 @@ def test_the_completion_keeps_its_step_tables_in_step(monkeypatch):
         return live
 
     monkeypatch.setattr(builder, "forbidden_reach", checking)
-    for k, rng_seed in ((4, 5), (16, 6), (10, 0)):
-        graph, report = build(SeedSpec(k=k, rng_seed=rng_seed))
-        assert report.case2 == 1
-        assert plans[-1][0] == builder._reach_plan(graph.pair_table(), k)[0]
+    for spec, swaps in (
+        (SeedSpec(k=4, rng_seed=5), 1),
+        (SeedSpec(k=16, rng_seed=6), 1),
+        (SeedSpec(k=10, rng_seed=0), 1),
+        (SeedSpec(k=6, size=40, rng_seed=15), 2),
+    ):
+        graph, report = build(spec)
+        assert report.case2 == swaps
+        assert plans[-1][0] == builder._reach_plan(graph.pair_table(), spec.k)[0]
     assert len(calls) > 400
     assert calls == [(True, True)] * len(calls)
 
@@ -416,7 +424,7 @@ def test_iteration_accounting():
 
 
 _COMPONENT = dict(vertices=(0, 1), genus=1, cusp_lengths=(6,), girth=2)
-_CYCLE = dict(word="LLR", trace=5, length=words.geodesic_length(5), multiplicity=2, witness=(0, 4, 8))
+_CYCLE = dict(word="LLR", trace=5, multiplicity=2, witness=(0, 4, 8))
 _CERTIFICATE = dict(
     passed=False, floor=6, short_cycles=(scanner.CycleClass(**_CYCLE),), short_faces=((0, 1, 2, 3, 4),)
 )
@@ -564,6 +572,20 @@ else:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_completion_errors_carry_a_bounded_message():
+    # the message names the invariant and at most eight free slots, so it
+    # does not grow with the graph, which rides along as an attribute
+    shapes = []
+    for k in (5, 40):  # 20 and 6124 vertices
+        seed = make_seed(SeedSpec(k=k))
+        with pytest.raises(builder.CompletionError) as info:
+            builder._non_seed_edge(seed, 0)
+        assert info.value.graph is seed
+        assert "CRG 1" not in str(info.value)
+        shapes.append(re.sub(r"\d+", "0", str(info.value)))
+    assert shapes[0] == shapes[1]
 
 
 def test_no_bare_asserts_under_src():

@@ -10,6 +10,7 @@ from systolic import builder, census, ribbon, scanner, words
 from systolic.cli import build_parser, main
 
 from _oracles import circuit_graph, edges, seed_edges, theta_graph
+from conftest import TEST_ADDRESS_LIMIT_BYTES
 
 
 def run(capsys, *argv):
@@ -433,25 +434,14 @@ def test_floors_above_the_cap_exit_two_before_any_sieve(tmp_path, capsys, monkey
     assert not target.exists()
 
 
-def test_readme_states_the_current_caps():
-    # the caps are quoted in the README's usage notes; a changed value must
-    # change the text with it
-    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
-    with open(readme, encoding="utf-8") as handle:
-        text = " ".join(handle.read().split())
-
-    def spelled(value):
-        exponent = len(str(value)) - 1
-        return f"10^{exponent}" if value == 10**exponent and exponent > 1 else str(value)
-
-    for module, name in [
-        (census, "MAX_SIEVE_LIMIT"),
-        (words, "MAX_WORD_LETTERS"),
-        (builder, "MAX_VERTICES"),
-        (builder, "MAX_FLOOR"),
-    ]:
-        stated = f"`{module.__name__.rsplit('.', 1)[-1]}.{name}` = {spelled(getattr(module, name))}"
-        assert stated in text, stated
+def test_every_test_runs_under_an_address_space_limit():
+    # the suite's conftest lowers the soft limit at session start, so a
+    # runaway allocation fails its test instead of exhausting the host
+    resource = pytest.importorskip("resource")
+    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    assert soft != resource.RLIM_INFINITY and soft <= TEST_ADDRESS_LIMIT_BYTES
+    with pytest.raises(MemoryError):
+        bytearray(TEST_ADDRESS_LIMIT_BYTES)
 
 
 @pytest.mark.parametrize(
@@ -530,24 +520,25 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("systolic.
 """
 
 
-@pytest.mark.parametrize(
-    "argv, loaded, stdlib",
-    [
-        ([], {"cli"}, set()),
-        (["census", "--max-trace", "20"], {"cli", "census"}, set()),
-        (["recover", "--matrix", "2,1,1,1"], {"cli", "words"}, set()),
-        (["verify", "--k", "5", "g.crg"], {"cli", "ribbon", "scanner", "words"}, set()),
-        (["report", "g.crg", "--json"], {"cli", "ribbon", "scanner", "words"}, {"fractions", "json"}),
-        (["construct", "--k", "5", "-o", "out.crg"], {"cli", "builder", "census", "ribbon", "words"}, set()),
-        (
-            ["construct", "--k", "5", "-o", "out.crg", "--report", "out.json"],
-            {"cli", "builder", "census", "ribbon", "words"},
-            {"json"},
-        ),
-        (["selftest"], {"cli", "census", "ribbon", "scanner", "words"}, set()),
-    ],
-    ids=["import", "census", "recover", "verify", "report", "construct", "construct-report", "selftest"],
-)
+# id -> (argv, the systolic modules loaded, which of _STDLIB are loaded);
+# the README's start-up table states the same, checked by test_readme.py
+SUBCOMMAND_IMPORTS = {
+    "import": ([], {"cli"}, set()),
+    "census": (["census", "--max-trace", "20"], {"cli", "census"}, set()),
+    "recover": (["recover", "--matrix", "2,1,1,1"], {"cli", "words"}, set()),
+    "verify": (["verify", "--k", "5", "g.crg"], {"cli", "ribbon", "scanner", "words"}, set()),
+    "report": (["report", "g.crg", "--json"], {"cli", "ribbon", "scanner", "words"}, {"fractions", "json"}),
+    "construct": (["construct", "--k", "5", "-o", "out.crg"], {"cli", "builder", "census", "ribbon", "words"}, set()),
+    "construct-report": (
+        ["construct", "--k", "5", "-o", "out.crg", "--report", "out.json"],
+        {"cli", "builder", "census", "ribbon", "words"},
+        {"json"},
+    ),
+    "selftest": (["selftest"], {"cli", "census", "ribbon", "scanner", "words"}, set()),
+}
+
+
+@pytest.mark.parametrize("argv, loaded, stdlib", SUBCOMMAND_IMPORTS.values(), ids=list(SUBCOMMAND_IMPORTS))
 def test_each_subcommand_imports_only_the_modules_it_runs(tmp_path, argv, loaded, stdlib):
     # a one-shot process pays for every module it imports: census loads
     # census alone, verify and report never load the builder or the census,
