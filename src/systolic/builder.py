@@ -60,8 +60,8 @@ __all__ = [
 
 
 # Largest floor whose least admissible count fits under MAX_VERTICES (that of
-# 385 is 1002104); checked before seed_size_bound builds its sieve of about
-# (k - 2)**2 / 4 entries.
+# 385 is 1002104); ``_require_floor`` checks it before seed_size_bound builds
+# its sieve of about (k - 2)**2 / 4 entries or _admissible_tree its tree.
 MAX_FLOOR = 384
 
 
@@ -86,9 +86,13 @@ class CompletionError(RuntimeError):
 
 
 def word_for_trace(t: int) -> str:
-    """L^(t-2) R, the canonical circuit word with trace exactly t."""
+    """L^(t-2) R, the canonical circuit word with trace exactly t; its t - 1
+    letters are checked against ``MAX_VERTICES`` before it is spelled, since
+    no longer circuit fits in any seed."""
     if t < 3:
         raise ValueError(f"trace {t} is below 3")
+    if t - 1 > MAX_VERTICES:
+        raise ValueError(f"trace {t} needs {t - 1} letters, above the cap of {MAX_VERTICES} vertices")
     return "L" * (t - 2) + "R"
 
 
@@ -97,31 +101,48 @@ def parity_word(k: int) -> str:
     return "L" * (k - 2) + "RR"
 
 
-@functools.lru_cache(maxsize=16)
-def seed_size_bound(k: int) -> int:
-    """Least admissible vertex count, 2 N(k-2) + 4k - 4 (N(1) is empty);
-    cached, since validation, layout and the seed check all read it."""
-    return 2 * census.N_of(max(k - 2, 2)) + 4 * k - 4
+def _is_int(value) -> bool:
+    """An int that is not a bool, which would build as 0 or 1 but print as false or true."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def check_planted_budget(k: int, planted_vertices: int) -> None:
-    """Raise SeedSpecError when k is above ``MAX_FLOOR`` or planted circuits
-    need more vertices than the least admissible seed, ``seed_size_bound(k)``."""
+def _require_floor(k) -> None:
+    """The one gate for a floor: raise SeedSpecError unless k is an int, not
+    a bool, with 3 <= k <= ``MAX_FLOOR``.  Every route that allocates for a
+    floor asks it first: ``seed_size_bound`` before its sieve and
+    ``_admissible_tree`` before its tree."""
+    if not _is_int(k) or k < 3:
+        raise SeedSpecError(f"floor k={k!r} must be an integer >= 3")
     if k > MAX_FLOOR:
         raise SeedSpecError(
             f"floor {k} exceeds the cap of {MAX_FLOOR}, the last floor that fits in {MAX_VERTICES} vertices"
         )
+
+
+@functools.lru_cache(maxsize=16, typed=True)
+def seed_size_bound(k: int) -> int:
+    """Least admissible vertex count, 2 N(k-2) + 4k - 4 (N(1) is empty).
+
+    It is the least even count above two full forbidden sets: the tree of
+    ``_admissible_tree(k)`` has exactly N(max(k-2, 2)) + 2k - 3 nodes, the
+    empty word, L^j and R^j for 1 <= j <= k - 2, and one word per matrix of
+    trace 3..k - 2; a word of trace t has at most t - 1 letters, so the
+    length cap cuts only letter powers.  Cached per floor and type (5.0 is
+    not served from the entry of 5), since validation, layout and the seed
+    check all read it; the floor gate runs before the sieve."""
+    _require_floor(k)
+    return 2 * census.N_of(max(k - 2, 2)) + 4 * k - 4
+
+
+def check_planted_budget(k: int, planted_vertices: int) -> None:
+    """Raise SeedSpecError when k fails the floor gate or planted circuits
+    need more vertices than the least admissible seed, ``seed_size_bound(k)``."""
     bound = seed_size_bound(k)
     if planted_vertices > bound:
         raise SeedSpecError(
             f"planted circuits need {planted_vertices} vertices, above the "
             f"admissible budget 2*N({k - 2}) + 4*{k} - 4 = {bound}"
         )
-
-
-def _is_int(value) -> bool:
-    """An int that is not a bool, which would build as 0 or 1 but print as false or true."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class Plant(namedtuple("Plant", "word multiplicity")):
@@ -141,8 +162,7 @@ class SeedSpec(
     __slots__ = ()
 
     def validate(self) -> None:
-        if not isinstance(self.k, int) or self.k < 3:
-            raise SeedSpecError(f"floor k={self.k!r} must be an integer >= 3")
+        _require_floor(self.k)
         if not _is_int(self.rng_seed) or not 0 <= self.rng_seed < 2**64:
             raise SeedSpecError(f"rng_seed {self.rng_seed!r} must be an integer that fits in 64 bits")
         if not isinstance(self.strict_seed_trace, bool):
@@ -160,8 +180,12 @@ class SeedSpec(
         # the budget reads only lengths: check it before any plant's trace,
         # whose product grows quadratically with the word
         check_planted_budget(self.k, self.planted_vertices())
-        for plant in self.plants:
-            self._check_plant_word(plant.word)
+        for word, _ in self.plants:
+            if not _meets_floor(word, self.k, self.strict_seed_trace):
+                raise SeedSpecError(
+                    f"planted word {word!r} has trace {words.trace_of(word)}, below the floor {self.k}"
+                    + ("" if self.strict_seed_trace else f", and is not a letter power of length >= {self.k}")
+                )
         if self.size is None:
             return
         if self.size > MAX_VERTICES:
@@ -171,14 +195,6 @@ class SeedSpec(
         bound = seed_size_bound(self.k)
         if self.size < bound:
             raise SeedSpecError(f"size {self.size} is below the least admissible count {bound}")
-
-    def _check_plant_word(self, word: str) -> None:
-        if _meets_floor(word, self.k, self.strict_seed_trace):
-            return
-        raise SeedSpecError(
-            f"planted word {word!r} has trace {words.trace_of(word)}, below the floor {self.k}"
-            + ("" if self.strict_seed_trace else f", and is not a letter power of length >= {self.k}")
-        )
 
     def planted_vertices(self) -> int:
         return sum(p.multiplicity * len(p.word) for p in self.plants)
@@ -275,14 +291,16 @@ class ForbiddenReach(namedtuple("ForbiddenReach", "members")):
     __slots__ = ()
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=4, typed=True)
 def _admissible_tree(k: int):
     """Preorder arrays (letter, parent, subtree end) of the words of at most
     k - 2 letters and trace at most max(k - 2, 2), R subtrees before L;
     letter 0 is L and 1 is R, the index of the node's step table in a
     ``_reach_plan``.  Node 0 is the empty word, its own parent.  Each word's
     length and matrix live only on the build stack, to prune; the tree
-    depends on k alone, so it is cached per k."""
+    depends on k alone, so it is cached per k and type, after the floor
+    gate."""
+    _require_floor(k)
     max_trace = max(k - 2, 2)
     letter, parent = [], []
     stack = [(0, 0, 0, 1, 0, 0, 1)]
@@ -313,9 +331,9 @@ def _reach_plan(pair: list[int], k: int):
     and an arrival buffer of one slot per node.  The tables follow ``pair``
     only as long as whoever pairs or frees a slot s rewrites ``L[pred[s]]``
     and ``R[succ[s]]``."""
+    letter, parent, end = _admissible_tree(k)
     succ, pred = ribbon.turn_tables(len(pair))
     steps = (list(map(pair.__getitem__, succ)), list(map(pair.__getitem__, pred)))
-    letter, parent, end = _admissible_tree(k)
     return steps, tuple(map(steps.__getitem__, letter)), parent, end, [0] * len(letter)
 
 
@@ -329,16 +347,14 @@ def forbidden_reach(g: CubicRibbonGraph, x: int, k: int, _plan=None) -> Forbidde
     replay; any other call first composes a plan for itself, which costs
     O(V) time and memory per call.  x's degree and free slot are read
     straight off the pair table, and no matrix arithmetic is done.  Raises
-    ValueError unless x is a vertex of the graph with degree 2 and k is at
-    least 3."""
+    ValueError unless x is a vertex of the graph with degree 2, then, when
+    it composes its own plan, SeedSpecError unless k passes the floor gate."""
     pair = g.pair_table()
     if not 0 <= x < len(pair) // 3:
         raise ValueError(f"vertex {x} outside 0..{len(pair) // 3 - 1}")
     free = [s for s in range(3 * x, 3 * x + 3) if pair[s] < 0]
     if len(free) != 1:
         raise ValueError(f"vertex {x} has degree {3 - len(free)}, expected 2")
-    if k < 3:
-        raise ValueError(f"floor {k} is below 3")
     _, tab, parent, end, at = _plan or _reach_plan(pair, k)
     n = len(tab)
     at[0] = free[0]
@@ -357,13 +373,14 @@ def forbidden_reach(g: CubicRibbonGraph, x: int, k: int, _plan=None) -> Forbidde
 
 
 def _validate_seed_graph(g: CubicRibbonGraph, k: int, strict: bool) -> None:
-    """Check the completion's preconditions in one pass each: size, degrees
-    read from the pair table, seed flags on every paired slot, then each
-    circuit's word, walked once in ascending order of its least vertex."""
+    """Check the completion's preconditions in one pass each: the floor
+    (through ``seed_size_bound``'s gate), size, degrees read from the pair
+    table, seed flags on every paired slot, then each circuit's word,
+    walked once in ascending order of its least vertex."""
     n = g.num_vertices
+    bound = seed_size_bound(k)
     if n % 2:
         raise HypothesisError(f"seed has an odd vertex count {n}")
-    bound = seed_size_bound(k)
     if n < bound:
         raise HypothesisError(f"seed has {n} vertices, below the admissible bound {bound}")
     pair = g.pair_table()

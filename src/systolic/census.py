@@ -41,14 +41,16 @@ __all__ = [
 ]
 
 
-# Largest sieve the library will allocate.  A trace-m census needs about
-# m*m/4 entries, so 10**7 covers traces up to 6,324.  Building it peaks at
-# the table it keeps, about 76 MiB (tracemalloc at 10**6: 7.6 MiB at the
-# peak and held, scaled tenfold; a fresh process that builds it reads a
-# ru_maxrss of 91 MiB) and takes about 6-7 s on a 2-vCPU Xeon VM.  A larger
-# request is refused with ValueError before anything is allocated, rather
-# than ending in MemoryError or exhausting the host.
+# Largest sieve the library will allocate.  Building it peaks at the table
+# it keeps, about 76 MiB (tracemalloc at 10**6: 7.6 MiB at the peak and
+# held, scaled tenfold; a fresh process that builds it reads a ru_maxrss of
+# 91 MiB) and takes about 6-7 s on a 2-vCPU Xeon VM.  A larger request is
+# refused with ValueError before anything is allocated, rather than ending
+# in MemoryError or exhausting the host.
 MAX_SIEVE_LIMIT = 10**7
+# Largest census trace: a trace-m census reads a sieve of m*m // 4 entries,
+# which fits under the cap exactly when m*m <= 4 * MAX_SIEVE_LIMIT + 3.
+_MAX_TRACE = math.isqrt(4 * MAX_SIEVE_LIMIT + 3)
 
 
 def divisor_count(n: int) -> int:
@@ -79,7 +81,7 @@ class DivisorSieve:
         if limit > MAX_SIEVE_LIMIT:
             raise ValueError(
                 f"sieve limit {limit} exceeds the cap of {MAX_SIEVE_LIMIT} entries "
-                f"(traces above 6324)"
+                f"(traces above {_MAX_TRACE})"
             )
         self.limit = limit
         tau = [0] * (limit + 1)
@@ -97,8 +99,13 @@ class DivisorSieve:
 
 
 def _require_trace(m: int) -> None:
+    """The one gate for a census trace, asked before anything is allocated
+    for it: 3 <= m <= _MAX_TRACE, the largest trace whose sieve fits under
+    ``MAX_SIEVE_LIMIT``."""
     if m <= 2:
         raise ValueError(f"trace {m} rejected: the count is only finite for traces >= 3")
+    if m > _MAX_TRACE:
+        raise ValueError(f"trace {m} exceeds the cap of {_MAX_TRACE} (a sieve of {MAX_SIEVE_LIMIT} entries)")
 
 
 def _sieve_for(m: int, sieve: DivisorSieve | None) -> DivisorSieve:
@@ -142,8 +149,7 @@ def n_by_enumeration(max_trace: int) -> dict[int, int]:
     it; both at once would need a*a - b*b = 1 with b >= 1.  Every quadruple
     built is checked against the determinant.  The walk reads no sieve.
     """
-    if max_trace < 3:
-        raise ValueError(f"max_trace must be >= 3, got {max_trace}")
+    _require_trace(max_trace)
     counts = [0] * (max_trace + 1)
     for a in range(1, max_trace // 2 + 1):
         d_max = max_trace - a
@@ -163,11 +169,9 @@ def n_by_enumeration(max_trace: int) -> dict[int, int]:
 
 
 def N_of(m: int) -> int:
-    """Cumulative count over traces 3..m; empty (0) at m = 2."""
+    """Cumulative count over traces 3..m; the empty sum, 0, at m = 2."""
     if m < 2:
         raise ValueError(f"N is defined for m >= 2, got {m}")
-    if m == 2:
-        return 0
     sieve = _sieve_for(m, None)
     return sum(n_by_formula(j, sieve) for j in range(3, m + 1))
 
@@ -194,8 +198,7 @@ def count_words_by_trace(max_trace: int) -> dict[int, int]:
     distinct matrices and the walk reads no sieve, so this is an
     independent oracle for the divisor-based counts.
     """
-    if max_trace < 3:
-        raise ValueError(f"max_trace must be >= 3, got {max_trace}")
+    _require_trace(max_trace)
     counts = [0] * (max_trace + 1)
     stack = [(1 + j, j, 1, 1) for j in range(1, max_trace - 1)]
     while stack:

@@ -388,18 +388,11 @@ def serialize(g: CubicRibbonGraph) -> str:
 
 
 def deserialize(text: str) -> CubicRibbonGraph:
-    """Parse .crg text, accepting exactly the texts ``serialize`` writes.
-
-    Every slot token is looked up in the table ``serialize`` writes from,
-    so a slot has one spelling (``v.i``, ``-`` for a free slot on a vertex
-    line).  The vertex count has no sign, space or leading zero and, once
-    the file has that many vertex lines, is refused above ``MAX_VERTICES``
-    before any slot is allocated; each vertex line is ``v: t0 t1 t2`` with
-    single spaces, the last line ends in a newline, and a SEED section,
-    when present, lists at least one edge, each once as ``u.i-v.j`` with
-    the low slot first, in ascending order of that slot.  The pairing must
-    be a fixed-point-free partial involution and every seed edge an edge of
-    the graph."""
+    """Parse .crg text, whose grammar the README's "The .crg format"
+    section states.  The parser accepts exactly the texts ``serialize``
+    writes, refuses a vertex count above ``MAX_VERTICES`` before any slot
+    is allocated, and raises every refusal as a CrgParseError, with its
+    line number where it has one."""
     if not text.isascii():
         raise CrgParseError("file is not pure ASCII")
     if "\r" in text:

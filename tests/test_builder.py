@@ -173,15 +173,80 @@ def test_make_seed_explicit_size_validation():
 
 def test_max_floor_is_the_last_floor_under_the_vertex_cap():
     # exact on both sides: the least admissible count of MAX_FLOOR fits, the
-    # next floor's does not, and the count grows with k
+    # next floor's does not, and the count grows with k; seed_size_bound
+    # refuses 385 itself, so its count is spelled out
     assert builder.MAX_FLOOR == 384
     assert seed_size_bound(384) == 998292 <= builder.MAX_VERTICES
-    assert seed_size_bound(385) == 1002104 > builder.MAX_VERTICES
+    assert 2 * census.N_of(383) + 4 * 385 - 4 == 1002104 > builder.MAX_VERTICES
     SeedSpec(k=builder.MAX_FLOOR).validate()
     with pytest.raises(SeedSpecError, match="floor 385 exceeds the cap"):
         SeedSpec(k=builder.MAX_FLOOR + 1).validate()
     with pytest.raises(SeedSpecError, match="floor 385 exceeds the cap"):
         builder.check_planted_budget(builder.MAX_FLOOR + 1, 6)
+
+
+# each refused floor with the gate's text: too small, of the wrong type
+# (5.0 comes after valid calls at 5 whose cache entries it must not reach)
+# and above the cap
+_REFUSED_FLOORS = [
+    (2, "floor k=2 must be an integer >= 3"),
+    (-5, "floor k=-5 must be an integer >= 3"),
+    (3.5, "floor k=3.5 must be an integer >= 3"),
+    ("5", "floor k='5' must be an integer >= 3"),
+    (True, "floor k=True must be an integer >= 3"),
+    (5.0, "floor k=5.0 must be an integer >= 3"),
+    (builder.MAX_FLOOR + 1, "floor 385 exceeds the cap of 384, the last floor that fits in 1000000 vertices"),
+]
+
+
+def test_every_floor_route_asks_the_one_gate_before_it_allocates(monkeypatch):
+    seed = make_seed(SeedSpec(k=5))
+    g = circuit_graph(["LLLR"])
+    # valid calls at 5 fill the caches that 5.0 must not be served from
+    forbidden_reach(g, 0, 5)
+    complete(seed, 5)
+
+    class NoSieve:
+        def __init__(self, limit):
+            raise AssertionError(f"a sieve of {limit} entries was built")
+
+    routes = {
+        "seed_size_bound": seed_size_bound,
+        "check_planted_budget": lambda k: builder.check_planted_budget(k, 4),
+        "SeedSpec.validate": lambda k: SeedSpec(k=k).validate(),
+        "make_seed": lambda k: make_seed(SeedSpec(k=k)),
+        "build": lambda k: build(SeedSpec(k=k)),
+        "complete": lambda k: complete(seed, k),
+        "forbidden_reach": lambda k: forbidden_reach(g, 0, k),
+    }
+    with monkeypatch.context() as m:
+        m.setattr(census, "DivisorSieve", NoSieve)
+        for k, text in _REFUSED_FLOORS:
+            for name, route in routes.items():
+                with pytest.raises(SeedSpecError, match=f"^{re.escape(text)}$"):
+                    route(k)
+                    pytest.fail(f"{name} accepted the floor {k!r}")
+    SeedSpec(k=builder.MAX_FLOOR).validate()
+
+
+def test_the_size_bounds_rest_on_the_size_of_the_admissible_tree():
+    # the tree holds the empty word, L^j and R^j for 1 <= j <= k - 2 and one
+    # word per matrix of trace 3..k - 2, and the least admissible count is
+    # the least even count above two full forbidden sets
+    for k in range(3, 61):
+        nodes = len(builder._admissible_tree(k)[0])
+        assert nodes == census.N_of(max(k - 2, 2)) + 2 * k - 3 == forbidden_set_bound(k), k
+        assert seed_size_bound(k) == 2 * nodes + 2, k
+
+
+def test_word_for_trace_refuses_a_word_longer_than_any_seed():
+    # checked before the word is spelled: 10**12 - 1 letters would not fit
+    # in the suite's address-space limit
+    with pytest.raises(ValueError, match="^trace 1000000000000 needs 999999999999 letters, above the cap"):
+        word_for_trace(10**12)
+    word = word_for_trace(builder.MAX_VERTICES + 1)
+    assert len(word) == builder.MAX_VERTICES
+    assert word == "L" * (builder.MAX_VERTICES - 1) + "R"
 
 
 def test_forbidden_reach_on_a_hand_circuit():
@@ -342,14 +407,15 @@ print(builder.build(builder.SeedSpec(k=10))[1].output_sha)
 
 
 def test_forbidden_reach_requires_degree_two():
-    # the input contract: x a vertex of the graph of degree 2, and k >= 3;
+    # the input contract: x a vertex of the graph of degree 2, and a floor
+    # that passes the gate;
     # x = -1 must not wrap around to the last vertex of the slot table
     g = circuit_graph(["LLLR"])
     assert forbidden_reach(g, 3, 5).members == {0, 1, 2, 3}
     for x in (-1, 4):
         with pytest.raises(ValueError, match=f"^vertex {x} outside 0..3$"):
             forbidden_reach(g, x, 5)
-    with pytest.raises(ValueError, match="^floor 2 is below 3$"):
+    with pytest.raises(SeedSpecError, match="^floor k=2 must be an integer >= 3$"):
         forbidden_reach(g, 0, 2)
     sparse = ribbon.CubicRibbonGraph(3)
     sparse.add_edge(0, 3)

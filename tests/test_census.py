@@ -97,10 +97,34 @@ def test_traces_two_and_below_are_rejected():
         for bad in (0, 1, 2):
             with pytest.raises(ValueError):
                 fn(bad)
-    with pytest.raises(ValueError, match="max_trace must be >= 3"):
+    with pytest.raises(ValueError, match="^trace 2 rejected: the count is only finite for traces >= 3$"):
         count_words_by_trace(2)
     with pytest.raises(ValueError, match="m >= 2"):
         N_of(1)
+
+
+def test_every_census_route_refuses_a_trace_above_the_cap_before_allocating(monkeypatch):
+    # the cap is the largest trace whose sieve of m*m // 4 entries fits under
+    # MAX_SIEVE_LIMIT; the two routes that read no sieve are refused at it too,
+    # before their lists of max_trace entries are made
+    cap = census._MAX_TRACE
+    assert cap == 6324
+    assert cap * cap // 4 <= census.MAX_SIEVE_LIMIT < (cap + 1) * (cap + 1) // 4
+
+    class NoSieve:
+        def __init__(self, limit):
+            raise AssertionError(f"a sieve of {limit} entries was built")
+
+    monkeypatch.setattr(census, "DivisorSieve", NoSieve)
+    for route, m in (
+        (n_by_formula, cap + 1),
+        (CensusTable.build, cap + 1),
+        (count_words_by_trace, 10**8),
+        (n_by_enumeration, 10**9),
+    ):
+        with pytest.raises(ValueError, match=f"^trace {m} exceeds the cap of {cap} "):
+            route(m)
+    census._require_trace(cap)
 
 
 def test_enumerated_matrices_are_exactly_the_bruteforce_set():

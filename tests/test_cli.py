@@ -434,6 +434,15 @@ def test_floors_above_the_cap_exit_two_before_any_sieve(tmp_path, capsys, monkey
     assert not target.exists()
 
 
+def test_a_floor_below_three_is_refused_before_the_plant_budget(tmp_path, capsys):
+    target = tmp_path / "x.crg"
+    code, out, err = run(capsys, "construct", "--k", "-5", "--plant-trace", "5:1", "-o", str(target))
+    assert code == 2
+    assert err == "construct: floor k=-5 must be an integer >= 3\n"
+    assert "budget" not in err
+    assert out == "" and not target.exists()
+
+
 def test_every_test_runs_under_an_address_space_limit():
     # the suite's conftest lowers the soft limit at session start, so a
     # runaway allocation fails its test instead of exhausting the host

@@ -58,6 +58,15 @@ def test_readme_states_the_largest_census_trace(monkeypatch):
         census.DivisorSieve(census.MAX_SIEVE_LIMIT + 1)
 
 
+def test_readme_library_example_runs(capsys):
+    # the one python block, run as written, so the example cannot drift
+    (example,) = re.findall(r"^```python\n(.*?)^```$", README, re.M | re.S)
+    exec(compile(example, "README.md", "exec"), {})
+    systole, genus, spectrum = capsys.readouterr().out.split(" ", 2)
+    assert int(systole) >= 10 and int(genus) >= 1
+    assert spectrum.startswith("{") and spectrum.endswith("}\n")
+
+
 def test_readme_counts_the_golden_entries():
     grid = list(golden.grid())
     runs = sum(argv is not None for _, argv, _ in grid)
