@@ -36,7 +36,7 @@ import random
 from collections import namedtuple
 
 from . import census, ribbon, words
-from .ribbon import MAX_VERTICES, CubicRibbonGraph
+from .ribbon import MAX_VERTICES, CubicRibbonGraph, _is_int
 
 __all__ = [
     "MAX_VERTICES",
@@ -89,6 +89,8 @@ def word_for_trace(t: int) -> str:
     """L^(t-2) R, the canonical circuit word with trace exactly t; its t - 1
     letters are checked against ``MAX_VERTICES`` before it is spelled, since
     no longer circuit fits in any seed."""
+    if not _is_int(t):
+        raise ValueError(f"trace {t!r} is not an integer")
     if t < 3:
         raise ValueError(f"trace {t} is below 3")
     if t - 1 > MAX_VERTICES:
@@ -99,11 +101,6 @@ def word_for_trace(t: int) -> str:
 def parity_word(k: int) -> str:
     """Parity-fixing circuit: L^(k-2) R R, trace 2k - 2 on k vertices."""
     return "L" * (k - 2) + "RR"
-
-
-def _is_int(value) -> bool:
-    """An int that is not a bool, which would build as 0 or 1 but print as false or true."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _require_floor(k) -> None:

@@ -98,10 +98,18 @@ class DivisorSieve:
         return self._tau[n]
 
 
+def _is_int(value) -> bool:
+    """An int that is not a bool, as ``ribbon._is_int``: this module imports
+    no other module of the package, so the census command loads it alone."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require_trace(m: int) -> None:
     """The one gate for a census trace, asked before anything is allocated
-    for it: 3 <= m <= _MAX_TRACE, the largest trace whose sieve fits under
-    ``MAX_SIEVE_LIMIT``."""
+    for it: m is an int, not a bool, with 3 <= m <= _MAX_TRACE, the largest
+    trace whose sieve fits under ``MAX_SIEVE_LIMIT``."""
+    if not _is_int(m):
+        raise ValueError(f"trace {m!r} is not an integer")
     if m <= 2:
         raise ValueError(f"trace {m} rejected: the count is only finite for traces >= 3")
     if m > _MAX_TRACE:
@@ -169,9 +177,11 @@ def n_by_enumeration(max_trace: int) -> dict[int, int]:
 
 
 def N_of(m: int) -> int:
-    """Cumulative count over traces 3..m; the empty sum, 0, at m = 2."""
-    if m < 2:
-        raise ValueError(f"N is defined for m >= 2, got {m}")
+    """Cumulative count over traces 3..m; the empty sum, 0, at m = 2.  An m
+    that is not an int, is a bool or is below 2 is refused before the sieve
+    is built."""
+    if not _is_int(m) or m < 2:
+        raise ValueError(f"N is defined for integers m >= 2, got {m!r}")
     sieve = _sieve_for(m, None)
     return sum(n_by_formula(j, sieve) for j in range(3, m + 1))
 

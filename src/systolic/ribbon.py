@@ -42,11 +42,17 @@ __all__ = [
 ]
 
 
-# Largest graph a seed spec may ask for or a .crg file may hold.  A graph of
-# 10**6 vertices and its turn tables take some hundreds of MB.  A larger size
-# is refused before anything is allocated for it, rather than ending in
-# MemoryError or exhausting the host.
+# Largest graph a seed spec may ask for, a .crg file may hold or
+# ``CubicRibbonGraph`` will allocate.  A graph of 10**6 vertices and its turn
+# tables take some hundreds of MB.  A larger size is refused before anything
+# is allocated for it, rather than ending in MemoryError or exhausting the
+# host.
 MAX_VERTICES = 10**6
+
+
+def _is_int(value) -> bool:
+    """An int that is not a bool, which would build as 0 or 1 but print as false or true."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def succ(s: int) -> int:
@@ -83,8 +89,12 @@ class CubicRibbonGraph:
     __slots__ = ("_pair", "_seed")
 
     def __init__(self, num_vertices: int):
+        if not _is_int(num_vertices):
+            raise ValueError(f"vertex count {num_vertices!r} is not an integer")
         if num_vertices < 0:
             raise ValueError(f"negative vertex count {num_vertices}")
+        if num_vertices > MAX_VERTICES:
+            raise ValueError(f"vertex count {num_vertices} exceeds the cap of {MAX_VERTICES} vertices")
         self._pair = [-1] * (3 * num_vertices)
         self._seed = [False] * (3 * num_vertices)
 

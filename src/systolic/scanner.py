@@ -33,7 +33,7 @@ from itertools import compress
 from operator import eq, ge, itemgetter
 
 from . import ribbon, words
-from .ribbon import CubicRibbonGraph
+from .ribbon import CubicRibbonGraph, _is_int
 
 __all__ = [
     "CycleClass",
@@ -264,16 +264,27 @@ def _group_classes(raw: dict[tuple[int, ...], str]) -> list[CycleClass]:
     return out
 
 
+def _require_bound(value, what: str) -> None:
+    """The one gate for a floor or scan bound, named ``what`` in its
+    message: raise ValueError unless value is an int, not a bool, of at
+    least 3, the least essential trace.  Every public scan route asks it
+    before ``_edge_major_tables`` allocates anything."""
+    if not _is_int(value):
+        raise ValueError(f"{what} {value!r} is not an integer")
+    if value < 3:
+        raise ValueError(f"{what} {value} is below 3" + (", the least essential trace" if what == "bound" else ""))
+
+
 def low_trace_cycles(g: CubicRibbonGraph, bound: int) -> list[CycleClass]:
-    """All cycle classes with word trace <= bound, letter powers excluded.
+    """All cycle classes with word trace <= bound, letter powers excluded;
+    ``_require_bound`` refuses a bound that is not an int or is below 3.
 
     The walk is iterative, so no bound is limited by the Python recursion
     depth.
     """
+    _require_bound(bound, "bound")
     if not g.is_complete():
         raise ValueError("graph is not 3-regular: scan the completed graph")
-    if bound < 3:
-        raise ValueError(f"bound {bound} is below 3, the least essential trace")
     return _group_classes(_enumerate(g, bound))
 
 
@@ -364,11 +375,11 @@ class CertificationResult(namedtuple("CertificationResult", "passed floor short_
 
 def certify(g: CubicRibbonGraph, k: int) -> CertificationResult:
     """Pass iff no essential cycle class has trace below k and every face
-    has at least k edges.  For k = 3 the trace condition is vacuous, since
-    essential classes start at trace 3.  A graph with free slots is refused
-    by the scan (k >= 4) or by ``faces`` (k = 3)."""
-    if k < 3:
-        raise ValueError(f"floor {k} is below 3")
+    has at least k edges.  ``_require_bound`` refuses a floor that is not an
+    int or is below 3, also at k = 3, where the trace condition is vacuous,
+    since essential classes start at trace 3, and no scan runs.  A graph
+    with free slots is refused by the scan (k >= 4) or by ``faces`` (k = 3)."""
+    _require_bound(k, "floor")
     short_cycles = tuple(low_trace_cycles(g, k - 1)) if k >= 4 else ()
     short_faces = tuple(f for f in ribbon.faces(g) if len(f) < k)
     return CertificationResult(
@@ -451,17 +462,22 @@ def report(g: CubicRibbonGraph, *, spectrum_max: int | None = None) -> SurfaceRe
 
     One ``_first_classes`` call at max(3, spectrum_max) yields both the
     systole (its least class) and the spectrum up to max(spectrum_max,
-    systole trace).  The systole's length is the one length computed.
+    systole trace); a spectrum_max of None or below 3 asks for the systole
+    alone.  ``_require_bound`` refuses a spectrum_max that is not an int
+    before anything is computed.  The systole's length is the one length
+    computed.
 
     Lengths are those of the cusped surface; the compactified surface's
     lengths converge to them as the cusp neighbourhoods grow, but no
     quantitative correction is applied here.
     """
+    start = 3 if spectrum_max is None or (_is_int(spectrum_max) and spectrum_max < 3) else spectrum_max
+    _require_bound(start, "spectrum_max")
     if g.num_vertices == 0:
         raise ValueError("nothing to report on an empty graph")
     comps = ribbon.genus_closed(g)
     genus_sum = sum(c.genus for c in comps)
-    classes = _first_classes(g, max(3, spectrum_max or 3))
+    classes = _first_classes(g, start)
     shortest = classes[0]
     systole_length = words.geodesic_length(shortest.trace)
     spectrum = tuple(_spectrum(classes))

@@ -54,6 +54,10 @@ def test_padding_words():
         assert len(parity_word(k)) == k
     with pytest.raises(ValueError, match="trace 2 is below 3"):
         word_for_trace(2)
+    # a float or numeral would spell "L" * (t - 2) and fail there; a bool reads as 0 or 1
+    for t in (5.5, "5", True):
+        with pytest.raises(ValueError, match=f"^trace {t!r} is not an integer$"):
+            word_for_trace(t)
 
 
 def test_seed_size_bound_values():

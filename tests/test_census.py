@@ -127,6 +127,22 @@ def test_every_census_route_refuses_a_trace_above_the_cap_before_allocating(monk
     census._require_trace(cap)
 
 
+def test_every_census_route_refuses_a_non_integer_trace_before_allocating(monkeypatch):
+    # a float, a numeral or a bool would size a list or a sieve; each is
+    # refused by the gate's type test, with no sieve built
+    class NoSieve:
+        def __init__(self, limit):
+            raise AssertionError(f"a sieve of {limit} entries was built")
+
+    monkeypatch.setattr(census, "DivisorSieve", NoSieve)
+    for m in (5.5, True, "7"):
+        for route in (n_by_formula, n_by_enumeration, count_words_by_trace, CensusTable.build):
+            with pytest.raises(ValueError, match=f"^trace {m!r} is not an integer$"):
+                route(m)
+        with pytest.raises(ValueError, match=f"^N is defined for integers m >= 2, got {m!r}$"):
+            N_of(m)
+
+
 def test_enumerated_matrices_are_exactly_the_bruteforce_set():
     for m in range(3, 12):
         _, mats = full_range_enumeration(m, with_matrices=True)

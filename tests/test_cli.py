@@ -36,6 +36,23 @@ def test_census_output_file(tmp_path, capsys):
     assert target.read_text().startswith("m,n,N,")
 
 
+def test_census_check_failure_exits_1_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    class PoisonedSieve(census.DivisorSieve):
+        def __init__(self, limit):
+            super().__init__(limit)
+            # 538 = 11*49 - 1 feeds the a = 11 term of trace 60 and no
+            # smaller trace, so the formula and the two oracles part there
+            self._tau[538] = 2
+
+    monkeypatch.setattr(census, "DivisorSieve", PoisonedSieve)
+    target = tmp_path / "census.csv"
+    code, out, err = run(capsys, "census", "--max-trace", "60", "--check", "-o", str(target))
+    assert (code, out) == (1, "")
+    assert err.startswith("census check failed: census mismatch at trace 60: formula=")
+    assert err.count("\n") == 1
+    assert not target.exists()
+
+
 def test_construct_verify_report_roundtrip(tmp_path, capsys):
     crg = tmp_path / "g.crg"
     rep = tmp_path / "g.json"
@@ -123,6 +140,14 @@ def test_verify_incomplete_graph(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "--k", "5", str(crg))
     assert code == 1
     assert "3-regular" in err
+
+
+def test_verify_refuses_a_floor_below_3(tmp_path, capsys):
+    crg = tmp_path / "theta.crg"
+    crg.write_text(ribbon.serialize(theta_graph(False)), newline="\n")
+    for k in ("2", "0"):
+        code, out, err = run(capsys, "verify", "--k", k, str(crg))
+        assert (code, out, err) == (2, "", f"error: floor {k} is below 3\n")
 
 
 def test_empty_graph_is_a_verification_failure(tmp_path, capsys):

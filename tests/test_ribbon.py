@@ -481,6 +481,19 @@ def test_deserialize_refuses_a_vertex_count_above_the_cap(monkeypatch):
     assert str(info.value) == f"line 2: vertex count {cap + 1} exceeds the cap of {cap} vertices"
 
 
+def test_the_constructor_refuses_a_count_that_is_not_an_int_or_above_the_cap():
+    # the graph's lists are allocated here, so this is where the count is
+    # checked: a bool would build a graph of 0 or 1 vertices, and 10**8
+    # vertices ask for lists of 3 * 10**8 slots
+    cap = ribbon.MAX_VERTICES
+    for n in (True, 2.0, "2"):
+        with pytest.raises(ValueError, match=f"^vertex count {n!r} is not an integer$"):
+            CubicRibbonGraph(n)
+    for n in (cap + 1, 10**8):
+        with pytest.raises(ValueError, match=f"^vertex count {n} exceeds the cap of {cap} vertices$"):
+            CubicRibbonGraph(n)
+
+
 def test_parse_error_carries_line_number():
     try:
         deserialize("CRG 1\n2\n0: 1.0 1.1 1.2\n1: 0.0 0.1 bogus\n")

@@ -118,6 +118,32 @@ def test_low_trace_cycles_preconditions():
             scan()
 
 
+def test_every_scan_route_asks_the_one_gate_before_it_scans(monkeypatch):
+    # a floor or bound is an int, not a bool, of at least 3; each refusal
+    # comes before the step tables of a scan are built
+    theta = theta_graph(False)
+    assert certify(theta, 3).passed  # one face of 6 edges, and no scan at k = 3
+    assert report(theta, spectrum_max=-5) == report(theta, spectrum_max=2) == report(theta)
+
+    def no_tables(g):
+        raise AssertionError("the scan built its step tables")
+
+    monkeypatch.setattr(scanner, "_edge_major_tables", no_tables)
+    with pytest.raises(AssertionError, match="step tables"):
+        low_trace_cycles(theta, 3)
+    for value in (2, 3.5, 4.5, True, "5"):
+        reason = "is below 3" if value == 2 else "is not an integer"
+        for route in (low_trace_cycles, bottom_spectrum, certify):
+            with pytest.raises(ValueError, match=reason):
+                route(theta, value)
+    # below 3 a spectrum_max asks for the systole alone, so only the type is refused
+    for value in (3.5, True, "5"):
+        with pytest.raises(ValueError, match=f"^spectrum_max {value!r} is not an integer$"):
+            report(theta, spectrum_max=value)
+    with pytest.raises(ValueError, match=r"^floor 3\.5 is not an integer$"):
+        certify(theta, 3.5)  # the systole of theta has trace 3: no pass at a floor of 3.5
+
+
 def test_empty_graph_has_the_distinguished_no_cycle_result():
     empty = ribbon.CubicRibbonGraph(0)
     assert low_trace_cycles(empty, 5) == []
