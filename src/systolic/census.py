@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from itertools import accumulate
+from operator import add
 
 __all__ = [
     "divisor_count",
@@ -42,11 +44,12 @@ __all__ = [
 
 
 # Largest sieve the library will allocate.  Building it peaks at the table
-# it keeps, about 76 MiB (tracemalloc at 10**6: 7.6 MiB at the peak and
-# held, scaled tenfold; a fresh process that builds it reads a ru_maxrss of
-# 91 MiB) and takes about 6-7 s on a 2-vCPU Xeon VM.  A larger request is
-# refused with ValueError before anything is allocated, rather than ending
-# in MemoryError or exhausting the host.
+# it keeps, about 76 MiB (tracemalloc at 10**6: 7.6 MiB held, 7.9 MiB at
+# the peak with one block's counts in flight, scaled tenfold; a fresh
+# process that builds it reads a ru_maxrss of 90 MiB) and takes about
+# 1.1-1.5 s on a 2-vCPU Xeon VM.  A larger request is refused with
+# ValueError before anything is allocated, rather than ending in
+# MemoryError or exhausting the host.
 MAX_SIEVE_LIMIT = 10**7
 # Largest census trace: a trace-m census reads a sieve of m*m // 4 entries,
 # which fits under the cap exactly when m*m <= 4 * MAX_SIEVE_LIMIT + 3.
@@ -66,13 +69,29 @@ def divisor_count(n: int) -> int:
     return count
 
 
+# Counters per block of the sieve: a bytearray this long and the list of
+# its doubled counts are all that building the table holds besides the table.
+_SIEVE_BLOCK = 1 << 14
+# Maps a byte counter v to v + 1, and 255 to itself, so that a counter which
+# would wrap stays at 255, where the sieve's guard sees it.
+_PLUS_ONE = bytes(range(1, 256)) + b"\xff"
+
+
 class DivisorSieve:
     """Divisor-count table for every n in [1, limit].
 
-    Each pair of divisors i <= j with i*j = n adds 2 to n's count, or 1
-    when i = j.  Memory is O(limit); for a census up to trace m the
-    arguments reach roughly m*m/4, so the table for m = 300 holds ~22500
-    entries.
+    Each pair of divisors i < j with i*j = n adds 2 to n's count, and a
+    square i*i adds 1 more.  The pairs are counted in byte counters, one
+    block of ``_SIEVE_BLOCK`` consecutive n at a time: for each i, one
+    slice of the block's multiples of i from i*i + i on goes through
+    ``bytes.translate`` with the +1 table, so that each i costs one C-level
+    pass per block.  One ``map(add, ...)`` then writes twice each count
+    into the table, and the squares get their 1 at the end.  No counter can
+    wrap: every n <= 10**7 has at most 448 divisors, so at most 224 pairs,
+    and a byte holds 254 before it reaches the saturated 255, which the
+    build refuses with OverflowError.  Memory is O(limit); for a census up
+    to trace m the arguments reach roughly m*m/4, so the table for m = 300
+    holds ~22500 entries.
     """
 
     def __init__(self, limit: int):
@@ -85,10 +104,19 @@ class DivisorSieve:
             )
         self.limit = limit
         tau = [0] * (limit + 1)
+        for lo in range(1, limit + 1, _SIEVE_BLOCK):
+            hi = min(lo + _SIEVE_BLOCK, limit + 1)
+            pairs = bytearray(hi - lo)
+            # the pair i < j = n // i lies in the block from n = i*i + i on,
+            # at the block's first multiple of i past that
+            for i in range(1, math.isqrt(hi - 1) + 1):
+                start = max(i * i + i, lo + (-lo) % i) - lo
+                pairs[start::i] = pairs[start::i].translate(_PLUS_ONE)
+            if 255 in pairs:
+                raise OverflowError(f"a divisor-pair counter in [{lo}, {hi}) passed 254")
+            tau[lo:hi] = map(add, pairs, pairs)
         for i in range(1, math.isqrt(limit) + 1):
             tau[i * i] += 1
-            for j in range(i * i + i, limit + 1, i):
-                tau[j] += 2
         self._tau = tau
 
     def divisor_count(self, n: int) -> int:
@@ -178,10 +206,13 @@ def n_by_enumeration(max_trace: int) -> dict[int, int]:
 
 def N_of(m: int) -> int:
     """Cumulative count over traces 3..m; the empty sum, 0, at m = 2.  An m
-    that is not an int, is a bool or is below 2 is refused before the sieve
-    is built."""
+    that is not an int, is a bool or is below 2 is refused, and an m >= 3
+    goes through the census trace gate before the sieve is sized."""
     if not _is_int(m) or m < 2:
         raise ValueError(f"N is defined for integers m >= 2, got {m!r}")
+    if m == 2:
+        return 0
+    _require_trace(m)
     sieve = _sieve_for(m, None)
     return sum(n_by_formula(j, sieve) for j in range(3, m + 1))
 
@@ -201,15 +232,19 @@ def count_words_by_trace(max_trace: int) -> dict[int, int]:
     a, c >= 1, so t and b only grow: once t + b passes the bound, no later
     link has an R child within it, and the rest of the chain is just the
     traces t, t + c, t + 2c, ... up to the bound, counted by one range with
-    no pushes.  The spine, whose trace stays 2, is the one branch the trace
-    bound cannot end; listing it directly replaces the length cap, since
-    every other word has trace at least its length + 1, and the trace bound
-    alone ends each remaining branch.  Distinct words have
-    distinct matrices and the walk reads no sieve, so this is an
-    independent oracle for the divisor-based counts.
+    no pushes.  A pushed node has c + d >= 2 in its c, so c = 1 only on the
+    seed chains, whose tails are runs of every trace from t to the bound:
+    each marks its start in a difference list, and one running sum at the
+    end adds all of them into the histogram.  The spine, whose trace stays
+    2, is the one branch the trace bound cannot end; listing it directly
+    replaces the length cap, since every other word has trace at least its
+    length + 1, and the trace bound alone ends each remaining branch.
+    Distinct words have distinct matrices and the walk reads no sieve, so
+    this is an independent oracle for the divisor-based counts.
     """
     _require_trace(max_trace)
     counts = [0] * (max_trace + 1)
+    starts = [0] * (max_trace + 1)
     stack = [(1 + j, j, 1, 1) for j in range(1, max_trace - 1)]
     while stack:
         a, b, c, d = stack.pop()
@@ -220,8 +255,12 @@ def count_words_by_trace(max_trace: int) -> dict[int, int]:
             t += c
             b += a
             d += c
-        for u in range(t, max_trace + 1, c):
-            counts[u] += 1
+        if c == 1:
+            starts[t] += 1
+        else:
+            for u in range(t, max_trace + 1, c):
+                counts[u] += 1
+    counts = list(map(add, counts, accumulate(starts)))
     return {m: 2 * counts[m] for m in range(3, max_trace + 1)}
 
 

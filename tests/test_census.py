@@ -35,11 +35,24 @@ def test_divisor_count_examples():
 
 def test_sieve_matches_trial_division():
     # limits 1 and 2 run the pair loop for i = 1 only; the perfect square
-    # 3025 = 55**2 makes its last i count the limit itself as i*i
-    for limit in (1, 2, 3000, 3025):
+    # 3025 = 55**2 makes its last i count the limit itself as i*i.  The
+    # limits around one and three blocks end the table just before, at and
+    # just past a block's end (the block's end, 2**14 = 128**2, is a square
+    # too), so the later blocks start their progressions mid-stride.  The
+    # reference tallies every divisor of every n, so it shares no pair rule
+    # with the sieve; trial division checks it at the block edges.
+    block = census._SIEVE_BLOCK
+    top = 3 * block + 1
+    every = [0] * (top + 1)
+    for i in range(1, top + 1):
+        for j in range(i, top + 1, i):
+            every[j] += 1
+    for n in (1, block - 1, block, block + 1, 2 * block, 2 * block + 1, top):
+        assert every[n] == divisor_count(n), n
+    for limit in (1, 2, 3000, 3025, block - 1, block, block + 1, top - 2, top - 1, top):
         sieve = DivisorSieve(limit)
         for n in range(1, limit + 1):
-            assert sieve.divisor_count(n) == divisor_count(n)
+            assert sieve.divisor_count(n) == every[n], (limit, n)
         for n in (0, limit + 1):
             with pytest.raises(ValueError):
                 sieve.divisor_count(n)
@@ -48,6 +61,28 @@ def test_sieve_matches_trial_division():
             DivisorSieve(limit)
     with pytest.raises(ValueError, match="too small for trace 60"):
         n_by_formula(60, DivisorSieve(10))
+
+
+def test_sieve_at_the_cap_counts_every_pair_in_a_byte():
+    # the most divisors of any n <= MAX_SIEVE_LIMIT is 448, at 8648640: 224
+    # pairs, below the 255 at which a byte counter is refused.  720720, with
+    # 240 divisors, is more than a byte could count one divisor at a time
+    sieve = DivisorSieve(census.MAX_SIEVE_LIMIT)
+    most = max(sieve._tau)
+    assert most == 448 == divisor_count(8648640)
+    assert sieve._tau.index(most) == 8648640
+    for centre in (720720, 8648640):
+        for n in range(centre - 2, centre + 3):
+            assert sieve.divisor_count(n) == divisor_count(n), n
+    assert sieve.divisor_count(720720) == 240
+
+
+def test_sieve_refuses_a_pair_counter_that_would_wrap(monkeypatch):
+    # the guard reads the saturated byte, so a table that saturates at once
+    # stands in for a number with more pairs than a byte holds
+    monkeypatch.setattr(census, "_PLUS_ONE", b"\xff" * 256)
+    with pytest.raises(OverflowError, match=r"^a divisor-pair counter in \[1, 11\) passed 254$"):
+        DivisorSieve(10)
 
 
 def test_sieve_peak_memory_is_the_table_it_keeps():
@@ -119,6 +154,7 @@ def test_every_census_route_refuses_a_trace_above_the_cap_before_allocating(monk
     for route, m in (
         (n_by_formula, cap + 1),
         (CensusTable.build, cap + 1),
+        (N_of, cap + 1),
         (count_words_by_trace, 10**8),
         (n_by_enumeration, 10**9),
     ):
@@ -195,7 +231,9 @@ def test_chain_walk_matches_the_length_capped_and_two_root_walks():
     # the L-chain walk drops the length cap and seeds its stack from the
     # spine L^j; both oracles keep the cap, one of them walks both roots.
     # An oracle's histogram at bound m is its bound-150 one cut to m (the
-    # cap 149 cuts no word of trace <= m), so each oracle walks once
+    # cap 149 cuts no word of trace <= m), so each oracle walks once.  Every
+    # bound m takes the step-1 tails of the seed chains L^j R, which start
+    # below m for j < m - 2 and at m for the last seed, j = m - 2
     capped = length_capped_word_counts(150)
     assert capped == two_root_word_counts(150)
     for m in range(3, 151):
