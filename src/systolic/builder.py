@@ -35,7 +35,7 @@ import hashlib
 import random
 from collections import namedtuple
 
-from . import census, ribbon, words
+from . import ribbon, words
 from .ribbon import MAX_VERTICES, CubicRibbonGraph, _is_int
 
 __all__ = [
@@ -60,8 +60,8 @@ __all__ = [
 
 
 # Largest floor whose least admissible count fits under MAX_VERTICES (that of
-# 385 is 1002104); ``_require_floor`` checks it before seed_size_bound builds
-# its sieve of about (k - 2)**2 / 4 entries or _admissible_tree its tree.
+# 385 is 1002104); ``_require_floor`` checks it before _admissible_tree builds
+# its tree, which seed_size_bound counts.
 MAX_FLOOR = 384
 
 
@@ -106,8 +106,8 @@ def parity_word(k: int) -> str:
 def _require_floor(k) -> None:
     """The one gate for a floor: raise SeedSpecError unless k is an int, not
     a bool, with 3 <= k <= ``MAX_FLOOR``.  Every route that allocates for a
-    floor asks it first: ``seed_size_bound`` before its sieve and
-    ``_admissible_tree`` before its tree."""
+    floor asks it first; ``_admissible_tree`` asks it before its tree, and
+    ``seed_size_bound`` and ``forbidden_reach`` through it."""
     if not _is_int(k) or k < 3:
         raise SeedSpecError(f"floor k={k!r} must be an integer >= 3")
     if k > MAX_FLOOR:
@@ -116,19 +116,17 @@ def _require_floor(k) -> None:
         )
 
 
-@functools.lru_cache(maxsize=16, typed=True)
 def seed_size_bound(k: int) -> int:
     """Least admissible vertex count, 2 N(k-2) + 4k - 4 (N(1) is empty).
 
-    It is the least even count above two full forbidden sets: the tree of
-    ``_admissible_tree(k)`` has exactly N(max(k-2, 2)) + 2k - 3 nodes, the
-    empty word, L^j and R^j for 1 <= j <= k - 2, and one word per matrix of
-    trace 3..k - 2; a word of trace t has at most t - 1 letters, so the
-    length cap cuts only letter powers.  Cached per floor and type (5.0 is
-    not served from the entry of 5), since validation, layout and the seed
-    check all read it; the floor gate runs before the sieve."""
-    _require_floor(k)
-    return 2 * census.N_of(max(k - 2, 2)) + 4 * k - 4
+    It is the least even count above two full forbidden sets, read off the
+    tree of ``_admissible_tree(k)``: it has exactly N(max(k-2, 2)) + 2k - 3
+    nodes, the empty word, L^j and R^j for 1 <= j <= k - 2, and one word per
+    matrix of trace 3..k - 2; a word of trace t has at most t - 1 letters,
+    so the length cap cuts only letter powers.  The tree's floor gate and
+    its cache serve the bound, which validation, layout and the seed check
+    all read."""
+    return 2 * len(_admissible_tree(k)[0]) + 2
 
 
 def check_planted_budget(k: int, planted_vertices: int) -> None:
@@ -371,7 +369,7 @@ def forbidden_reach(g: CubicRibbonGraph, x: int, k: int, _plan=None) -> Forbidde
 
 def _validate_seed_graph(g: CubicRibbonGraph, k: int, strict: bool) -> None:
     """Check the completion's preconditions in one pass each: the floor
-    (through ``seed_size_bound``'s gate), size, degrees read from the pair
+    (``seed_size_bound`` asks the gate), size, degrees read from the pair
     table, seed flags on every paired slot, then each circuit's word,
     walked once in ascending order of its least vertex."""
     n = g.num_vertices

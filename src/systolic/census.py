@@ -205,16 +205,15 @@ def n_by_enumeration(max_trace: int) -> dict[int, int]:
 
 
 def N_of(m: int) -> int:
-    """Cumulative count over traces 3..m; the empty sum, 0, at m = 2.  An m
-    that is not an int, is a bool or is below 2 is refused, and an m >= 3
-    goes through the census trace gate before the sieve is sized."""
+    """Cumulative count over traces 3..m, the last row's N of the census
+    table to m; the empty sum, 0, at m = 2.  An m that is not an int, is a
+    bool or is below 2 is refused, and an m >= 3 goes through the table's
+    trace gate."""
     if not _is_int(m) or m < 2:
         raise ValueError(f"N is defined for integers m >= 2, got {m!r}")
     if m == 2:
         return 0
-    _require_trace(m)
-    sieve = _sieve_for(m, None)
-    return sum(n_by_formula(j, sieve) for j in range(3, m + 1))
+    return CensusTable.build(m).rows[-1].N
 
 
 def count_words_by_trace(max_trace: int) -> dict[int, int]:

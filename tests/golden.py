@@ -12,6 +12,8 @@ writes; no output itself is kept.  The entries cover seed-0 ``--size min``
 builds at several floors, ``report`` (text and JSON, with no spectrum
 bound, at the floor and at floor + 3), ``verify`` at the floor, one above
 it and four above it (a failing scan whose findings cover several traces),
+the same at the north star's floors 30 and 40 less the text reports with a
+bound and the JSON report at the floor,
 ``census --max-trace 300 --check``, ``selftest``, two planted specs, the
 benchmark's report command, and a disconnected graph whose components have
 different girths (``report`` text and JSON, with no spectrum bound and at
@@ -35,6 +37,9 @@ import tempfile
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden.json")
 FLOORS = (5, 8, 10, 12, 16, 20, 24)
+# the north star's larger floors, whose reports are only the text and JSON
+# with no spectrum bound and the JSON at floor + 3
+NORTH_STAR_FLOORS = (30, 40)
 
 
 def grid():
@@ -42,16 +47,18 @@ def grid():
 
     An argv item or file name may hold ``{dir}``, the work directory; an
     entry may read the files that an earlier one wrote."""
-    for k in FLOORS:
+    for k in FLOORS + NORTH_STAR_FLOORS:
         crg, rep = f"{{dir}}/g{k}.crg", f"{{dir}}/g{k}.json"
         yield (f"construct k={k}",
                ["construct", "--k", str(k), "--size", "min", "--seed", "0", "-o", crg, "--report", rep],
                (crg, rep))
-        for fmt in ("text", "json"):
-            for spectrum in (None, k, k + 3):
-                argv = ["report", crg] + ([] if spectrum is None else ["--spectrum-max", str(spectrum)])
-                yield (f"report k={k} {fmt} spectrum={spectrum}",
-                       argv + (["--json"] if fmt == "json" else []), ())
+        reports = [(fmt, spectrum) for fmt in ("text", "json") for spectrum in (None, k, k + 3)]
+        if k in NORTH_STAR_FLOORS:
+            reports = [("text", None), ("json", None), ("json", k + 3)]
+        for fmt, spectrum in reports:
+            argv = ["report", crg] + ([] if spectrum is None else ["--spectrum-max", str(spectrum)])
+            yield (f"report k={k} {fmt} spectrum={spectrum}",
+                   argv + (["--json"] if fmt == "json" else []), ())
         for floor in (k, k + 1, k + 4):
             yield f"verify k={k} --k {floor}", ["verify", "--k", str(floor), crg], ()
     # the benchmark's report command; its stdout is the "report" pin

@@ -9,6 +9,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -180,7 +181,7 @@ def test_max_floor_is_the_last_floor_under_the_vertex_cap():
     # next floor's does not, and the count grows with k; seed_size_bound
     # refuses 385 itself, so its count is spelled out
     assert builder.MAX_FLOOR == 384
-    assert seed_size_bound(384) == 998292 <= builder.MAX_VERTICES
+    assert seed_size_bound(384) == 2 * census.N_of(382) + 4 * 384 - 4 == 998292 <= builder.MAX_VERTICES
     assert 2 * census.N_of(383) + 4 * 385 - 4 == 1002104 > builder.MAX_VERTICES
     SeedSpec(k=builder.MAX_FLOOR).validate()
     with pytest.raises(SeedSpecError, match="floor 385 exceeds the cap"):
@@ -210,10 +211,6 @@ def test_every_floor_route_asks_the_one_gate_before_it_allocates(monkeypatch):
     forbidden_reach(g, 0, 5)
     complete(seed, 5)
 
-    class NoSieve:
-        def __init__(self, limit):
-            raise AssertionError(f"a sieve of {limit} entries was built")
-
     routes = {
         "seed_size_bound": seed_size_bound,
         "check_planted_budget": lambda k: builder.check_planted_budget(k, 4),
@@ -223,14 +220,29 @@ def test_every_floor_route_asks_the_one_gate_before_it_allocates(monkeypatch):
         "complete": lambda k: complete(seed, k),
         "forbidden_reach": lambda k: forbidden_reach(g, 0, k),
     }
-    with monkeypatch.context() as m:
-        m.setattr(census, "DivisorSieve", NoSieve)
+    # the tree of floor 385 would hold 501051 nodes, several MiB in its
+    # lists alone; a refusal allocates next to nothing
+    tracemalloc.start()
+    try:
         for k, text in _REFUSED_FLOORS:
             for name, route in routes.items():
+                tracemalloc.reset_peak()
                 with pytest.raises(SeedSpecError, match=f"^{re.escape(text)}$"):
                     route(k)
                     pytest.fail(f"{name} accepted the floor {k!r}")
+                assert tracemalloc.get_traced_memory()[1] < 1 << 20, (name, k)
+    finally:
+        tracemalloc.stop()
     SeedSpec(k=builder.MAX_FLOOR).validate()
+
+    # a valid build reads its size bound off the tree and builds no sieve
+    class NoSieve:
+        def __init__(self, limit):
+            raise AssertionError(f"a sieve of {limit} entries was built")
+
+    monkeypatch.setattr(census, "DivisorSieve", NoSieve)
+    builder._admissible_tree.cache_clear()
+    assert build(SeedSpec(k=5))[1].vertices == seed_size_bound(5)
 
 
 def test_the_size_bounds_rest_on_the_size_of_the_admissible_tree():
@@ -240,7 +252,7 @@ def test_the_size_bounds_rest_on_the_size_of_the_admissible_tree():
     for k in range(3, 61):
         nodes = len(builder._admissible_tree(k)[0])
         assert nodes == census.N_of(max(k - 2, 2)) + 2 * k - 3 == forbidden_set_bound(k), k
-        assert seed_size_bound(k) == 2 * nodes + 2, k
+        assert seed_size_bound(k) == 2 * census.N_of(max(k - 2, 2)) + 4 * k - 4, k
 
 
 def test_word_for_trace_refuses_a_word_longer_than_any_seed():
@@ -538,6 +550,8 @@ def test_record_classes_are_immutable_values(cls, fields, other, defaults, hidde
     assert [getattr(rec, name) for name in fields] == list(fields.values())
     assert rec == cls(*fields.values()) and not rec != cls(**fields)
     assert rec != cls(**other) and not rec == cls(**other)
+    # a record compares equal only to a record of its own class
+    assert rec.__eq__(None) is NotImplemented and rec.__ne__(None) is NotImplemented
     assert hash(rec) == hash(tuple(shown.values()))
     assert repr(rec) == f"{cls.__name__}({', '.join(f'{name}={value!r}' for name, value in shown.items())})"
     for name in hidden:

@@ -1,8 +1,10 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -234,6 +236,31 @@ def test_selftest(capsys, monkeypatch):
     assert code == 1
     assert "FAIL" in err
     assert "census mismatch" in err
+    monkeypatch.undo()
+
+    # every other check's FAIL, forced by a poisoned stand-in for the route it
+    # checks: the trial-division divisor count, the word of a matrix for a
+    # short word and then only for a long one, the scan and the faces
+    divisor_count, word_of_matrix, faces = census.divisor_count, words.word_of_matrix, ribbon.faces
+    for passed, module, name, poison, failure in (
+        (0, census, "divisor_count", lambda n: divisor_count(n) + (n == 900),
+         "census triple oracle to trace 60: FAIL: divisor count mismatch at 900"),
+        (1, words, "word_of_matrix", lambda m: word_of_matrix(m)[::-1],
+         "word/matrix roundtrips: FAIL: roundtrip failed for 'LR'"),
+        (1, words, "word_of_matrix", lambda m: (w := word_of_matrix(m)) + "L" * (len(w) > 10),
+         "word/matrix roundtrips: FAIL: roundtrip failed for '[LR]{11,}'"),
+        (2, scanner, "low_trace_cycles", lambda g, bound: [],
+         re.escape("scanner on the two-vertex graphs: FAIL: pruned scan disagrees with brute force on pairing "
+                   "((0, 3), (1, 4), (2, 5))")),
+        (2, ribbon, "faces", lambda g: faces(g)[:-1],
+         "scanner on the two-vertex graphs: FAIL: face lengths sum to [0-5], expected 6"),
+    ):
+        with monkeypatch.context() as m:
+            m.setattr(module, name, poison)
+            code, out, err = run(capsys, "selftest")
+        assert (code, out) == (1, ""), name
+        assert err.count(": ok\n") == passed, err
+        assert re.fullmatch(f"(.*: ok\n)*selftest {failure}\n", err), err
 
 
 def test_usage_error_exit_code(capsys):
@@ -437,26 +464,25 @@ def test_crg_over_the_vertex_cap_exits_three_under_an_address_space_limit(tmp_pa
 @pytest.mark.parametrize(
     "argv",
     [
-        ["construct", "--k", "6000"],
-        ["construct", "--k", "6000", "--plant-trace", "7:1"],
+        ["construct", "--k", "385"],
+        ["construct", "--k", "385", "--plant-trace", "7:1"],
     ],
 )
-def test_floors_above_the_cap_exit_two_before_any_sieve(tmp_path, capsys, monkeypatch, argv):
-    # the floor cap is checked before seed_size_bound, whose sieve for
-    # k = 6000 would have about 9 million entries
-    class SmallSieve(census.DivisorSieve):
-        def __init__(self, limit):
-            if limit > 40_000:
-                raise AssertionError(f"a sieve of {limit} entries was built")
-            super().__init__(limit)
-
-    monkeypatch.setattr(census, "DivisorSieve", SmallSieve)
+def test_floors_above_the_cap_exit_two_before_the_tree_is_built(tmp_path, capsys, argv):
+    # the floor cap is checked before the forbidden-word tree, which for
+    # k = 385 would hold 501051 nodes, several MiB in its lists alone
     target = tmp_path / "x.crg"
-    code, out, err = run(capsys, *argv, "-o", str(target))
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv, "-o", str(target))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert code == 2, err
-    assert "exceeds the cap" in err
+    assert err == "construct: floor 385 exceeds the cap of 384, the last floor that fits in 1000000 vertices\n"
     assert out == ""
     assert not target.exists()
+    assert peak < 1 << 20, peak
 
 
 def test_a_floor_below_three_is_refused_before_the_plant_budget(tmp_path, capsys):
@@ -562,10 +588,10 @@ SUBCOMMAND_IMPORTS = {
     "recover": (["recover", "--matrix", "2,1,1,1"], {"cli", "words"}, set()),
     "verify": (["verify", "--k", "5", "g.crg"], {"cli", "ribbon", "scanner", "words"}, set()),
     "report": (["report", "g.crg", "--json"], {"cli", "ribbon", "scanner", "words"}, {"fractions", "json"}),
-    "construct": (["construct", "--k", "5", "-o", "out.crg"], {"cli", "builder", "census", "ribbon", "words"}, set()),
+    "construct": (["construct", "--k", "5", "-o", "out.crg"], {"cli", "builder", "ribbon", "words"}, set()),
     "construct-report": (
         ["construct", "--k", "5", "-o", "out.crg", "--report", "out.json"],
-        {"cli", "builder", "census", "ribbon", "words"},
+        {"cli", "builder", "ribbon", "words"},
         {"json"},
     ),
     "selftest": (["selftest"], {"cli", "census", "ribbon", "scanner", "words"}, set()),
@@ -576,7 +602,8 @@ SUBCOMMAND_IMPORTS = {
 def test_each_subcommand_imports_only_the_modules_it_runs(tmp_path, argv, loaded, stdlib):
     # a one-shot process pays for every module it imports: census loads
     # census alone, verify and report never load the builder or the census,
-    # construct never loads the scanner, and recover needs only words; no
+    # construct loads neither the scanner nor the census (its size bound
+    # is read off the builder's own tree), and recover needs only words; no
     # command loads dataclasses, only report loads fractions, and only the
     # commands that write JSON load json
     (tmp_path / "g.crg").write_text(ribbon.serialize(builder.build(builder.SeedSpec(k=5))[0]))

@@ -354,6 +354,9 @@ def test_serialize_roundtrip():
     assert "SEED" in text and "0.0-1.2" in text
     assert deserialize(text) == g
     assert serialize(deserialize(text)) == text
+    # a graph compares only with a graph, and its repr gives its size
+    assert g.__eq__(text) is NotImplemented and g != text
+    assert repr(g) == "CubicRibbonGraph(V=3, E=2)"
     # the parsed pair table holds no spare capacity
     for n in (1, 3, 10, 100):
         parsed = deserialize(serialize(CubicRibbonGraph(n)))
