@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 # home module of every re-exported name
 _EXPORTS = {
     "words": ("UniMat", "canonical", "geodesic_length", "matrix_of", "star", "trace_of", "word_of_matrix"),
-    "census": ("CensusTable", "DivisorSieve", "N_of"),
+    "census": ("CensusTable", "N_of"),
     "ribbon": (
         "CrgParseError",
         "CubicRibbonGraph",

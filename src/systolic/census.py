@@ -6,20 +6,20 @@ For a trace m >= 3 the count is
 
 where d is the number-of-divisors function: the trace fixes d = m - a, and
 the determinant relation forces b*c = a*d - 1, so b runs over the divisors
-of a*(m-a) - 1.  The same counts are reproduced two more ways: by building
-every matrix (``n_by_enumeration``) and by walking the binary tree of words
-in L and R, pruning on the monotone trace (``count_words_by_trace``).  The
-three routes are compared by ``CensusTable.build(check=True)``.
+of a*(m-a) - 1.  Three routes give the counts, each as one histogram
+{m: n(m)} over the traces 3..max_trace: the formula (``n_by_formula``),
+building every matrix (``n_by_enumeration``) and walking the binary tree of
+words in L and R, pruning on the monotone trace (``count_words_by_trace``).
+``CensusTable.build(check=True)`` compares the three histograms.
 ``CensusTable.to_csv`` is the one view of the growth of N(m): its last two
 columns are N/(m^2 log m) and N/(m^2 log log m), reported and never
 judged, since the growth statements hide unspecified constants.
 
 Each route does its work once through a symmetry, which its docstring
-states and proves.  The routes stay independent: only the formula reads the
-divisor sieve (``DivisorSieve``, built once and then read-only), the
-enumeration checks every matrix it builds against the determinant, and the
-word walk multiplies letters.  Table rows are assembled in deterministic
-order.
+states and proves.  The routes stay independent: only the formula reads a
+divisor table (``_divisor_counts``, built once per call), the enumeration
+checks every matrix it builds against the determinant, and the word walk
+multiplies letters.  Table rows are assembled in deterministic order.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from operator import add
 __all__ = [
     "divisor_count",
     "MAX_SIEVE_LIMIT",
-    "DivisorSieve",
     "n_by_formula",
     "n_by_enumeration",
     "N_of",
@@ -77,8 +76,8 @@ _SIEVE_BLOCK = 1 << 14
 _PLUS_ONE = bytes(range(1, 256)) + b"\xff"
 
 
-class DivisorSieve:
-    """Divisor-count table for every n in [1, limit].
+def _divisor_counts(limit: int) -> list[int]:
+    """Divisor counts for every n in [1, limit]: entry n is d(n), entry 0 is 0.
 
     Each pair of divisors i < j with i*j = n adds 2 to n's count, and a
     square i*i adds 1 more.  The pairs are counted in byte counters, one
@@ -93,37 +92,28 @@ class DivisorSieve:
     to trace m the arguments reach roughly m*m/4, so the table for m = 300
     holds ~22500 entries.
     """
-
-    def __init__(self, limit: int):
-        if limit < 1:
-            raise ValueError(f"sieve limit must be >= 1, got {limit}")
-        if limit > MAX_SIEVE_LIMIT:
-            raise ValueError(
-                f"sieve limit {limit} exceeds the cap of {MAX_SIEVE_LIMIT} entries "
-                f"(traces above {_MAX_TRACE})"
-            )
-        self.limit = limit
-        tau = [0] * (limit + 1)
-        for lo in range(1, limit + 1, _SIEVE_BLOCK):
-            hi = min(lo + _SIEVE_BLOCK, limit + 1)
-            pairs = bytearray(hi - lo)
-            # the pair i < j = n // i lies in the block from n = i*i + i on,
-            # at the block's first multiple of i past that
-            for i in range(1, math.isqrt(hi - 1) + 1):
-                start = max(i * i + i, lo + (-lo) % i) - lo
-                pairs[start::i] = pairs[start::i].translate(_PLUS_ONE)
-            if 255 in pairs:
-                raise OverflowError(f"a divisor-pair counter in [{lo}, {hi}) passed 254")
-            tau[lo:hi] = map(add, pairs, pairs)
-        for i in range(1, math.isqrt(limit) + 1):
-            tau[i * i] += 1
-        self._tau = tau
-
-    def divisor_count(self, n: int) -> int:
-        """Number of positive divisors, read from the table."""
-        if not 1 <= n <= self.limit:
-            raise ValueError(f"n={n} outside sieve range [1, {self.limit}]")
-        return self._tau[n]
+    if limit < 1:
+        raise ValueError(f"sieve limit must be >= 1, got {limit}")
+    if limit > MAX_SIEVE_LIMIT:
+        raise ValueError(
+            f"sieve limit {limit} exceeds the cap of {MAX_SIEVE_LIMIT} entries "
+            f"(traces above {_MAX_TRACE})"
+        )
+    tau = [0] * (limit + 1)
+    for lo in range(1, limit + 1, _SIEVE_BLOCK):
+        hi = min(lo + _SIEVE_BLOCK, limit + 1)
+        pairs = bytearray(hi - lo)
+        # the pair i < j = n // i lies in the block from n = i*i + i on,
+        # at the block's first multiple of i past that
+        for i in range(1, math.isqrt(hi - 1) + 1):
+            start = max(i * i + i, lo + (-lo) % i) - lo
+            pairs[start::i] = pairs[start::i].translate(_PLUS_ONE)
+        if 255 in pairs:
+            raise OverflowError(f"a divisor-pair counter in [{lo}, {hi}) passed 254")
+        tau[lo:hi] = map(add, pairs, pairs)
+    for i in range(1, math.isqrt(limit) + 1):
+        tau[i * i] += 1
+    return tau
 
 
 def _is_int(value) -> bool:
@@ -144,29 +134,24 @@ def _require_trace(m: int) -> None:
         raise ValueError(f"trace {m} exceeds the cap of {_MAX_TRACE} (a sieve of {MAX_SIEVE_LIMIT} entries)")
 
 
-def _sieve_for(m: int, sieve: DivisorSieve | None) -> DivisorSieve:
-    need = max(1, (m * m) // 4)
-    if sieve is not None:
-        if sieve.limit < need:
-            raise ValueError(f"sieve limit {sieve.limit} too small for trace {m} (needs {need})")
-        return sieve
-    return DivisorSieve(need)
-
-
-def n_by_formula(m: int, sieve: DivisorSieve | None = None) -> int:
-    """Count of trace-m elements via the divisor-sum formula.
+def n_by_formula(max_trace: int) -> dict[int, int]:
+    """Histogram of matrix counts per trace in [3, max_trace], by the
+    divisor-sum formula.
 
     The summand is unchanged under a <-> m-a, so each a < m - a counts
-    twice and the centre a = m/2 of an even m once.
+    twice and the centre a = m/2 of an even m once.  One table of
+    max_trace**2 // 4 entries serves every trace: the largest index read,
+    (m // 2) ** 2 - 1, is below m*m/4, and the least, m - 2, is at least 1.
     """
-    _require_trace(m)
-    # _sieve_for checks the largest index read, (m // 2) ** 2 - 1 < m*m/4;
-    # the least, m - 2, is at least 1
-    tau = _sieve_for(m, sieve)._tau
-    total = 2 * sum(tau[a * (m - a) - 1] for a in range(1, (m + 1) // 2))
-    if m % 2 == 0:
-        total += tau[(m // 2) ** 2 - 1]
-    return total
+    _require_trace(max_trace)
+    tau = _divisor_counts(max_trace * max_trace // 4)
+    counts = {}
+    for m in range(3, max_trace + 1):
+        total = 2 * sum(tau[a * (m - a) - 1] for a in range(1, (m + 1) // 2))
+        if m % 2 == 0:
+            total += tau[(m // 2) ** 2 - 1]
+        counts[m] = total
+    return counts
 
 
 def n_by_enumeration(max_trace: int) -> dict[int, int]:
@@ -288,23 +273,14 @@ class CensusTable:
 
     @classmethod
     def build(cls, m_max: int, *, check: bool = False) -> "CensusTable":
-        _require_trace(m_max)
-        sieve = _sieve_for(m_max, None)
+        counts = n_by_formula(m_max)
         if check:
-            word_counts = count_words_by_trace(m_max)
             enum_counts = n_by_enumeration(m_max)
-        rows: list[CensusRow] = []
-        running = 0
-        for m in range(3, m_max + 1):
-            n_formula = n_by_formula(m, sieve)
-            if check:
-                n_enum = enum_counts[m]
-                n_words = word_counts[m]
-                if not (n_formula == n_enum == n_words):
-                    raise CensusMismatch(m, n_formula, n_enum, n_words)
-            running += n_formula
-            rows.append(CensusRow(m, n_formula, running))
-        return cls(rows)
+            word_counts = count_words_by_trace(m_max)
+            for m, n in counts.items():
+                if not (n == enum_counts[m] == word_counts[m]):
+                    raise CensusMismatch(m, n, enum_counts[m], word_counts[m])
+        return cls(list(map(CensusRow, counts, counts.values(), accumulate(counts.values()))))
 
     def to_csv(self) -> str:
         """CSV with header m,n,N,ratio_mlogm,ratio_mloglogm and one row per trace."""

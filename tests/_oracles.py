@@ -27,7 +27,7 @@ helpers that only tests call live here too: the matrix product, the turn
 letter between two slots and the word of a dart sequence, the edge and
 seed-edge lists, vertex degrees, the free-slot lists and vertex
 relabelling, the word of a seed circuit, letter insertion, divisor lists
-by trial division over the sieve's range, the
+by trial division, the
 golden-ratio bounds on traces and girth, and the forbidden-set cap.
 """
 
@@ -127,15 +127,15 @@ def length_capped_word_counts(max_trace: int) -> dict[int, int]:
     return counts
 
 
-def sieve_divisors(sieve: census.DivisorSieve, n: int) -> list[int]:
-    """All positive divisors of n, ascending, for n in the sieve's range.
+def divisor_list(n: int) -> list[int]:
+    """All positive divisors of n >= 1, ascending.
 
-    n is factored by trial division, not read off the sieve, so the lists
-    share nothing with the library's table.  Each prime power p^i found
-    multiplies the divisors found before p, so no factor list is built.
+    n is factored by trial division, so the lists share nothing with the
+    library's divisor table.  Each prime power p^i found multiplies the
+    divisors found before p, so no factor list is built.
     """
-    if not 1 <= n <= sieve.limit:
-        raise ValueError(f"n={n} outside sieve range [1, {sieve.limit}]")
+    if n < 1:
+        raise ValueError(f"divisor_list needs n >= 1, got {n}")
     out = [1]
     p = 2
     while n > 1:
@@ -152,24 +152,18 @@ def sieve_divisors(sieve: census.DivisorSieve, n: int) -> list[int]:
     return out
 
 
-def full_range_enumeration(
-    m: int,
-    sieve: census.DivisorSieve | None = None,
-    with_matrices: bool = False,
-):
+def full_range_enumeration(m: int, with_matrices: bool = False):
     """Count trace-m elements by constructing them over every diagonal
     (a, m-a), 1 <= a <= m-1, with b over the divisors of a*(m-a) - 1 found
     by trial division; with ``with_matrices`` also list them."""
     if m <= 2:
         raise ValueError(f"trace {m} rejected: the count is only finite for traces >= 3")
-    if sieve is None:
-        sieve = census.DivisorSieve(max(1, (m * m) // 4))
     count = 0
     matrices: list[words.UniMat] = []
     for a in range(1, m):
         d = m - a
         k = a * d - 1
-        for b in sieve_divisors(sieve, k):
+        for b in divisor_list(k):
             c = k // b
             if a * d - b * c != 1:
                 raise AssertionError(f"enumeration produced a bad matrix ({a},{b},{c},{d})")

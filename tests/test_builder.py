@@ -235,12 +235,11 @@ def test_every_floor_route_asks_the_one_gate_before_it_allocates(monkeypatch):
         tracemalloc.stop()
     SeedSpec(k=builder.MAX_FLOOR).validate()
 
-    # a valid build reads its size bound off the tree and builds no sieve
-    class NoSieve:
-        def __init__(self, limit):
-            raise AssertionError(f"a sieve of {limit} entries was built")
+    # a valid build reads its size bound off the tree and builds no divisor table
+    def no_table(limit):
+        raise AssertionError(f"a divisor table of {limit} entries was built")
 
-    monkeypatch.setattr(census, "DivisorSieve", NoSieve)
+    monkeypatch.setattr(census, "_divisor_counts", no_table)
     builder._admissible_tree.cache_clear()
     assert build(SeedSpec(k=5))[1].vertices == seed_size_bound(5)
 
@@ -253,6 +252,17 @@ def test_the_size_bounds_rest_on_the_size_of_the_admissible_tree():
         nodes = len(builder._admissible_tree(k)[0])
         assert nodes == census.N_of(max(k - 2, 2)) + 2 * k - 3 == forbidden_set_bound(k), k
         assert seed_size_bound(k) == 2 * census.N_of(max(k - 2, 2)) + 4 * k - 4, k
+
+
+def test_install_circuit_refuses_one_letter_and_an_id_count_off_the_word():
+    # SeedSpec.validate refuses a word under two letters before make_seed
+    # wires it, so the guard is reached here directly; it refuses before
+    # any edge is added
+    for ids, word in (([0], "L"), ([0, 1], "LRL"), ([0, 1, 2], "LR")):
+        g = ribbon.CubicRibbonGraph(3)
+        with pytest.raises(SeedSpecError, match=f"^circuit {word!r} needs two or more letters and one id per letter$"):
+            builder._install_circuit(g, ids, word)
+        assert g.num_edges() == 0, word
 
 
 def test_word_for_trace_refuses_a_word_longer_than_any_seed():

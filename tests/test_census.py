@@ -7,7 +7,6 @@ from systolic import census, words
 from systolic.census import (
     CensusMismatch,
     CensusTable,
-    DivisorSieve,
     N_of,
     count_words_by_trace,
     divisor_count,
@@ -18,9 +17,9 @@ from systolic.census import (
 from _oracles import (
     brute_force_matrices,
     brute_force_trace_count,
+    divisor_list,
     full_range_enumeration,
     length_capped_word_counts,
-    sieve_divisors,
     two_root_word_counts,
 )
 
@@ -50,31 +49,24 @@ def test_sieve_matches_trial_division():
     for n in (1, block - 1, block, block + 1, 2 * block, 2 * block + 1, top):
         assert every[n] == divisor_count(n), n
     for limit in (1, 2, 3000, 3025, block - 1, block, block + 1, top - 2, top - 1, top):
-        sieve = DivisorSieve(limit)
-        for n in range(1, limit + 1):
-            assert sieve.divisor_count(n) == every[n], (limit, n)
-        for n in (0, limit + 1):
-            with pytest.raises(ValueError):
-                sieve.divisor_count(n)
+        assert census._divisor_counts(limit) == every[: limit + 1], limit
     for limit in (0, census.MAX_SIEVE_LIMIT + 1):  # refused before any table is built
         with pytest.raises(ValueError, match="sieve limit"):
-            DivisorSieve(limit)
-    with pytest.raises(ValueError, match="too small for trace 60"):
-        n_by_formula(60, DivisorSieve(10))
+            census._divisor_counts(limit)
 
 
 def test_sieve_at_the_cap_counts_every_pair_in_a_byte():
     # the most divisors of any n <= MAX_SIEVE_LIMIT is 448, at 8648640: 224
     # pairs, below the 255 at which a byte counter is refused.  720720, with
     # 240 divisors, is more than a byte could count one divisor at a time
-    sieve = DivisorSieve(census.MAX_SIEVE_LIMIT)
-    most = max(sieve._tau)
+    tau = census._divisor_counts(census.MAX_SIEVE_LIMIT)
+    most = max(tau)
     assert most == 448 == divisor_count(8648640)
-    assert sieve._tau.index(most) == 8648640
+    assert tau.index(most) == 8648640
     for centre in (720720, 8648640):
         for n in range(centre - 2, centre + 3):
-            assert sieve.divisor_count(n) == divisor_count(n), n
-    assert sieve.divisor_count(720720) == 240
+            assert tau[n] == divisor_count(n), n
+    assert tau[720720] == 240
 
 
 def test_sieve_refuses_a_pair_counter_that_would_wrap(monkeypatch):
@@ -82,7 +74,7 @@ def test_sieve_refuses_a_pair_counter_that_would_wrap(monkeypatch):
     # stands in for a number with more pairs than a byte holds
     monkeypatch.setattr(census, "_PLUS_ONE", b"\xff" * 256)
     with pytest.raises(OverflowError, match=r"^a divisor-pair counter in \[1, 11\) passed 254$"):
-        DivisorSieve(10)
+        census._divisor_counts(10)
 
 
 def test_sieve_peak_memory_is_the_table_it_keeps():
@@ -90,39 +82,39 @@ def test_sieve_peak_memory_is_the_table_it_keeps():
     # allocates no more than the one table it keeps
     tracemalloc.start()
     try:
-        sieve = DivisorSieve(10**5)
+        tau = census._divisor_counts(10**5)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert sieve.limit == 10**5
+    assert len(tau) == 10**5 + 1
     assert peak <= 1.5 * held, (peak, held)
 
 
 def test_sieve_divisors_are_exact():
-    sieve = DivisorSieve(3000)
+    tau = census._divisor_counts(3000)
     for n in range(1, 3001):
-        divs = sieve_divisors(sieve, n)
+        divs = divisor_list(n)
         assert divs == [d for d in range(1, n + 1) if n % d == 0]
-        assert sieve.divisor_count(n) == len(divs)
+        assert tau[n] == len(divs)
     with pytest.raises(ValueError):
-        sieve_divisors(sieve, 3001)
+        divisor_list(0)
 
 
 def test_spot_values():
-    assert n_by_formula(3) == 2
-    assert n_by_formula(4) == 6
-    assert n_by_formula(5) == 8
+    assert n_by_formula(3) == {3: 2}
+    assert n_by_formula(5) == {3: 2, 4: 6, 5: 8}
     assert N_of(2) == 0
     assert N_of(4) == 8
     assert N_of(5) == 16
 
 
 def test_counts_match_bruteforce_search():
+    formula = n_by_formula(14)
     enumerated = n_by_enumeration(14)
-    assert sorted(enumerated) == list(range(3, 15))
+    assert list(formula) == sorted(enumerated) == list(range(3, 15))
     for m in range(3, 15):
         expected = brute_force_trace_count(m)
-        assert n_by_formula(m) == expected
+        assert formula[m] == expected
         assert enumerated[m] == expected
 
 
@@ -138,6 +130,15 @@ def test_traces_two_and_below_are_rejected():
         N_of(1)
 
 
+def test_enumeration_refuses_a_matrix_off_the_determinant(monkeypatch):
+    # a wrong modular inverse starts d off its progression mod b; the walk's
+    # own determinant check, not a histogram compared later, notices it at
+    # the first such quadruple: a = 1, b = 2 steps from d = 6, c = 2
+    monkeypatch.setattr(census, "pow", lambda a, e, m: 0, raising=False)
+    with pytest.raises(AssertionError, match=r"^enumeration produced a bad matrix \(1,2,2,6\)$"):
+        n_by_enumeration(10)
+
+
 def test_every_census_route_refuses_a_trace_above_the_cap_before_allocating(monkeypatch):
     # the cap is the largest trace whose sieve of m*m // 4 entries fits under
     # MAX_SIEVE_LIMIT; the two routes that read no sieve are refused at it too,
@@ -146,11 +147,10 @@ def test_every_census_route_refuses_a_trace_above_the_cap_before_allocating(monk
     assert cap == 6324
     assert cap * cap // 4 <= census.MAX_SIEVE_LIMIT < (cap + 1) * (cap + 1) // 4
 
-    class NoSieve:
-        def __init__(self, limit):
-            raise AssertionError(f"a sieve of {limit} entries was built")
+    def no_table(limit):
+        raise AssertionError(f"a divisor table of {limit} entries was built")
 
-    monkeypatch.setattr(census, "DivisorSieve", NoSieve)
+    monkeypatch.setattr(census, "_divisor_counts", no_table)
     for route, m in (
         (n_by_formula, cap + 1),
         (CensusTable.build, cap + 1),
@@ -166,11 +166,10 @@ def test_every_census_route_refuses_a_trace_above_the_cap_before_allocating(monk
 def test_every_census_route_refuses_a_non_integer_trace_before_allocating(monkeypatch):
     # a float, a numeral or a bool would size a list or a sieve; each is
     # refused by the gate's type test, with no sieve built
-    class NoSieve:
-        def __init__(self, limit):
-            raise AssertionError(f"a sieve of {limit} entries was built")
+    def no_table(limit):
+        raise AssertionError(f"a divisor table of {limit} entries was built")
 
-    monkeypatch.setattr(census, "DivisorSieve", NoSieve)
+    monkeypatch.setattr(census, "_divisor_counts", no_table)
     for m in (5.5, True, "7"):
         for route in (n_by_formula, n_by_enumeration, count_words_by_trace, CensusTable.build):
             with pytest.raises(ValueError, match=f"^trace {m!r} is not an integer$"):
@@ -186,9 +185,8 @@ def test_enumerated_matrices_are_exactly_the_bruteforce_set():
 
 
 def test_enumerated_matrices_roundtrip_through_words():
-    sieve = DivisorSieve(40 * 40 // 4)
     for m in range(3, 41):
-        count, mats = full_range_enumeration(m, sieve, with_matrices=True)
+        count, mats = full_range_enumeration(m, with_matrices=True)
         assert count == len(mats)
         for mat in mats:
             w = words.word_of_matrix(mat)
@@ -205,15 +203,15 @@ def test_trace_four_matrices_are_the_length_three_words():
 def test_halved_routes_match_the_full_range_oracles():
     # a <-> m-a halves the formula, a <-> d with the transpose quarters the
     # enumeration, and L <-> R halves the walk; m = 3..120 takes both
-    # parities, so the weight-1 centre a = m/2 too
-    sieve = DivisorSieve(120 * 120 // 4)
+    # parities, so the weight-1 centre a = m/2 too.  The formula is run at
+    # every bound, so each reads a table of the least size it asks for
+    full = {m: full_range_enumeration(m) for m in range(3, 121)}
     full_walk = two_root_word_counts(120)
     enumerated = n_by_enumeration(120)
     for m in range(3, 121):
-        full = full_range_enumeration(m, sieve)
-        assert full == sum(divisor_count(a * (m - a) - 1) for a in range(1, m))
-        assert n_by_formula(m, sieve) == full
-        assert enumerated[m] == full
+        assert full[m] == sum(divisor_count(a * (m - a) - 1) for a in range(1, m))
+        assert enumerated[m] == full[m]
+        assert n_by_formula(m) == {t: full[t] for t in range(3, m + 1)}, m
         assert count_words_by_trace(m) == {t: full_walk[t] for t in range(3, m + 1)}
 
 
@@ -221,8 +219,7 @@ def test_progression_walk_matches_the_divisor_list_oracle_at_every_bound():
     # the walk's bounds depend on max_trace (a <= max_trace // 2, the isqrt
     # cap on b, the stop at d > max_trace - a), so every bound is walked
     # on its own and each of its rows compared with the oracle's count
-    sieve = DivisorSieve(150 * 150 // 4)
-    full = {m: full_range_enumeration(m, sieve) for m in range(3, 151)}
+    full = {m: full_range_enumeration(m) for m in range(3, 151)}
     for bound in range(3, 151):
         assert n_by_enumeration(bound) == {m: full[m] for m in range(3, bound + 1)}, bound
 
@@ -241,10 +238,7 @@ def test_chain_walk_matches_the_length_capped_and_two_root_walks():
 
 
 def test_word_search_matches_formula():
-    counts = count_words_by_trace(60)
-    sieve = DivisorSieve(60 * 60 // 4)
-    for m in range(3, 61):
-        assert counts[m] == n_by_formula(m, sieve)
+    assert count_words_by_trace(60) == n_by_formula(60)
 
 
 def test_partial_sums_strictly_increase():
@@ -262,16 +256,17 @@ def test_check_mode_catches_corruption(monkeypatch):
     # 160 = 7*23 - 1 (a = 7 with its mirror a = 23, counted twice) feed only
     # the trace-30 row; setting either divisor count to 2, as for a prime,
     # is read only by the formula: the enumeration and the word search
-    # build their matrices.  The table builds its own sieve, so the poison
-    # goes in through the class it builds from.
+    # build their matrices.  The formula builds its own divisor table, so
+    # the poison goes in through the function it builds it with.
+    divisor_counts = census._divisor_counts
     for poisoned in (224, 160):
 
-        class PoisonedSieve(DivisorSieve):
-            def __init__(self, limit):
-                super().__init__(limit)
-                self._tau[poisoned] = 2
+        def poisoned_counts(limit, poisoned=poisoned):
+            tau = divisor_counts(limit)
+            tau[poisoned] = 2
+            return tau
 
-        monkeypatch.setattr(census, "DivisorSieve", PoisonedSieve)
+        monkeypatch.setattr(census, "_divisor_counts", poisoned_counts)
         with pytest.raises(CensusMismatch) as exc:
             CensusTable.build(30, check=True)
         assert exc.value.trace == 30

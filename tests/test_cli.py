@@ -39,14 +39,16 @@ def test_census_output_file(tmp_path, capsys):
 
 
 def test_census_check_failure_exits_1_and_writes_nothing(tmp_path, capsys, monkeypatch):
-    class PoisonedSieve(census.DivisorSieve):
-        def __init__(self, limit):
-            super().__init__(limit)
-            # 538 = 11*49 - 1 feeds the a = 11 term of trace 60 and no
-            # smaller trace, so the formula and the two oracles part there
-            self._tau[538] = 2
+    divisor_counts = census._divisor_counts
 
-    monkeypatch.setattr(census, "DivisorSieve", PoisonedSieve)
+    def poisoned_counts(limit):
+        tau = divisor_counts(limit)
+        # 538 = 11*49 - 1 feeds the a = 11 term of trace 60 and no
+        # smaller trace, so the formula and the two oracles part there
+        tau[538] = 2
+        return tau
+
+    monkeypatch.setattr(census, "_divisor_counts", poisoned_counts)
     target = tmp_path / "census.csv"
     code, out, err = run(capsys, "census", "--max-trace", "60", "--check", "-o", str(target))
     assert (code, out) == (1, "")
@@ -223,15 +225,17 @@ def test_selftest(capsys, monkeypatch):
     assert code == 0 and out == ""
     assert err.count("ok") == 3
 
-    class PoisonedSieve(census.DivisorSieve):
-        def __init__(self, limit):
-            super().__init__(limit)
-            # 538 = 11*49 - 1 = 2*269 feeds the a = 11 term of trace 60 (and
-            # its mirror a = 49); a divisor count of 2, as for a prime, must
-            # be noticed by the triple check
-            self._tau[538] = 2
+    divisor_counts = census._divisor_counts
 
-    monkeypatch.setattr(census, "DivisorSieve", PoisonedSieve)
+    def poisoned_counts(limit):
+        tau = divisor_counts(limit)
+        # 538 = 11*49 - 1 = 2*269 feeds the a = 11 term of trace 60 (and
+        # its mirror a = 49); a divisor count of 2, as for a prime, must
+        # be noticed by the triple check
+        tau[538] = 2
+        return tau
+
+    monkeypatch.setattr(census, "_divisor_counts", poisoned_counts)
     code, _, err = run(capsys, "selftest")
     assert code == 1
     assert "FAIL" in err

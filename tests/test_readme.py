@@ -2,6 +2,7 @@
 source, so that a changed value must change the text with it."""
 
 import json
+import math
 import os
 import re
 
@@ -42,20 +43,30 @@ def test_readme_states_the_current_caps():
 
 
 def test_readme_states_the_largest_census_trace(monkeypatch):
-    # the largest trace whose sieve fits under the cap, as the census sizes
-    # it; the stand-in sieve records the limit and allocates nothing
-    class Recorded:
-        def __init__(self, limit):
-            self.limit = limit
+    # the largest trace whose divisor table fits under the cap, as the
+    # formula sizes it.  The trace gate is lifted so that the sizing is
+    # asked past the cap too; the stand-in table records the size it is
+    # asked for and stops the formula before anything is allocated
+    class Recorded(Exception):
+        pass
 
-    monkeypatch.setattr(census, "DivisorSieve", Recorded)
+    def recorded(limit):
+        raise Recorded(limit)
+
+    def table_size(m):
+        with pytest.raises(Recorded) as exc:
+            census.n_by_formula(m)
+        return exc.value.args[0]
+
+    monkeypatch.setattr(census, "_divisor_counts", recorded)
+    monkeypatch.setattr(census, "_MAX_TRACE", math.inf)
     m = 3
-    while census._sieve_for(m + 1, None).limit <= census.MAX_SIEVE_LIMIT:
+    while table_size(m + 1) <= census.MAX_SIEVE_LIMIT:
         m += 1
     assert f"`census --max-trace` above {m} exits 2" in TEXT
     monkeypatch.undo()
     with pytest.raises(ValueError, match=f"traces above {m}"):
-        census.DivisorSieve(census.MAX_SIEVE_LIMIT + 1)
+        census._divisor_counts(census.MAX_SIEVE_LIMIT + 1)
 
 
 def test_readme_library_example_runs(capsys):
