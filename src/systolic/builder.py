@@ -47,9 +47,7 @@ __all__ = [
     "Plant",
     "SeedSpec",
     "word_for_trace",
-    "parity_word",
     "seed_size_bound",
-    "check_planted_budget",
     "make_seed",
     "ForbiddenReach",
     "forbidden_reach",
@@ -86,9 +84,10 @@ class CompletionError(RuntimeError):
 
 
 def word_for_trace(t: int) -> str:
-    """L^(t-2) R, the canonical circuit word with trace exactly t; its t - 1
-    letters are checked against ``MAX_VERTICES`` before it is spelled, since
-    no longer circuit fits in any seed."""
+    """L^(t-2) R, the canonical circuit word with trace exactly t.  It is
+    the one gate for a planted trace: t must be an int, not a bool, at
+    least 3, and its t - 1 letters are checked against ``MAX_VERTICES``
+    before it is spelled, since no longer circuit fits in any seed."""
     if not _is_int(t):
         raise ValueError(f"trace {t!r} is not an integer")
     if t < 3:
@@ -98,7 +97,7 @@ def word_for_trace(t: int) -> str:
     return "L" * (t - 2) + "R"
 
 
-def parity_word(k: int) -> str:
+def _parity_word(k: int) -> str:
     """Parity-fixing circuit: L^(k-2) R R, trace 2k - 2 on k vertices."""
     return "L" * (k - 2) + "RR"
 
@@ -129,17 +128,6 @@ def seed_size_bound(k: int) -> int:
     return 2 * len(_admissible_tree(k)[0]) + 2
 
 
-def check_planted_budget(k: int, planted_vertices: int) -> None:
-    """Raise SeedSpecError when k fails the floor gate or planted circuits
-    need more vertices than the least admissible seed, ``seed_size_bound(k)``."""
-    bound = seed_size_bound(k)
-    if planted_vertices > bound:
-        raise SeedSpecError(
-            f"planted circuits need {planted_vertices} vertices, above the "
-            f"admissible budget 2*N({k - 2}) + 4*{k} - 4 = {bound}"
-        )
-
-
 class Plant(namedtuple("Plant", "word multiplicity")):
     """A word to plant as ``multiplicity`` disjoint circuits."""
 
@@ -157,6 +145,11 @@ class SeedSpec(
     __slots__ = ()
 
     def validate(self) -> None:
+        """Raise SeedSpecError unless the spec can be laid out.  It is the
+        one gate for the spec's fields: the floor (``_require_floor``), each
+        plant's word and multiplicity, the vertex budget over all plants,
+        each plant's floor rule and the target size.  The budget and the
+        size both read ``seed_size_bound(k)``, the least admissible count."""
         _require_floor(self.k)
         if not _is_int(self.rng_seed) or not 0 <= self.rng_seed < 2**64:
             raise SeedSpecError(f"rng_seed {self.rng_seed!r} must be an integer that fits in 64 bits")
@@ -174,7 +167,12 @@ class SeedSpec(
                 raise SeedSpecError(f"multiplicity {plant.multiplicity!r} must be a positive integer")
         # the budget reads only lengths: check it before any plant's trace,
         # whose product grows quadratically with the word
-        check_planted_budget(self.k, self.planted_vertices())
+        bound, planted = seed_size_bound(self.k), self.planted_vertices()
+        if planted > bound:
+            raise SeedSpecError(
+                f"planted circuits need {planted} vertices, above the "
+                f"admissible budget 2*N({self.k - 2}) + 4*{self.k} - 4 = {bound}"
+            )
         for word, _ in self.plants:
             if not _meets_floor(word, self.k, self.strict_seed_trace):
                 raise SeedSpecError(
@@ -187,7 +185,6 @@ class SeedSpec(
             raise SeedSpecError(f"size {self.size} exceeds the cap of {MAX_VERTICES} vertices")
         if self.size % 2:
             raise SeedSpecError(f"size {self.size} must be even")
-        bound = seed_size_bound(self.k)
         if self.size < bound:
             raise SeedSpecError(f"size {self.size} is below the least admissible count {bound}")
 
@@ -272,7 +269,7 @@ def make_seed(spec: SeedSpec) -> CubicRibbonGraph:
     padding_ids = list(range(cursor, size))
     random.Random(spec.rng_seed).shuffle(padding_ids)
     offset = 0
-    for word in [word_for_trace(spec.k)] * n_padding + ([parity_word(spec.k)] if use_parity else []):
+    for word in [word_for_trace(spec.k)] * n_padding + ([_parity_word(spec.k)] if use_parity else []):
         _install_circuit(g, padding_ids[offset : offset + len(word)], word)
         offset += len(word)
     return g
@@ -342,9 +339,12 @@ def forbidden_reach(g: CubicRibbonGraph, x: int, k: int, _plan=None) -> Forbidde
     replay; any other call first composes a plan for itself, which costs
     O(V) time and memory per call.  x's degree and free slot are read
     straight off the pair table, and no matrix arithmetic is done.  Raises
-    ValueError unless x is a vertex of the graph with degree 2, then, when
-    it composes its own plan, SeedSpecError unless k passes the floor gate."""
+    ValueError unless x is an int, not a bool, naming a vertex of the graph
+    with degree 2, then, when it composes its own plan, SeedSpecError
+    unless k passes the floor gate."""
     pair = g.pair_table()
+    if not _is_int(x):
+        raise ValueError(f"vertex {x!r} is not an integer")
     if not 0 <= x < len(pair) // 3:
         raise ValueError(f"vertex {x} outside 0..{len(pair) // 3 - 1}")
     free = [s for s in range(3 * x, 3 * x + 3) if pair[s] < 0]

@@ -57,8 +57,8 @@ _MAX_TRACE = math.isqrt(4 * MAX_SIEVE_LIMIT + 3)
 
 def divisor_count(n: int) -> int:
     """Number of positive divisors, by trial division (one-off queries)."""
-    if n < 1:
-        raise ValueError(f"divisor_count needs n >= 1, got {n}")
+    if not _is_int(n) or n < 1:
+        raise ValueError(f"divisor_count needs an integer n >= 1, got {n!r}")
     count = 0
     i = 1
     while i * i <= n:

@@ -9,6 +9,11 @@ produce byte-identical output.
 
 Each subcommand imports the library modules it runs, and no others: at
 small sizes a one-shot command spends about as long importing as working.
+
+The command line parses and the library decides: a flag's text becomes an
+int or a word here, and every rule on its value (a plant's trace,
+multiplicity and vertex budget, a floor, a scan bound) is checked by the
+library's one gate for it, whose ValueError ends in exit 2.
 """
 
 from __future__ import annotations
@@ -71,27 +76,19 @@ def _parse_plants(args) -> tuple[builder.Plant, ...]:
     plants: list[builder.Plant] = []
     for text in args.plant or []:
         word, _, mult = text.partition(":")
-        plants.append(builder.Plant(word=word, multiplicity=_positive_int(mult, text)))
+        plants.append(builder.Plant(word=word, multiplicity=_int(mult, text)))
     for text in args.plant_trace or []:
         trace_s, _, mult = text.partition(":")
-        trace = _positive_int(trace_s, text)
-        if trace < 3:
-            raise ValueError(f"--plant-trace {text!r}: trace must be at least 3")
-        multiplicity = _positive_int(mult, text)
-        # the word L^(t-2) R has t - 1 letters: check the budget before spelling it
-        builder.check_planted_budget(args.k, (trace - 1) * multiplicity)
+        trace, multiplicity = _int(trace_s, text), _int(mult, text)
         plants.append(builder.Plant(word=builder.word_for_trace(trace), multiplicity=multiplicity))
     return tuple(plants)
 
 
-def _positive_int(text: str, context: str) -> int:
+def _int(text: str, context: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise ValueError(f"bad integer {text!r} in {context!r}") from None
-    if value < 1:
-        raise ValueError(f"{context!r}: value must be positive")
-    return value
 
 
 def _cmd_construct(args) -> int:

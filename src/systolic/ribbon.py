@@ -105,6 +105,8 @@ class CubicRibbonGraph:
         return len(self._pair) // 3
 
     def _check_slot(self, s: int) -> None:
+        if not _is_int(s):
+            raise ValueError(f"slot {s!r} is not an integer")
         if not 0 <= s < len(self._pair):
             raise ValueError(f"slot {s} outside 0..{len(self._pair) - 1}")
 
@@ -238,17 +240,20 @@ def genus_closed(g: CubicRibbonGraph) -> list[ComponentSurface]:
     characteristic is (#faces) - V/2 and the genus is (2 - chi) / 2.  A face
     belongs to the component of its least dart.  One girth sweep serves
     every component.
+
+    Both divisions are exact, so nothing is checked.  ``faces`` refuses a
+    graph with a free slot, and a complete component pairs each of its 3V
+    slots with another of its own, so 3V = 2E and V is even.  The triangles
+    are glued along the rotation system, which orients every triangle
+    coherently, so the closed surface is orientable and chi = 2 - 2 genus
+    is even.
     """
     comps = g.components()
     face_at = {face[0]: len(face) for face in faces(g)}
     out = []
     for vs, h in zip(comps, _girths(g, comps)):
         lengths = sorted(face_at[s] for v in vs for s in range(3 * v, 3 * v + 3) if s in face_at)
-        if len(vs) % 2:
-            raise ValueError(f"component {vs[0]} has odd vertex count {len(vs)}")
         chi = len(lengths) - len(vs) // 2
-        if (2 - chi) % 2:
-            raise ValueError(f"component {vs[0]} has odd Euler defect (chi={chi})")
         out.append(ComponentSurface(tuple(vs), (2 - chi) // 2, tuple(lengths), h))
     return out
 

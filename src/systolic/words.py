@@ -123,6 +123,10 @@ def geodesic_length(trace: int) -> float:
     Traces come in as exact integers; the returned float is for reporting
     only and never feeds back into a comparison.
     """
+    # an int that is not a bool, as ``ribbon._is_int``, checked inline since
+    # the recover command loads no module of the package but cli and this one
+    if not isinstance(trace, int) or isinstance(trace, bool):
+        raise ValueError(f"trace {trace!r} is not an integer")
     if trace < 2:
         raise ValueError(f"trace {trace} is below 2; no geodesic length is defined")
     if trace == 2:

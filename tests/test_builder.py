@@ -25,7 +25,6 @@ from systolic.builder import (
     complete,
     forbidden_reach,
     make_seed,
-    parity_word,
     seed_size_bound,
     word_for_trace,
 )
@@ -47,12 +46,12 @@ from _oracles import (
 
 def test_padding_words():
     assert word_for_trace(5) == "LLLR" and words.trace_of(word_for_trace(5)) == 5
-    assert parity_word(5) == "LLLRR" and words.trace_of(parity_word(5)) == 8
+    assert builder._parity_word(5) == "LLLRR" and words.trace_of(builder._parity_word(5)) == 8
     for k in range(3, 20):
         assert words.trace_of(word_for_trace(k)) == k
         assert len(word_for_trace(k)) == k - 1
-        assert words.trace_of(parity_word(k)) == 2 * k - 2
-        assert len(parity_word(k)) == k
+        assert words.trace_of(builder._parity_word(k)) == 2 * k - 2
+        assert len(builder._parity_word(k)) == k
     with pytest.raises(ValueError, match="trace 2 is below 3"):
         word_for_trace(2)
     # a float or numeral would spell "L" * (t - 2) and fail there; a bool reads as 0 or 1
@@ -186,8 +185,6 @@ def test_max_floor_is_the_last_floor_under_the_vertex_cap():
     SeedSpec(k=builder.MAX_FLOOR).validate()
     with pytest.raises(SeedSpecError, match="floor 385 exceeds the cap"):
         SeedSpec(k=builder.MAX_FLOOR + 1).validate()
-    with pytest.raises(SeedSpecError, match="floor 385 exceeds the cap"):
-        builder.check_planted_budget(builder.MAX_FLOOR + 1, 6)
 
 
 # each refused floor with the gate's text: too small, of the wrong type
@@ -213,7 +210,6 @@ def test_every_floor_route_asks_the_one_gate_before_it_allocates(monkeypatch):
 
     routes = {
         "seed_size_bound": seed_size_bound,
-        "check_planted_budget": lambda k: builder.check_planted_budget(k, 4),
         "SeedSpec.validate": lambda k: SeedSpec(k=k).validate(),
         "make_seed": lambda k: make_seed(SeedSpec(k=k)),
         "build": lambda k: build(SeedSpec(k=k)),
@@ -440,6 +436,10 @@ def test_forbidden_reach_requires_degree_two():
     assert forbidden_reach(g, 3, 5).members == {0, 1, 2, 3}
     for x in (-1, 4):
         with pytest.raises(ValueError, match=f"^vertex {x} outside 0..3$"):
+            forbidden_reach(g, x, 5)
+    # True would be read as vertex 1 and land in the members
+    for x in (True, 1.0, "1"):
+        with pytest.raises(ValueError, match=f"^vertex {x!r} is not an integer$"):
             forbidden_reach(g, x, 5)
     with pytest.raises(SeedSpecError, match="^floor k=2 must be an integer >= 3$"):
         forbidden_reach(g, 0, 2)

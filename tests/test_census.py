@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import pytest
@@ -28,8 +29,10 @@ def test_divisor_count_examples():
     assert divisor_count(1) == 1
     assert divisor_count(12) == 6
     assert divisor_count(5) == 2
-    with pytest.raises(ValueError):
-        divisor_count(0)
+    # a float would count the integers that divide it, and a bool reads as 0 or 1
+    for n in (0, -3, 2.5, 4.0, True, "4"):
+        with pytest.raises(ValueError, match=f"^divisor_count needs an integer n >= 1, got {re.escape(repr(n))}$"):
+            divisor_count(n)
 
 
 def test_sieve_matches_trial_division():

@@ -94,27 +94,42 @@ def test_construct_accepts_plants(tmp_path, capsys):
     assert scanner.certify(g, 10).passed
 
 
+# each plant refusal, at --k 5, with the text of the library gate that
+# decides it: the command line only parses a plant
+_REFUSED_PLANTS = [
+    ("--plant", "L:0", "multiplicity 0 must be a positive integer"),
+    ("--plant", "LR:2", "has trace 3, below the floor 5"),
+    ("--plant-trace", "2:1", "trace 2 is below 3"),
+    ("--plant-trace", "0:1", "trace 0 is below 3"),
+    ("--plant-trace", "11:0", "multiplicity 0 must be a positive integer"),
+    ("--plant-trace", "11:x", "bad integer 'x' in '11:x'"),
+    ("--plant-trace", "1000:1", "planted circuits need 999 vertices, above the admissible budget"),
+    # 10**6 letters fit under the cap, so this word is spelled before the budget refuses it
+    ("--plant-trace", "1000001:1", "planted circuits need 1000000 vertices, above the admissible budget"),
+    ("--plant-trace", "1000002:1", "trace 1000002 needs 1000001 letters, above the cap of 1000000 vertices"),
+]
+
+
 def test_construct_usage_errors(tmp_path, capsys):
     crg = tmp_path / "x.crg"
-    code, _, err = run(capsys, "construct", "--k", "5", "--plant", "LR:2", "-o", str(crg))
-    assert code == 2
-    assert "trace 3" in err
     code, _, err = run(capsys, "construct", "--k", "5", "--size", "banana", "-o", str(crg))
     assert code == 2
-    code, _, err = run(capsys, "construct", "--k", "5", "--plant-trace", "11:x", "-o", str(crg))
+    for flag, value, text in _REFUSED_PLANTS:
+        code, out, err = run(capsys, "construct", "--k", "5", flag, value, "-o", str(crg))
+        assert code == 2 and out == "", value
+        assert err.startswith("construct: ") and text in err, err
+    # refused by the letter cap before its 10^14-letter word is spelled
+    tracemalloc.start()
+    try:
+        code, _, err = run(
+            capsys, "construct", "--k", "5", "--plant-trace", "99999999999999:1", "-o", str(crg)
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert code == 2
-    code, _, err = run(capsys, "construct", "--k", "5", "--plant-trace", "2:1", "-o", str(crg))
-    assert code == 2
-    assert "trace must be at least 3" in err
-    code, _, err = run(capsys, "construct", "--k", "5", "--plant", "L:0", "-o", str(crg))
-    assert code == 2
-    assert "value must be positive" in err
-    # rejected against the seed budget before its 10^14-letter word is built
-    code, _, err = run(
-        capsys, "construct", "--k", "5", "--plant-trace", "99999999999999:1", "-o", str(crg)
-    )
-    assert code == 2
-    assert "above the admissible budget 2*N(3) + 4*5 - 4 = 20" in err
+    assert "needs 99999999999998 letters, above the cap of 1000000 vertices" in err
+    assert peak < 1 << 20, peak
     assert not crg.exists()
 
 

@@ -65,6 +65,15 @@ def test_add_and_remove_edges():
         g.add_edge(4, 3)  # the second slot occupied
     with pytest.raises(ValueError, match="outside"):
         g.add_edge(1, 6)
+    # a bool would be stored as a slot id; a float is no index
+    for s in (True, 1.0, "1"):
+        with pytest.raises(ValueError, match=f"^slot {s!r} is not an integer$"):
+            g.add_edge(s, 4)
+        with pytest.raises(ValueError, match=f"^slot {s!r} is not an integer$"):
+            g.add_edge(4, s)
+        with pytest.raises(ValueError, match=f"^slot {s!r} is not an integer$"):
+            g.remove_edge(s, 3)
+    assert g.pair_table() == [3, -1, -1, 0, -1, -1]
     with pytest.raises(ValueError):
         g.add_edge(1, 1)
     before = serialize(g := g.copy())
@@ -123,13 +132,24 @@ def test_genus_of_the_two_vertex_graphs():
 
 
 def test_euler_identity_on_corpus():
-    for g in small_complete_corpus():
+    # genus_closed checks no parity: each component's vertex count and
+    # Euler characteristic are even on every graph, the small corpus and a
+    # batch of random matchings, some of them disconnected
+    rng = random.Random(38)
+    graphs = [*small_complete_corpus(), *(random_complete_graph(rng, 12) for _ in range(200))]
+    disconnected = 0
+    for g in graphs:
         comps = genus_closed(g)
+        disconnected += len(comps) > 1
+        for c in comps:
+            assert len(c.vertices) % 2 == 0
+            assert 2 - 2 * c.genus == c.num_cusps - len(c.vertices) // 2
         total_faces = len(faces(g))
         lhs = sum(2 - 2 * c.genus for c in comps)
         assert lhs == total_faces - g.num_vertices // 2
         assert sum(len(c.vertices) for c in comps) == g.num_vertices
         assert sum(c.num_cusps for c in comps) == total_faces
+    assert disconnected > 0
 
 
 def test_girth_examples():

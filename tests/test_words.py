@@ -92,8 +92,11 @@ def test_geodesic_length_values():
     assert geodesic_length(2) == 0.0
     assert geodesic_length(3) == pytest.approx(1.9248473002384139, rel=1e-12)
     assert geodesic_length(20) == pytest.approx(5.986445692252762, rel=1e-12)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^trace 1 is below 2"):
         geodesic_length(1)
+    for t in (2.5, 3.0, True, "3"):
+        with pytest.raises(ValueError, match=f"^trace {t!r} is not an integer$"):
+            geodesic_length(t)
     traces = [2, 3, 5, 100, 2**40, 2**60, 2**200]
     lengths = [geodesic_length(t) for t in traces]
     assert lengths == sorted(lengths)
