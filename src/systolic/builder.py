@@ -157,6 +157,8 @@ class SeedSpec(
             raise SeedSpecError(f"strict_seed_trace {self.strict_seed_trace!r} must be a bool")
         if not (self.size is None or _is_int(self.size)):
             raise SeedSpecError(f"size {self.size!r} must be an integer or None")
+        if not isinstance(self.plants, tuple):
+            raise SeedSpecError(f"plants must be a tuple of Plant, not a {type(self.plants).__name__}")
         for plant in self.plants:
             if not isinstance(plant, Plant):
                 raise SeedSpecError(f"plant {plant!r} is not a Plant")
@@ -192,13 +194,8 @@ class SeedSpec(
         return sum(p.multiplicity * len(p.word) for p in self.plants)
 
     def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "plants": [{"word": p.word, "multiplicity": p.multiplicity} for p in self.plants],
-            "size": "min" if self.size is None else self.size,
-            "rng_seed": self.rng_seed,
-            "strict_seed_trace": self.strict_seed_trace,
-        }
+        size = "min" if self.size is None else self.size
+        return dict(self._asdict(), plants=[p._asdict() for p in self.plants], size=size)
 
 
 def _meets_floor(word: str, k: int, strict: bool) -> bool:
@@ -495,49 +492,22 @@ def complete(
 
 
 class BuildReport(
-    namedtuple(
-        "BuildReport", "spec iterations case1 case2 max_forbidden_set vertices edges output_sha crg"
-    )
+    namedtuple("BuildReport", "spec iterations case1 case2 max_forbidden_set vertices edges output_sha")
 ):
-    """What ``build`` did, and ``crg``, the .crg text that ``output_sha``
-    digests, for the caller to write as is; ``crg`` is not part of the
-    report's JSON, equality, hash or repr."""
+    """What ``build`` did: the spec, the Case 1 joins and Case 2 swaps, the
+    largest forbidden set seen, the graph's size and ``output_sha``, the
+    sha256 of its .crg text."""
 
     __slots__ = ()
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self[:-1] == other[:-1]
-
-    def __ne__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self[:-1] != other[:-1]
-
-    def __hash__(self) -> int:
-        return hash(self[:-1])
-
-    def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields[:-1], self))
-        return f"BuildReport({shown})"
-
     def to_json_dict(self) -> dict:
-        return {
-            "spec": self.spec.to_json_dict(),
-            "iterations": self.iterations,
-            "case1": self.case1,
-            "case2": self.case2,
-            "max_forbidden_set": self.max_forbidden_set,
-            "vertices": self.vertices,
-            "edges": self.edges,
-            "output_sha": self.output_sha,
-        }
+        return dict(self._asdict(), spec=self.spec.to_json_dict())
 
 
-def build(spec: SeedSpec) -> tuple[CubicRibbonGraph, BuildReport]:
-    """Lay out the seed for a spec and complete it in place; returns graph
-    and report."""
+def build(spec: SeedSpec) -> tuple[CubicRibbonGraph, BuildReport, str]:
+    """Lay out the seed for a spec and complete it in place; returns the
+    graph, its report and its .crg text, which ``output_sha`` digests, for
+    the caller to write as is."""
     done = make_seed(spec)
     case1, case2, max_forbidden_set = _run_completion(done, spec.k, strict_seed_trace=spec.strict_seed_trace)
     crg = ribbon.serialize(done)
@@ -550,6 +520,5 @@ def build(spec: SeedSpec) -> tuple[CubicRibbonGraph, BuildReport]:
         vertices=done.num_vertices,
         edges=done.num_edges(),
         output_sha=hashlib.sha256(crg.encode("ascii")).hexdigest(),
-        crg=crg,
     )
-    return done, report
+    return done, report, crg

@@ -104,11 +104,11 @@ def _cmd_construct(args) -> int:
             k=args.k, plants=_parse_plants(args), size=size, rng_seed=args.seed,
             strict_seed_trace=args.strict_seed_trace,
         )
-        _, report = builder.build(spec)
+        _, report, crg = builder.build(spec)
     except ValueError as exc:
         print(f"construct: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _write_output(report.crg, args.output)
+    _write_output(crg, args.output)
     if args.report:
         _write_output(_json_text(report.to_json_dict()), args.report)
     print(

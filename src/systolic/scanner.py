@@ -290,7 +290,8 @@ def low_trace_cycles(g: CubicRibbonGraph, bound: int) -> list[CycleClass]:
 
 def _probe_bound(g: CubicRibbonGraph) -> int:
     """Least trace of an essential class through dart 0, an upper bound for
-    the systole trace, from one walk of the word tree from dart 0 alone.
+    the systole trace, from one walk of the word tree from dart 0 alone,
+    stepping slots through ``ribbon.turn_tables``.
 
     Walks leave a heap in order of max(trace, darts + 1), the least scan
     bound that finds them.  An essential walk of trace T has at most T - 1
@@ -299,17 +300,19 @@ def _probe_bound(g: CubicRibbonGraph) -> int:
     that closes, is no letter power either and was popped first.  It ends:
     every key is passed after finitely many pops, and the orbit of (dart 0,
     L) under the alternating (dart, next-turn) permutation closes into a
-    walk reading (LR)^(p/2) of trace L_p, the p-th Lucas number.
+    walk reading (LR)^(p/2) of trace L_p, the p-th Lucas number.  The bound
+    reads no dart labels: ties between equal keys may pop in any order, and
+    an essential closure's key is its trace.
     """
-    orig, step_l, step_r = _edge_major_tables(g)
-    x0 = orig.index(0)
-    heap = [(2, 0, x0, 1, 0, 0, 1)]  # (key, darts, dart label, a, b, c, d)
+    pair = g.pair_table()
+    left, right = ribbon.turn_tables(len(pair))
+    heap = [(2, 0, 0, 1, 0, 0, 1)]  # (key, darts, dart slot, a, b, c, d)
     while True:
         _, n, e, a, b, c, d = heapq.heappop(heap)
-        if e == x0 and b and c:  # a closed walk, not a letter power
+        if e == 0 and b and c:  # a closed walk, not a letter power
             return a + d
-        heapq.heappush(heap, (max(a + c + d, n + 2), n + 1, step_l[e], a, a + b, c, c + d))
-        heapq.heappush(heap, (max(a + b + d, n + 2), n + 1, step_r[e], a + b, b, c + d, d))
+        heapq.heappush(heap, (max(a + c + d, n + 2), n + 1, left[pair[e]], a, a + b, c, c + d))
+        heapq.heappush(heap, (max(a + b + d, n + 2), n + 1, right[pair[e]], a + b, b, c + d, d))
 
 
 def _first_classes(g: CubicRibbonGraph, start: int) -> list[CycleClass]:

@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 _STAR = str.maketrans("LR", "RL")
+_DROP_LR = str.maketrans("", "", "LR")
 
 # Longest word ``word_of_matrix`` will spell.  The factorization peels one
 # letter per step, so a matrix such as 1,10**12,0,1 would otherwise spend
@@ -49,12 +50,14 @@ MAX_WORD_LETTERS = 10**6
 
 
 def check_word(word: str) -> None:
-    """Reject anything that is not a string over the letters L and R."""
+    """Reject anything that is not a string over the letters L and R.  The
+    test is one ``translate`` that deletes both letters; only a refused word
+    is walked, for the position of its first other letter."""
     if not isinstance(word, str):
         raise ValueError(f"word must be a string, got {type(word).__name__}")
-    for i, ch in enumerate(word):
-        if ch != "L" and ch != "R":
-            raise ValueError(f"invalid letter {ch!r} at position {i}: words use only L and R")
+    if word.translate(_DROP_LR):
+        i, ch = next((i, ch) for i, ch in enumerate(word) if ch != "L" and ch != "R")
+        raise ValueError(f"invalid letter {ch!r} at position {i}: words use only L and R")
 
 
 class UniMat(namedtuple("UniMat", "a b c d")):

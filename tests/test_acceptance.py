@@ -29,7 +29,7 @@ from _oracles import (
 
 FLOORS = (5, 8, 12, 16, 20)
 
-_built: dict[int, tuple[ribbon.CubicRibbonGraph, builder.BuildReport]] = {}
+_built: dict[int, tuple[ribbon.CubicRibbonGraph, builder.BuildReport, str]] = {}
 _build_seconds: dict[int, float] = {}
 
 
@@ -116,7 +116,7 @@ def test_criterion_03_trace_bound_suite():
 def test_criterion_04_end_to_end_floors():
     t0 = time.perf_counter()
     for k in FLOORS:
-        graph, report = built(k)
+        graph, report, _ = built(k)
         assert graph.is_complete()
         assert all(degree(graph, v) == 3 for v in range(graph.num_vertices))
         result = scanner.certify(graph, k)
@@ -130,7 +130,7 @@ def test_criterion_04_end_to_end_floors():
 
 def test_criterion_05_structural_identities():
     for k in FLOORS:
-        graph, _ = built(k)
+        graph, _, _ = built(k)
         v = graph.num_vertices
         assert graph.num_edges() == 3 * v // 2
         face_list = ribbon.faces(graph)
@@ -154,7 +154,7 @@ def test_criterion_06_systole_formula_and_gap():
     mp.mp.dps = 40
     gaps = {}
     for k in (5, 20):
-        graph, _ = built(k)
+        graph, _, _ = built(k)
         rep = scanner.report(graph)
         exact = 2 * mp.acosh(mp.mpf(rep.systole_trace) / 2)
         assert abs(rep.systole_length - float(exact)) <= 1e-12 * float(exact)
@@ -174,7 +174,7 @@ def test_criterion_06_systole_formula_and_gap():
 def test_criterion_07_planted_spectrum_and_feasibility():
     word = builder.word_for_trace(11)
     spec = builder.SeedSpec(k=10, plants=(builder.Plant(word, 3),))
-    graph, _ = builder.build(spec)
+    graph, _, _ = builder.build(spec)
     assert scanner.certify(graph, 10).passed
     spectrum = dict(scanner.bottom_spectrum(graph, 11))
     assert spectrum.get(11, 0) >= 3

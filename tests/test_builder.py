@@ -90,8 +90,9 @@ def test_spec_accepts_and_rejects_plants():
 def test_spec_rejects_values_of_the_wrong_type():
     # each would build (or fail later with a bare TypeError): a float or
     # bool size, a bool seed or multiplicity, which builds as 0 or 1 but
-    # reads true in the report JSON, a non-bool strictness flag, and a
-    # plant that is not a Plant
+    # reads true in the report JSON, a non-bool strictness flag, a plant
+    # that is not a Plant, and plants in a list, which leaves the spec and
+    # its report unhashable
     wrong = [
         SeedSpec(k=5, size=24.0),
         SeedSpec(k=5, size="min"),
@@ -101,12 +102,15 @@ def test_spec_rejects_values_of_the_wrong_type():
         SeedSpec(k=5, strict_seed_trace=1),
         SeedSpec(k=5, plants=(Plant("LLLLR", True),)),
         SeedSpec(k=5, plants=(("LLLLR", 1),)),
+        SeedSpec(k=5, plants=[Plant("LLLLR", 1)]),
     ]
     for spec in wrong:
         with pytest.raises(SeedSpecError):
             spec.validate()
         with pytest.raises(SeedSpecError):
             builder.build(spec)
+    with pytest.raises(SeedSpecError, match="^plants must be a tuple of Plant, not a list$"):
+        wrong[-1].validate()
     SeedSpec(k=5, size=24, rng_seed=2**64 - 1, strict_seed_trace=True,
              plants=(Plant("LLLLR", 2),)).validate()
 
@@ -364,7 +368,7 @@ def test_the_completion_keeps_its_step_tables_in_step(monkeypatch):
         (SeedSpec(k=10, rng_seed=0), 1),
         (SeedSpec(k=6, size=40, rng_seed=15), 2),
     ):
-        graph, report = build(spec)
+        graph, report, _ = build(spec)
         assert report.case2 == swaps
         assert plans[-1][0] == builder._reach_plan(graph.pair_table(), spec.k)[0]
     assert len(calls) > 400
@@ -508,7 +512,7 @@ def test_letter_power_seed_allowed_but_not_in_strict_mode(monkeypatch):
 
 def test_iteration_accounting():
     spec = SeedSpec(k=5)
-    graph, report = build(spec)
+    graph, report, _ = build(spec)
     assert report.iterations == report.case1 + report.case2
     assert report.iterations == 3 * graph.num_vertices // 2 - len(seed_edges(graph))
     assert report.max_forbidden_set <= forbidden_set_bound(5)
@@ -528,45 +532,42 @@ _SURFACE = dict(
 _SPEC = dict(k=5, plants=(Plant("LLLR", 2),), size=40, rng_seed=3, strict_seed_trace=True)
 _BUILD = dict(
     spec=SeedSpec(**_SPEC), iterations=9, case1=8, case2=1, max_forbidden_set=7, vertices=20, edges=30,
-    output_sha="ab", crg="CRG 1\n0\n",
+    output_sha="ab",
 )
 
 # Each record class: its fields by keyword, fields of an unequal record,
-# the fields that have defaults, with them, and the fields kept out of
-# equality, hash and repr.
+# and the fields that have defaults, with them.
 RECORDS = {
-    "UniMat": (words.UniMat, dict(a=2, b=1, c=1, d=1), dict(a=1, b=1, c=0, d=1), {}, ()),
-    "ComponentSurface": (ribbon.ComponentSurface, _COMPONENT, dict(_COMPONENT, girth=3), {}, ()),
-    "CycleClass": (scanner.CycleClass, _CYCLE, dict(_CYCLE, multiplicity=3), {}, ()),
-    "CertificationResult": (scanner.CertificationResult, _CERTIFICATE, dict(_CERTIFICATE, floor=7), {}, ()),
-    "SurfaceReport": (scanner.SurfaceReport, _SURFACE, dict(_SURFACE, bh_bound=Fraction(1, 3)), {}, ()),
-    "Plant": (Plant, dict(word="LLLR", multiplicity=2), dict(word="LLLR", multiplicity=3), {}, ()),
+    "UniMat": (words.UniMat, dict(a=2, b=1, c=1, d=1), dict(a=1, b=1, c=0, d=1), {}),
+    "ComponentSurface": (ribbon.ComponentSurface, _COMPONENT, dict(_COMPONENT, girth=3), {}),
+    "CycleClass": (scanner.CycleClass, _CYCLE, dict(_CYCLE, multiplicity=3), {}),
+    "CertificationResult": (scanner.CertificationResult, _CERTIFICATE, dict(_CERTIFICATE, floor=7), {}),
+    "SurfaceReport": (scanner.SurfaceReport, _SURFACE, dict(_SURFACE, bh_bound=Fraction(1, 3)), {}),
+    "Plant": (Plant, dict(word="LLLR", multiplicity=2), dict(word="LLLR", multiplicity=3), {}),
     "SeedSpec": (
-        SeedSpec, _SPEC, dict(_SPEC, k=6), dict(plants=(), size=None, rng_seed=0, strict_seed_trace=False), ()
+        SeedSpec, _SPEC, dict(_SPEC, k=6), dict(plants=(), size=None, rng_seed=0, strict_seed_trace=False)
     ),
     "ForbiddenReach": (
-        builder.ForbiddenReach, dict(members=frozenset({0, 1})), dict(members=frozenset({0})), {}, ()
+        builder.ForbiddenReach, dict(members=frozenset({0, 1})), dict(members=frozenset({0})), {}
     ),
-    "BuildReport": (builder.BuildReport, _BUILD, dict(_BUILD, iterations=10), {}, ("crg",)),
+    "BuildReport": (builder.BuildReport, _BUILD, dict(_BUILD, iterations=10), {}),
 }
 
 
-@pytest.mark.parametrize("cls, fields, other, defaults, hidden", RECORDS.values(), ids=list(RECORDS))
-def test_record_classes_are_immutable_values(cls, fields, other, defaults, hidden):
-    # equality and hash read the shown fields as one tuple, so set and dict
-    # orders hold, and repr prints them by name
+@pytest.mark.parametrize("cls, fields, other, defaults", RECORDS.values(), ids=list(RECORDS))
+def test_record_classes_are_immutable_values(cls, fields, other, defaults):
+    # equality and hash read the fields as one tuple, so set and dict
+    # orders hold, and repr prints them by name: each is the named tuple's
+    # own, with no override in the record class
+    assert not {"__eq__", "__ne__", "__hash__", "__repr__"} & set(vars(cls))
     rec = cls(**fields)
-    shown = {name: value for name, value in fields.items() if name not in hidden}
     assert [getattr(rec, name) for name in fields] == list(fields.values())
     assert rec == cls(*fields.values()) and not rec != cls(**fields)
     assert rec != cls(**other) and not rec == cls(**other)
     # a record compares equal only to a record of its own class
     assert rec.__eq__(None) is NotImplemented and rec.__ne__(None) is NotImplemented
-    assert hash(rec) == hash(tuple(shown.values()))
-    assert repr(rec) == f"{cls.__name__}({', '.join(f'{name}={value!r}' for name, value in shown.items())})"
-    for name in hidden:
-        twin = cls(**dict(fields, **{name: "other"}))
-        assert twin == rec and not twin != rec and hash(twin) == hash(rec) and repr(twin) == repr(rec)
+    assert hash(rec) == hash(tuple(fields.values()))
+    assert repr(rec) == f"{cls.__name__}({', '.join(f'{name}={value!r}' for name, value in fields.items())})"
     for name, value in fields.items():
         with pytest.raises(AttributeError):
             setattr(rec, name, value)
@@ -589,12 +590,12 @@ def test_case_two_swap_occurs_and_certifies(monkeypatch):
     # frozen layout seeds that force the swap branch at least once
     for (k, rng_seed), sha in CASE_TWO_SHAS.items():
         spec = SeedSpec(k=k, rng_seed=rng_seed)
-        graph, report = floor_checked_build(monkeypatch, lambda: build(spec))
+        graph, report, _ = floor_checked_build(monkeypatch, lambda: build(spec))
         assert report.case2 >= 1
         assert report.output_sha == sha
         assert scanner.certify(graph, k).passed
     # one swap in a larger completion: layout 6 of the k=16 builds
-    _, report = build(SeedSpec(k=16, rng_seed=6))
+    _, report, _ = build(SeedSpec(k=16, rng_seed=6))
     assert report.case2 == 1
     assert report.output_sha == "b85c3e1001cf89b85e0b8a777eeb27fc6a2bd75e1c0be33ca46565350223ca04"
 
@@ -615,7 +616,7 @@ def test_completion_computes_the_degree_two_frontier_once(monkeypatch):
         counting(ribbon.CubicRibbonGraph, name)
     counting(builder, "forbidden_reach")
     for rng_seed in (0, 5):  # layout 5 of k=4 takes a Case-2 swap
-        _, report = build(SeedSpec(k=4, rng_seed=rng_seed))
+        _, report, _ = build(SeedSpec(k=4, rng_seed=rng_seed))
         # the seed check leaves every vertex at degree 2, so the frontier
         # starts as all of them: no degree scan and no union-find
         assert counts["degree2_vertices"] == counts["components"] == 0
@@ -644,7 +645,7 @@ from fractions import Fraction
 from systolic import builder
 if sys.flags.optimize != 1:
     sys.exit("not running under -O")
-_, report = builder.build(builder.SeedSpec(k=4, rng_seed=5))
+_, report, _ = builder.build(builder.SeedSpec(k=4, rng_seed=5))
 if report.output_sha != {CASE_TWO_SHAS[(4, 5)]!r}:
     sys.exit("sha changed under -O: " + report.output_sha)
 seed = builder.make_seed(builder.SeedSpec(k=5))
@@ -747,12 +748,12 @@ def test_plants_at_full_budget_leave_no_padding(monkeypatch):
     seed = make_seed(spec)
     assert seed.num_vertices == 20
     assert len(seed.components()) == 4  # no padding circuits at all
-    graph, _ = floor_checked_build(monkeypatch, lambda: build(spec))
+    graph, _, _ = floor_checked_build(monkeypatch, lambda: build(spec))
     assert scanner.certify(graph, 5).passed
 
 
 def test_k3_floor_builds_and_certifies():
-    graph, report = build(SeedSpec(k=3))
+    graph, report, _ = build(SeedSpec(k=3))
     assert graph.num_vertices == 8
     result = scanner.certify(graph, 3)
     assert result.passed
@@ -770,8 +771,11 @@ def test_build_is_deterministic():
 
 def test_build_report_contents():
     spec = SeedSpec(k=5, plants=(Plant("LLLLR", 2),), rng_seed=3)
-    graph, report = build(spec)
+    graph, report, crg = build(spec)
     payload = report.to_json_dict()
+    # the JSON is the report's own fields, and its spec the spec's
+    assert list(payload) == list(builder.BuildReport._fields)
+    assert list(payload["spec"]) == list(SeedSpec._fields)
     assert payload["spec"] == {
         "k": 5,
         "plants": [{"word": "LLLLR", "multiplicity": 2}],
@@ -779,9 +783,8 @@ def test_build_report_contents():
         "rng_seed": 3,
         "strict_seed_trace": False,
     }
-    assert payload["output_sha"] == hashlib.sha256(
-        ribbon.serialize(graph).encode()
-    ).hexdigest()
+    assert crg == ribbon.serialize(graph)
+    assert payload["output_sha"] == report.output_sha == hashlib.sha256(crg.encode()).hexdigest()
     json.dumps(payload)  # schema must be JSON-serializable as is
 
 
@@ -801,7 +804,7 @@ def test_randomized_specs_certify_and_honor_plants(monkeypatch):
                     plants.append(Plant(word, mult))
                     used += mult * len(word)
             spec = SeedSpec(k=k, plants=tuple(plants), rng_seed=rng_seed)
-            graph, report = floor_checked_build(monkeypatch, lambda: build(spec))
+            graph, report, _ = floor_checked_build(monkeypatch, lambda: build(spec))
             assert scanner.certify(graph, k).passed
             assert report.max_forbidden_set <= forbidden_set_bound(k)
             want: dict[int, int] = {}
@@ -817,7 +820,7 @@ def test_randomized_specs_certify_and_honor_plants(monkeypatch):
 def test_planted_circuits_survive_completion():
     word = word_for_trace(11)
     spec = SeedSpec(k=10, plants=(Plant(word, 3),))
-    graph, _ = build(spec)
+    graph, _, _ = build(spec)
     # the original circuits are exactly the seed edges of the completion;
     # plants occupy ids 0..29 in planting order
     seed_only = ribbon.CubicRibbonGraph(graph.num_vertices)

@@ -171,7 +171,7 @@ def test_systole_values_on_the_two_vertex_graphs():
 
 
 def test_spectrum_is_invariant_under_relabeling():
-    g, _ = builder.build(builder.SeedSpec(k=5, rng_seed=2))
+    g, _, _ = builder.build(builder.SeedSpec(k=5, rng_seed=2))
     perm = [(v * 7 + 3) % g.num_vertices for v in range(g.num_vertices)]
     h = relabeled(g, perm)
     assert bottom_spectrum(g, 8) == bottom_spectrum(h, 8)
@@ -180,12 +180,12 @@ def test_spectrum_is_invariant_under_relabeling():
 
 
 def test_spectrum_below_systole_is_empty():
-    g, _ = builder.build(builder.SeedSpec(k=8))
+    g, _, _ = builder.build(builder.SeedSpec(k=8))
     assert bottom_spectrum(g, 7) == []
 
 
 def test_certify_passes_on_builds_and_fails_on_counterexamples():
-    g, _ = builder.build(builder.SeedSpec(k=5))
+    g, _, _ = builder.build(builder.SeedSpec(k=5))
     assert certify(g, 5).passed
 
     bad = theta_graph(twisted=False)  # carries an LR square of trace 3
@@ -222,14 +222,14 @@ def test_word_major_scan_matches_the_dart_major_oracle():
         *(random_complete_graph(rng, 14) for _ in range(100)),
     ]
     cases = [(g, bound) for g in complete for bound in (3, 6, 10, 13)]
-    k8, _ = builder.build(builder.SeedSpec(k=8))
+    k8, _, _ = builder.build(builder.SeedSpec(k=8))
     cases.append((k8, 12))
     for k in range(5, 17):
-        g, _ = builder.build(builder.SeedSpec(k=k))
+        g, _, _ = builder.build(builder.SeedSpec(k=k))
         cases += [(g, k - 1), (g, k + 3)]
     # planted seed circuits: three of trace 12 and two letter powers L^9
     plants = (builder.Plant(builder.word_for_trace(12), 3), builder.Plant("L" * 9, 2))
-    planted, _ = builder.build(builder.SeedSpec(k=8, plants=plants))
+    planted, _, _ = builder.build(builder.SeedSpec(k=8, plants=plants))
     cases += [(planted, 7), (planted, 11)]
     # seed circuits that are letter powers of five darts, at the bounds
     # where they first fit in the dart cap (6) and just miss it (5)
@@ -324,7 +324,7 @@ def test_chains_are_finished_without_level_gathers(monkeypatch):
         gathered.append(1 if isinstance(idx[0], slice) else len(idx))
         return real(*idx)
 
-    g, _ = builder.build(builder.SeedSpec(k=16))
+    g, _, _ = builder.build(builder.SeedSpec(k=16))
     monkeypatch.setattr(scanner, "itemgetter", counting)
     found = scanner._enumerate(g, 18)
     assert len(found) == 49
@@ -415,7 +415,7 @@ def test_scan_depth_is_not_limited_by_the_recursion_limit():
     code = """
 import sys
 from systolic import builder, scanner
-g, _ = builder.build(builder.SeedSpec(k=5))
+g, _, _ = builder.build(builder.SeedSpec(k=5))
 sys.setrecursionlimit(80)
 print(len(scanner.low_trace_cycles(g, 100)))
 """
@@ -501,7 +501,7 @@ def test_spectrum_multiplicities_count_free_homotopy_classes():
     # distinct walk classes give distinct classes up to rotation and
     # inversion, and each trace's count is the scanner's multiplicity
     pytest.importorskip("networkx")
-    k8, _ = builder.build(builder.SeedSpec(k=8))
+    k8, _, _ = builder.build(builder.SeedSpec(k=8))
     cases = [(g, 10) for g in small_complete_corpus()] + [(k8, 12)]
     counted = 0
     for g, bound in cases:
@@ -523,7 +523,7 @@ def test_spectrum_multiplicities_count_free_homotopy_classes():
 
 
 def test_report_contents():
-    g, _ = builder.build(builder.SeedSpec(k=5))
+    g, _, _ = builder.build(builder.SeedSpec(k=5))
     rep = report(g, spectrum_max=7)
     assert rep.vertices == 20 and rep.edges == 30
     assert rep.systole_trace == 5
@@ -605,7 +605,7 @@ def test_report_handles_zero_genus():
 def test_certified_build_is_empty_under_the_naive_oracle():
     # independent certification of a real artifact: brute-force walk
     # enumeration on the completed graph finds nothing below the floor
-    g, _ = builder.build(builder.SeedSpec(k=8))
+    g, _, _ = builder.build(builder.SeedSpec(k=8))
     assert naive_cycle_classes(g, 7, 7) == []
     assert scanner.low_trace_cycles(g, 7) == []
 
@@ -630,7 +630,7 @@ def test_report_matches_the_separate_systole_spectrum_and_girth_route():
 
 
 def test_report_scans_once_when_the_spectrum_reaches_the_systole(monkeypatch):
-    g, _ = builder.build(builder.SeedSpec(k=5))
+    g, _, _ = builder.build(builder.SeedSpec(k=5))
     s = systole(g).trace
     scan = scanner.low_trace_cycles
     calls = []

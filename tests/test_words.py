@@ -87,6 +87,20 @@ def test_word_validation():
         matrix_of("lr")
 
 
+def test_check_word_names_the_first_bad_letter():
+    long_word = "L" * (10**6 - 1) + "x"
+    for word, text in [
+        ("LLRxRLyL", "invalid letter 'x' at position 3: words use only L and R"),
+        ("LRλR", "invalid letter 'λ' at position 2: words use only L and R"),
+        (long_word, "invalid letter 'x' at position 999999: words use only L and R"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            words.check_word(word)
+        assert str(exc.value) == text
+    for word in ("", "L", "RRLRL", "L" * 10**6):
+        words.check_word(word)
+
+
 def test_geodesic_length_values():
     # frozen from an independent high-precision evaluation of 2*arccosh(t/2)
     assert geodesic_length(2) == 0.0
