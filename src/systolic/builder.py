@@ -123,8 +123,8 @@ def seed_size_bound(k: int) -> int:
     nodes, the empty word, L^j and R^j for 1 <= j <= k - 2, and one word per
     matrix of trace 3..k - 2; a word of trace t has at most t - 1 letters,
     so the length cap cuts only letter powers.  The tree's floor gate and
-    its cache serve the bound, which validation, layout and the seed check
-    all read."""
+    its cache serve the bound, which validation and the seed check both
+    read."""
     return 2 * len(_admissible_tree(k)[0]) + 2
 
 
@@ -139,18 +139,32 @@ class SeedSpec(
 ):
     """Everything needed to lay out a seed: floor k, planted circuits (a
     tuple of Plant, default none), target size (None, the default, means
-    the smallest realizable), and determinism knobs (rng_seed 0 and
-    strict_seed_trace False by default)."""
+    the smallest realizable), the rng_seed that shuffles the padding's ids
+    (default 0) and strict_seed_trace, the floor rule's letter-power switch:
+    when True a planted letter power must reach trace k like any other word
+    (default False)."""
 
     __slots__ = ()
 
-    def validate(self) -> None:
-        """Raise SeedSpecError unless the spec can be laid out.  It is the
-        one gate for the spec's fields: the floor (``_require_floor``), each
-        plant's word and multiplicity, the vertex budget over all plants,
-        each plant's floor rule and the target size.  The budget and the
-        size both read ``seed_size_bound(k)``, the least admissible count."""
-        _require_floor(self.k)
+    def validate(self) -> tuple[int, int, bool]:
+        """Raise SeedSpecError unless the spec can be laid out, and return
+        the layout it proves realizable: (size, bulk padding circuits,
+        parity circuit?).  It is the one gate for the spec's fields and the
+        only route that decides a seed's size: the floor
+        (``_require_floor``), each plant's word and multiplicity, the vertex
+        budget over all plants, each plant's floor rule and the target size.
+        The budget and the size both read ``seed_size_bound(k)``, the least
+        admissible count.
+
+        Padding uses circuits of k - 1 vertices plus at most one of k
+        vertices, so the residue r = size - planted modulo k - 1 decides
+        realizability.  The minimum search scans even sizes upward from the
+        admissible bound, which is even and, by the budget, no smaller than
+        the plants.  It always succeeds: stepping an even size by 2 makes
+        r mod (k - 1) reach 0, or 1 with r >= k, within k - 1 steps, well
+        inside its range."""
+        k = self.k
+        _require_floor(k)
         if not _is_int(self.rng_seed) or not 0 <= self.rng_seed < 2**64:
             raise SeedSpecError(f"rng_seed {self.rng_seed!r} must be an integer that fits in 64 bits")
         if not isinstance(self.strict_seed_trace, bool):
@@ -162,36 +176,45 @@ class SeedSpec(
         for plant in self.plants:
             if not isinstance(plant, Plant):
                 raise SeedSpecError(f"plant {plant!r} is not a Plant")
-            words.check_word(plant.word)
+            try:
+                words.check_word(plant.word)
+            except ValueError as exc:
+                raise SeedSpecError(str(exc)) from None
             if not plant.word:
                 raise SeedSpecError("planted words must be non-empty")
             if not _is_int(plant.multiplicity) or plant.multiplicity < 1:
                 raise SeedSpecError(f"multiplicity {plant.multiplicity!r} must be a positive integer")
         # the budget reads only lengths: check it before any plant's trace,
         # whose product grows quadratically with the word
-        bound, planted = seed_size_bound(self.k), self.planted_vertices()
+        bound, planted = seed_size_bound(k), sum(p.multiplicity * len(p.word) for p in self.plants)
         if planted > bound:
             raise SeedSpecError(
                 f"planted circuits need {planted} vertices, above the "
-                f"admissible budget 2*N({self.k - 2}) + 4*{self.k} - 4 = {bound}"
+                f"admissible budget 2*N({k - 2}) + 4*{k} - 4 = {bound}"
             )
         for word, _ in self.plants:
-            if not _meets_floor(word, self.k, self.strict_seed_trace):
+            if not _meets_floor(word, k, self.strict_seed_trace):
                 raise SeedSpecError(
-                    f"planted word {word!r} has trace {words.trace_of(word)}, below the floor {self.k}"
-                    + ("" if self.strict_seed_trace else f", and is not a letter power of length >= {self.k}")
+                    f"planted word {word!r} has trace {words.trace_of(word)}, below the floor {k}"
+                    + ("" if self.strict_seed_trace else f", and is not a letter power of length >= {k}")
                 )
-        if self.size is None:
-            return
-        if self.size > MAX_VERTICES:
-            raise SeedSpecError(f"size {self.size} exceeds the cap of {MAX_VERTICES} vertices")
-        if self.size % 2:
-            raise SeedSpecError(f"size {self.size} must be even")
-        if self.size < bound:
-            raise SeedSpecError(f"size {self.size} is below the least admissible count {bound}")
-
-    def planted_vertices(self) -> int:
-        return sum(p.multiplicity * len(p.word) for p in self.plants)
+        if self.size is not None:
+            if self.size > MAX_VERTICES:
+                raise SeedSpecError(f"size {self.size} exceeds the cap of {MAX_VERTICES} vertices")
+            if self.size % 2:
+                raise SeedSpecError(f"size {self.size} must be even")
+            if self.size < bound:
+                raise SeedSpecError(f"size {self.size} is below the least admissible count {bound}")
+        for size in (self.size,) if self.size is not None else range(bound, bound + 4 * k + 6, 2):
+            r = size - planted
+            if r % (k - 1) == 0:
+                return size, r // (k - 1), False
+            if r >= k and (r - k) % (k - 1) == 0:
+                return size, (r - k) // (k - 1), True
+        raise SeedSpecError(
+            f"size {self.size} is not reachable: plants occupy {planted} vertices and "
+            f"padding adds circuits of {k - 1} vertices plus at most one of {k}"
+        )
 
     def to_json_dict(self) -> dict:
         size = "min" if self.size is None else self.size
@@ -206,69 +229,38 @@ def _meets_floor(word: str, k: int, strict: bool) -> bool:
     )
 
 
-def _resolve_layout(spec: SeedSpec) -> tuple[int, int, bool]:
-    """Choose (total size, bulk padding circuits, parity circuit?).
-
-    Padding uses circuits of k - 1 vertices plus at most one of k vertices,
-    so the residue r = size - planted modulo k - 1 decides realizability.
-    The minimum search scans even sizes upward from the admissible bound,
-    which is even and, as ``validate`` checked, no smaller than the plants.
-    It always succeeds: stepping an even size by 2 makes r mod (k - 1) reach
-    0, or 1 with r >= k, within k - 1 steps, well inside its range.
-    """
-    k = spec.k
-    planted = spec.planted_vertices()
-    bound = seed_size_bound(k)
-    for size in (spec.size,) if spec.size is not None else range(bound, bound + 4 * k + 6, 2):
-        r = size - planted
-        if r % (k - 1) == 0:
-            return size, r // (k - 1), False
-        if r >= k and (r - k) % (k - 1) == 0:
-            return size, (r - k) // (k - 1), True
-    raise SeedSpecError(
-        f"size {spec.size} is not reachable: plants occupy {planted} vertices and "
-        f"padding adds circuits of {k - 1} vertices plus at most one of {k}"
-    )
-
-
 def _install_circuit(g: CubicRibbonGraph, ids: list[int], word: str) -> None:
     """Wire one oriented circuit over fresh vertices, letter i at ids[i].
 
-    An L vertex is entered at slot 0 and left at slot 1 (the successor), an
-    R vertex entered at slot 0 and left at slot 2; this is the least
-    (arrival, departure) routing and leaves one free slot everywhere.
+    Every vertex is entered at slot 0 and left at slot 1 for an L, slot 2
+    for an R, so the edge after letter i joins that slot of ids[i] to slot
+    0 of ids[i + 1] (cyclically); this is the least (arrival, departure)
+    routing and leaves one free slot everywhere.
     """
     n = len(word)
     if n != len(ids) or n < 2:
         raise SeedSpecError(f"circuit {word!r} needs two or more letters and one id per letter")
-    routing = {"L": (0, 1), "R": (0, 2)}
-    for i, letter in enumerate(word):
-        _, depart = routing[letter]
-        arrive_next, _ = routing[word[(i + 1) % n]]
-        g.add_edge(3 * ids[i] + depart, 3 * ids[(i + 1) % n] + arrive_next, seed=True)
+    for v, letter, w in zip(ids, word, ids[1:] + ids[:1]):
+        g.add_edge(3 * v + (1 if letter == "L" else 2), 3 * w, seed=True)
 
 
 def make_seed(spec: SeedSpec) -> CubicRibbonGraph:
-    """Disjoint oriented circuits realizing the spec: one circuit per planted
-    copy (consecutive low ids, in order), padding circuits on the remaining
-    ids, which are shuffled by the spec's rng seed."""
-    spec.validate()
-    size, n_padding, use_parity = _resolve_layout(spec)
-    g = CubicRibbonGraph(size)
-
-    cursor = 0
-    for plant in spec.plants:
-        for _ in range(plant.multiplicity):
-            ids = list(range(cursor, cursor + len(plant.word)))
-            _install_circuit(g, ids, plant.word)
-            cursor += len(plant.word)
-
-    padding_ids = list(range(cursor, size))
+    """Disjoint oriented circuits realizing the layout that ``spec.validate``
+    returns, installed from one list: each planted copy in order on the
+    consecutive ids 0, 1, ..., then the padding circuits on the remaining
+    ids, which the spec's rng seed shuffles."""
+    size, n_padding, use_parity = spec.validate()
+    circuits = [p.word for p in spec.plants for _ in range(p.multiplicity)]
+    planted = sum(map(len, circuits))
+    padding_ids = list(range(planted, size))
     random.Random(spec.rng_seed).shuffle(padding_ids)
-    offset = 0
-    for word in [word_for_trace(spec.k)] * n_padding + ([_parity_word(spec.k)] if use_parity else []):
-        _install_circuit(g, padding_ids[offset : offset + len(word)], word)
-        offset += len(word)
+    circuits += [word_for_trace(spec.k)] * n_padding + [_parity_word(spec.k)] * use_parity
+    ids = [*range(planted), *padding_ids]
+    g = CubicRibbonGraph(size)
+    at = 0
+    for word in circuits:
+        _install_circuit(g, ids[at : at + len(word)], word)
+        at += len(word)
     return g
 
 

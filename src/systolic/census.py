@@ -265,11 +265,11 @@ class CensusMismatch(Exception):
 CensusRow = namedtuple("CensusRow", "m n N")
 
 
-class CensusTable:
-    """Rows n(m), N(m) for 3 <= m <= m_max with optional triple cross-check."""
+class CensusTable(namedtuple("CensusTable", "rows")):
+    """Rows n(m), N(m) for 3 <= m <= m_max, a tuple of CensusRow, with
+    optional triple cross-check."""
 
-    def __init__(self, rows: list[CensusRow]):
-        self.rows = rows
+    __slots__ = ()
 
     @classmethod
     def build(cls, m_max: int, *, check: bool = False) -> "CensusTable":
@@ -280,7 +280,7 @@ class CensusTable:
             for m, n in counts.items():
                 if not (n == enum_counts[m] == word_counts[m]):
                     raise CensusMismatch(m, n, enum_counts[m], word_counts[m])
-        return cls(list(map(CensusRow, counts, counts.values(), accumulate(counts.values()))))
+        return cls(tuple(map(CensusRow, counts, counts.values(), accumulate(counts.values()))))
 
     def to_csv(self) -> str:
         """CSV with header m,n,N,ratio_mlogm,ratio_mloglogm and one row per trace."""

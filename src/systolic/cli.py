@@ -12,8 +12,8 @@ small sizes a one-shot command spends about as long importing as working.
 
 The command line parses and the library decides: a flag's text becomes an
 int or a word here, and every rule on its value (a plant's trace,
-multiplicity and vertex budget, a floor, a scan bound) is checked by the
-library's one gate for it, whose ValueError ends in exit 2.
+multiplicity and vertex budget, a floor, a seed's size, a scan bound) is
+checked by the library's one gate for it, whose ValueError ends in exit 2.
 """
 
 from __future__ import annotations

@@ -92,7 +92,8 @@ def test_spec_rejects_values_of_the_wrong_type():
     # bool size, a bool seed or multiplicity, which builds as 0 or 1 but
     # reads true in the report JSON, a non-bool strictness flag, a plant
     # that is not a Plant, and plants in a list, which leaves the spec and
-    # its report unhashable
+    # its report unhashable; a plant word that is not a str or has a letter
+    # other than L and R is refused with the word check's own text
     wrong = [
         SeedSpec(k=5, size=24.0),
         SeedSpec(k=5, size="min"),
@@ -103,16 +104,24 @@ def test_spec_rejects_values_of_the_wrong_type():
         SeedSpec(k=5, plants=(Plant("LLLLR", True),)),
         SeedSpec(k=5, plants=(("LLLLR", 1),)),
         SeedSpec(k=5, plants=[Plant("LLLLR", 1)]),
+        SeedSpec(k=5, plants=(Plant(123, 1),)),
+        SeedSpec(k=5, plants=(Plant("LXR", 1),)),
     ]
     for spec in wrong:
         with pytest.raises(SeedSpecError):
             spec.validate()
         with pytest.raises(SeedSpecError):
             builder.build(spec)
-    with pytest.raises(SeedSpecError, match="^plants must be a tuple of Plant, not a list$"):
-        wrong[-1].validate()
-    SeedSpec(k=5, size=24, rng_seed=2**64 - 1, strict_seed_trace=True,
-             plants=(Plant("LLLLR", 2),)).validate()
+    texts = [
+        "plants must be a tuple of Plant, not a list",
+        "word must be a string, got int",
+        "invalid letter 'X' at position 1: words use only L and R",
+    ]
+    for spec, text in zip(wrong[-3:], texts):
+        with pytest.raises(SeedSpecError, match=f"^{re.escape(text)}$"):
+            spec.validate()
+    good = SeedSpec(k=5, size=26, rng_seed=2**64 - 1, strict_seed_trace=True, plants=(Plant("LLLLR", 2),))
+    assert make_seed(good).num_vertices == good.validate()[0] == 26
 
 
 def test_plant_budget_is_enforced_exactly():
@@ -177,6 +186,35 @@ def test_make_seed_explicit_size_validation():
         SeedSpec(k=5, size=builder.MAX_VERTICES + 1).validate()
     with pytest.raises(SeedSpecError, match="floor 400 exceeds the cap"):
         SeedSpec(k=400).validate()
+
+
+def test_every_spec_that_validates_builds():
+    # validate lays the seed out, so it refuses exactly the specs that
+    # make_seed refuses, the seed has the size it returns, the padding fills
+    # the rest, and the least size it finds is the least explicit size it
+    # accepts
+    plantings = [(k, ()) for k in range(3, 13)] + [
+        (5, (Plant("LLLLR", 2),)),
+        (6, (Plant("L" * 6, 1), Plant("LLLLR", 1))),
+        (10, (Plant(word_for_trace(11), 17),)),
+        (12, (Plant(word_for_trace(13), 3), Plant(word_for_trace(20), 2))),
+    ]
+    for k, plants in plantings:
+        bound = seed_size_bound(k)
+        planted = sum(p.multiplicity * len(p.word) for p in plants)
+        accepted = {}
+        for size in [None, *range(bound - 4, bound + 60)]:
+            spec = SeedSpec(k=k, plants=plants, size=size)
+            try:
+                n, n_padding, use_parity = spec.validate()
+            except SeedSpecError:
+                with pytest.raises(SeedSpecError):
+                    make_seed(spec)
+                continue
+            assert size in (None, n) and n == planted + n_padding * (k - 1) + use_parity * k
+            assert make_seed(spec).num_vertices == n, (k, plants, size)
+            accepted[size] = n
+        assert accepted.pop(None) == min(accepted.values()), (k, plants)
 
 
 def test_max_floor_is_the_last_floor_under_the_vertex_cap():
@@ -551,6 +589,9 @@ RECORDS = {
         builder.ForbiddenReach, dict(members=frozenset({0, 1})), dict(members=frozenset({0})), {}
     ),
     "BuildReport": (builder.BuildReport, _BUILD, dict(_BUILD, iterations=10), {}),
+    "CensusTable": (
+        census.CensusTable, dict(rows=(census.CensusRow(3, 2, 2),)), dict(rows=(census.CensusRow(3, 2, 3),)), {}
+    ),
 }
 
 

@@ -5,12 +5,13 @@ import json
 import math
 import os
 import re
+import shlex
 
 import pytest
 
 import golden
 from conftest import TEST_ADDRESS_LIMIT_BYTES, TEST_WALL_LIMIT_S
-from systolic import builder, census, words
+from systolic import builder, census, cli, words
 from test_cli import _STDLIB, SUBCOMMAND_IMPORTS
 
 ROOT = os.path.dirname(golden.HERE)
@@ -76,6 +77,20 @@ def test_readme_library_example_runs(capsys):
     systole, genus, spectrum = capsys.readouterr().out.split(" ", 2)
     assert int(systole) >= 10 and int(genus) >= 1
     assert spectrum.startswith("{") and spectrum.endswith("}\n")
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    # each line of the command-line block, its comment stripped, run in
+    # order in one directory, so verify and report read what construct wrote
+    block = re.search(r"^## Command line\n\n```\n(.*?)^```$", README, re.M | re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    said = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        program, *argv = shlex.split(command)
+        assert program == "systolic" and cli.main(argv) == 0, line
+        said.append((comment.strip(), capsys.readouterr().out))
+    assert ("prints LR", "LR\n") in said
 
 
 def test_readme_counts_the_golden_entries():
