@@ -26,12 +26,10 @@ _EXPORTS = {
     ),
     "builder": (
         "BuildReport",
-        "HypothesisError",
         "Plant",
         "SeedSpec",
         "SeedSpecError",
         "build",
-        "complete",
         "forbidden_reach",
         "make_seed",
         "seed_size_bound",

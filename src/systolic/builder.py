@@ -42,7 +42,6 @@ __all__ = [
     "MAX_VERTICES",
     "MAX_FLOOR",
     "SeedSpecError",
-    "HypothesisError",
     "CompletionError",
     "Plant",
     "SeedSpec",
@@ -51,7 +50,6 @@ __all__ = [
     "make_seed",
     "ForbiddenReach",
     "forbidden_reach",
-    "complete",
     "BuildReport",
     "build",
 ]
@@ -65,10 +63,6 @@ MAX_FLOOR = 384
 
 class SeedSpecError(ValueError):
     """The requested seed is not realizable as specified."""
-
-
-class HypothesisError(ValueError):
-    """A seed graph handed to the completion violates its preconditions."""
 
 
 class CompletionError(RuntimeError):
@@ -123,8 +117,7 @@ def seed_size_bound(k: int) -> int:
     nodes, the empty word, L^j and R^j for 1 <= j <= k - 2, and one word per
     matrix of trace 3..k - 2; a word of trace t has at most t - 1 letters,
     so the length cap cuts only letter powers.  The tree's floor gate and
-    its cache serve the bound, which validation and the seed check both
-    read."""
+    its cache serve the bound, which ``SeedSpec.validate`` reads."""
     return 2 * len(_admissible_tree(k)[0]) + 2
 
 
@@ -192,10 +185,13 @@ class SeedSpec(
                 f"planted circuits need {planted} vertices, above the "
                 f"admissible budget 2*N({k - 2}) + 4*{k} - 4 = {bound}"
             )
+        # the floor rule: trace at least k or, unless strict, a letter power
+        # of k or more edges (a legal cusp cycle)
         for word, _ in self.plants:
-            if not _meets_floor(word, k, self.strict_seed_trace):
+            trace = words.trace_of(word)
+            if trace < k and (self.strict_seed_trace or len(word) < k or not words.is_letter_power(word)):
                 raise SeedSpecError(
-                    f"planted word {word!r} has trace {words.trace_of(word)}, below the floor {k}"
+                    f"planted word {word!r} has trace {trace}, below the floor {k}"
                     + ("" if self.strict_seed_trace else f", and is not a letter power of length >= {k}")
                 )
         if self.size is not None:
@@ -221,14 +217,6 @@ class SeedSpec(
         return dict(self._asdict(), plants=[p._asdict() for p in self.plants], size=size)
 
 
-def _meets_floor(word: str, k: int, strict: bool) -> bool:
-    """The floor rule for a seed circuit: trace at least k or, unless strict,
-    a letter power of k or more edges (a legal cusp cycle)."""
-    return words.trace_of(word) >= k or (
-        not strict and words.is_letter_power(word) and len(word) >= k
-    )
-
-
 def _install_circuit(g: CubicRibbonGraph, ids: list[int], word: str) -> None:
     """Wire one oriented circuit over fresh vertices, letter i at ids[i].
 
@@ -244,6 +232,22 @@ def _install_circuit(g: CubicRibbonGraph, ids: list[int], word: str) -> None:
         g.add_edge(3 * v + (1 if letter == "L" else 2), 3 * w, seed=True)
 
 
+def _shuffle(ids: list[int], rng: random.Random) -> None:
+    """Shuffle ids in place by Fisher-Yates: for i from the last index down
+    to 1, swap ids[i] with ids[j] for j drawn uniformly below i + 1, as
+    ``rng.getrandbits((i + 1).bit_length())`` drawn again while it exceeds
+    i.  This is the draw that CPython's ``Random.shuffle`` makes, but written
+    here so that the layout rests only on the Mersenne Twister's output for
+    an integer seed, the stream behind Python's reproducibility promise for
+    ``random()``, and not on ``shuffle``, which that promise leaves out."""
+    for i in range(len(ids) - 1, 0, -1):
+        bits = (i + 1).bit_length()
+        j = rng.getrandbits(bits)
+        while j > i:
+            j = rng.getrandbits(bits)
+        ids[i], ids[j] = ids[j], ids[i]
+
+
 def make_seed(spec: SeedSpec) -> CubicRibbonGraph:
     """Disjoint oriented circuits realizing the layout that ``spec.validate``
     returns, installed from one list: each planted copy in order on the
@@ -253,7 +257,7 @@ def make_seed(spec: SeedSpec) -> CubicRibbonGraph:
     circuits = [p.word for p in spec.plants for _ in range(p.multiplicity)]
     planted = sum(map(len, circuits))
     padding_ids = list(range(planted, size))
-    random.Random(spec.rng_seed).shuffle(padding_ids)
+    _shuffle(padding_ids, random.Random(spec.rng_seed))
     circuits += [word_for_trace(spec.k)] * n_padding + [_parity_word(spec.k)] * use_parity
     ids = [*range(planted), *padding_ids]
     g = CubicRibbonGraph(size)
@@ -356,50 +360,6 @@ def forbidden_reach(g: CubicRibbonGraph, x: int, k: int, _plan=None) -> Forbidde
     return ForbiddenReach(frozenset(reached))
 
 
-def _validate_seed_graph(g: CubicRibbonGraph, k: int, strict: bool) -> None:
-    """Check the completion's preconditions in one pass each: the floor
-    (``seed_size_bound`` asks the gate), size, degrees read from the pair
-    table, seed flags on every paired slot, then each circuit's word,
-    walked once in ascending order of its least vertex."""
-    n = g.num_vertices
-    bound = seed_size_bound(k)
-    if n % 2:
-        raise HypothesisError(f"seed has an odd vertex count {n}")
-    if n < bound:
-        raise HypothesisError(f"seed has {n} vertices, below the admissible bound {bound}")
-    pair = g.pair_table()
-    for v in range(n):
-        degree = (pair[3 * v] >= 0) + (pair[3 * v + 1] >= 0) + (pair[3 * v + 2] >= 0)
-        if degree != 2:
-            raise HypothesisError(f"vertex {v} has degree {degree}; a seed is 2-regular")
-    seed = g.seed_table()
-    if not all(seed[s] for s, p in enumerate(pair) if p >= 0):
-        raise HypothesisError("seed contains edges not flagged as seed edges")
-    succ, pred = ribbon.turn_tables(len(pair))
-    seen = [False] * n
-    for v in range(n):
-        if seen[v]:
-            continue
-        # v is the least vertex of its circuit; read the circuit from v's
-        # first paired slot, turning L where the slot after arrival is paired
-        first = dart = 3 * v if pair[3 * v] >= 0 else 3 * v + 1
-        letters = []
-        while True:
-            t = pair[dart]
-            seen[t // 3] = True
-            left = pair[succ[t]] >= 0
-            letters.append("L" if left else "R")
-            dart = succ[t] if left else pred[t]
-            if dart == first:
-                break
-        word = "".join(letters)
-        if not _meets_floor(word, k, strict):
-            raise HypothesisError(
-                f"circuit through vertex {v} carries {word!r} with trace "
-                f"{words.trace_of(word)}, below the floor {k}"
-            )
-
-
 def _require(ok: bool, g: CubicRibbonGraph, note: str) -> None:
     """Raise CompletionError unless the invariant holds."""
     if not ok:
@@ -414,19 +374,18 @@ def _non_seed_edge(g: CubicRibbonGraph, v: int) -> tuple[int, int]:
     return out[0]
 
 
-def _run_completion(
-    g: CubicRibbonGraph, k: int, *, strict_seed_trace: bool = False
-) -> tuple[int, int, int]:
+def _run_completion(g: CubicRibbonGraph, k: int) -> tuple[int, int, int]:
     """Complete the seed g in place; returns the step counts (Case 1 joins,
-    Case 2 swaps) and the largest forbidden set seen."""
-    _validate_seed_graph(g, k, strict_seed_trace)
+    Case 2 swaps) and the largest forbidden set seen.  g must be a seed
+    that ``make_seed`` laid out for the floor k, whose ``SeedSpec.validate``
+    proved it realizable; the seed is not checked again here."""
     case1 = case2 = max_forbidden_set = 0
     pair = g.pair_table()
     succ, pred = ribbon.turn_tables(len(pair))
     plan = _reach_plan(pair, k)
     left, right = plan[0]
-    # The seed check leaves one free slot per vertex, so the frontier is the
-    # ascending free slots, in vertex order.  Each step pairs the slots of x
+    # make_seed's layout leaves one free slot per vertex, so the frontier is
+    # the ascending free slots, in vertex order.  Each step pairs the slots of x
     # and y; a swap frees one slot at w and at w' and pairs it again at once.
     free = [s for s, p in enumerate(pair) if p < 0]
     while free:
@@ -473,16 +432,6 @@ def _run_completion(
     return case1, case2, max_forbidden_set
 
 
-def complete(
-    g: CubicRibbonGraph, k: int, *, strict_seed_trace: bool = False
-) -> CubicRibbonGraph:
-    """Complete a circuit seed to a 3-regular graph preserving the floor k;
-    the input graph is left untouched."""
-    done = g.copy()
-    _run_completion(done, k, strict_seed_trace=strict_seed_trace)
-    return done
-
-
 class BuildReport(
     namedtuple("BuildReport", "spec iterations case1 case2 max_forbidden_set vertices edges output_sha")
 ):
@@ -501,7 +450,7 @@ def build(spec: SeedSpec) -> tuple[CubicRibbonGraph, BuildReport, str]:
     graph, its report and its .crg text, which ``output_sha`` digests, for
     the caller to write as is."""
     done = make_seed(spec)
-    case1, case2, max_forbidden_set = _run_completion(done, spec.k, strict_seed_trace=spec.strict_seed_trace)
+    case1, case2, max_forbidden_set = _run_completion(done, spec.k)
     crg = ribbon.serialize(done)
     report = BuildReport(
         spec=spec,

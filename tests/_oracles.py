@@ -28,8 +28,11 @@ letter between two slots and the word of a dart sequence, the edge and
 seed-edge lists, vertex degrees, the free-slot lists and vertex
 relabelling, the word of a seed circuit, letter insertion, divisor lists
 by trial division, the
-golden-ratio bounds on traces and girth, and the forbidden-set cap.
-"""
+golden-ratio bounds on traces and girth, and the forbidden-set cap.  The
+precondition check of a circuit seed built outside ``make_seed`` lives
+here as well, with the completion of such a seed: the library's one route
+to a completion is ``build``, whose seed ``SeedSpec.validate`` has
+proven."""
 
 from __future__ import annotations
 
@@ -741,6 +744,69 @@ def floor_checked_build(monkeypatch, run):
     if not checked:
         raise AssertionError("the completion never searched for forbidden paths")
     return result
+
+
+# -- outside seeds --------------------------------------------------------
+
+
+class SeedPreconditionError(ValueError):
+    """A seed graph handed to the completion violates its preconditions."""
+
+
+def check_seed_graph(g: CubicRibbonGraph, k: int, strict: bool = False) -> None:
+    """Check the completion's preconditions in one pass each: the floor
+    (``seed_size_bound`` asks the gate), size, degrees read from the pair
+    table, seed flags on every paired slot, then each circuit's word,
+    walked once in ascending order of its least vertex.  A circuit meets
+    the floor when its trace is at least k or, unless strict, it is a
+    letter power of k or more edges."""
+    n = g.num_vertices
+    bound = builder.seed_size_bound(k)
+    if n % 2:
+        raise SeedPreconditionError(f"seed has an odd vertex count {n}")
+    if n < bound:
+        raise SeedPreconditionError(f"seed has {n} vertices, below the admissible bound {bound}")
+    pair = g.pair_table()
+    for v in range(n):
+        degree = (pair[3 * v] >= 0) + (pair[3 * v + 1] >= 0) + (pair[3 * v + 2] >= 0)
+        if degree != 2:
+            raise SeedPreconditionError(f"vertex {v} has degree {degree}; a seed is 2-regular")
+    seed = g.seed_table()
+    if not all(seed[s] for s, p in enumerate(pair) if p >= 0):
+        raise SeedPreconditionError("seed contains edges not flagged as seed edges")
+    succ, pred = ribbon.turn_tables(len(pair))
+    seen = [False] * n
+    for v in range(n):
+        if seen[v]:
+            continue
+        # v is the least vertex of its circuit; read the circuit from v's
+        # first paired slot, turning L where the slot after arrival is paired
+        first = dart = 3 * v if pair[3 * v] >= 0 else 3 * v + 1
+        letters = []
+        while True:
+            t = pair[dart]
+            seen[t // 3] = True
+            left = pair[succ[t]] >= 0
+            letters.append("L" if left else "R")
+            dart = succ[t] if left else pred[t]
+            if dart == first:
+                break
+        word = "".join(letters)
+        trace = words.trace_of(word)
+        if not (trace >= k or (not strict and words.is_letter_power(word) and len(word) >= k)):
+            raise SeedPreconditionError(
+                f"circuit through vertex {v} carries {word!r} with trace {trace}, below the floor {k}"
+            )
+
+
+def complete(seed: CubicRibbonGraph, k: int, *, strict_seed_trace: bool = False) -> CubicRibbonGraph:
+    """Complete a circuit seed built outside ``make_seed`` to a 3-regular
+    graph preserving the floor k: ``check_seed_graph`` first, then the
+    library's completion on a copy, so the input is left untouched."""
+    check_seed_graph(seed, k, strict_seed_trace)
+    done = seed.copy()
+    builder._run_completion(done, k)
+    return done
 
 
 # -- graph corpora ----------------------------------------------------------

@@ -17,12 +17,10 @@ import pytest
 import systolic
 from systolic import builder, census, ribbon, scanner, words
 from systolic.builder import (
-    HypothesisError,
     Plant,
     SeedSpec,
     SeedSpecError,
     build,
-    complete,
     forbidden_reach,
     make_seed,
     seed_size_bound,
@@ -30,8 +28,11 @@ from systolic.builder import (
 )
 
 from _oracles import (
+    SeedPreconditionError,
+    check_seed_graph,
     circuit_graph,
     circuit_word,
+    complete,
     degree,
     edges,
     floor_checked_build,
@@ -192,7 +193,8 @@ def test_every_spec_that_validates_builds():
     # validate lays the seed out, so it refuses exactly the specs that
     # make_seed refuses, the seed has the size it returns, the padding fills
     # the rest, and the least size it finds is the least explicit size it
-    # accepts
+    # accepts; every seed laid out meets the completion's preconditions,
+    # which the completion itself does not check
     plantings = [(k, ()) for k in range(3, 13)] + [
         (5, (Plant("LLLLR", 2),)),
         (6, (Plant("L" * 6, 1), Plant("LLLLR", 1))),
@@ -212,9 +214,35 @@ def test_every_spec_that_validates_builds():
                     make_seed(spec)
                 continue
             assert size in (None, n) and n == planted + n_padding * (k - 1) + use_parity * k
-            assert make_seed(spec).num_vertices == n, (k, plants, size)
+            seed = make_seed(spec)
+            assert seed.num_vertices == n, (k, plants, size)
+            check_seed_graph(seed, k)
             accepted[size] = n
         assert accepted.pop(None) == min(accepted.values()), (k, plants)
+
+
+def test_shuffle_draws_as_random_shuffle():
+    # the layout's own Fisher-Yates gives the permutation that CPython's
+    # shuffle gives for the same seed, so every seed-layout byte stays as
+    # it was; this fails only on an interpreter whose shuffle changed
+    import random
+
+    for rng_seed in (0, 1, 7, 12345, 2**32, 2**64 - 1):
+        for n in (0, 1, 2, 3, 10, 257, 1000, 10**5):
+            want, got = list(range(n)), list(range(n))
+            random.Random(rng_seed).shuffle(want)
+            builder._shuffle(got, random.Random(rng_seed))
+            assert got == want, (rng_seed, n)
+
+
+def test_shuffle_is_pinned_by_literal_ids():
+    # the pin rests on the Mersenne Twister stream alone, not on shuffle
+    import random
+
+    ids = list(range(10**5))
+    builder._shuffle(ids, random.Random(0))
+    assert ids[:8] == [74921, 6849, 99252, 14859, 14403, 24051, 23134, 28153]
+    assert sorted(ids) == list(range(10**5))
 
 
 def test_max_floor_is_the_last_floor_under_the_vertex_cap():
@@ -244,18 +272,16 @@ _REFUSED_FLOORS = [
 
 
 def test_every_floor_route_asks_the_one_gate_before_it_allocates(monkeypatch):
-    seed = make_seed(SeedSpec(k=5))
     g = circuit_graph(["LLLR"])
     # valid calls at 5 fill the caches that 5.0 must not be served from
     forbidden_reach(g, 0, 5)
-    complete(seed, 5)
+    build(SeedSpec(k=5))
 
     routes = {
         "seed_size_bound": seed_size_bound,
         "SeedSpec.validate": lambda k: SeedSpec(k=k).validate(),
         "make_seed": lambda k: make_seed(SeedSpec(k=k)),
         "build": lambda k: build(SeedSpec(k=k)),
-        "complete": lambda k: complete(seed, k),
         "forbidden_reach": lambda k: forbidden_reach(g, 0, k),
     }
     # the tree of floor 385 would hold 501051 nodes, several MiB in its
@@ -508,43 +534,48 @@ def test_complete_minimum_k5_with_floor_checks(monkeypatch):
 
 
 def test_complete_rejects_bad_seeds():
+    # the library completes only the seeds that make_seed lays out; a seed
+    # built outside it is refused by the oracle check, which the test
+    # helper complete runs first
     g = circuit_graph(["LLLR"] * 5)
     bad = g.copy()
     bad.add_edge(free_slots_of(bad, 0)[0], free_slots_of(bad, 7)[0])
-    with pytest.raises(HypothesisError, match="^vertex 0 has degree 3; a seed is 2-regular$"):
-        complete(bad, 5)
+    with pytest.raises(SeedPreconditionError, match="^vertex 0 has degree 3; a seed is 2-regular$"):
+        check_seed_graph(bad, 5)
     open_circuit = ribbon.CubicRibbonGraph(20)
     for a, b in edges(g):
         if (a, b) != (3 * 18 + 1, 3 * 19 + 0):
             open_circuit.add_edge(a, b, seed=True)  # 18 and 19 end a path
-    with pytest.raises(HypothesisError, match="^vertex 18 has degree 1; a seed is 2-regular$"):
-        complete(open_circuit, 5)
+    with pytest.raises(SeedPreconditionError, match="^vertex 18 has degree 1; a seed is 2-regular$"):
+        check_seed_graph(open_circuit, 5)
     # the first four circuits meet the floor; the error names the first
     # failing circuit by its least vertex, 16
     with pytest.raises(
-        HypothesisError,
+        SeedPreconditionError,
         match="^circuit through vertex 16 carries 'LRR' with trace 4, below the floor 5$",
     ):
-        complete(circuit_graph(["LLLR"] * 4 + ["LLR", "LLR"]), 5)
-    with pytest.raises(HypothesisError, match="below the admissible bound"):
-        complete(circuit_graph(["LLLR"] * 4), 5)
-    with pytest.raises(HypothesisError, match="trace 3"):
-        complete(circuit_graph(["LR"] * 10), 5)
-    with pytest.raises(HypothesisError, match="odd"):
-        complete(circuit_graph(["LLLR", "LLLLR"] * 3), 5)
+        check_seed_graph(circuit_graph(["LLLR"] * 4 + ["LLR", "LLR"]), 5)
+    with pytest.raises(SeedPreconditionError, match="below the admissible bound"):
+        check_seed_graph(circuit_graph(["LLLR"] * 4), 5)
+    with pytest.raises(SeedPreconditionError, match="trace 3"):
+        check_seed_graph(circuit_graph(["LR"] * 10), 5)
+    with pytest.raises(SeedPreconditionError, match="odd"):
+        check_seed_graph(circuit_graph(["LLLR", "LLLLR"] * 3), 5)
     unflagged = ribbon.CubicRibbonGraph(20)
     base = circuit_graph(["LLLR"] * 5)
     for a, b in edges(base):
         unflagged.add_edge(a, b)  # same circuits, no seed flags
-    with pytest.raises(HypothesisError, match="seed"):
-        complete(unflagged, 5)
+    with pytest.raises(SeedPreconditionError, match="seed"):
+        check_seed_graph(unflagged, 5)
 
 
 def test_letter_power_seed_allowed_but_not_in_strict_mode(monkeypatch):
     g = circuit_graph(["L" * 5] * 4)
     done = floor_checked_build(monkeypatch, lambda: complete(g, 5))
     assert scanner.certify(done, 5).passed
-    with pytest.raises(HypothesisError):
+    with pytest.raises(
+        SeedPreconditionError, match="^circuit through vertex 0 carries 'RRRRR' with trace 2, below the floor 5$"
+    ):
         complete(g, 5, strict_seed_trace=True)
 
 
@@ -658,8 +689,8 @@ def test_completion_computes_the_degree_two_frontier_once(monkeypatch):
     counting(builder, "forbidden_reach")
     for rng_seed in (0, 5):  # layout 5 of k=4 takes a Case-2 swap
         _, report, _ = build(SeedSpec(k=4, rng_seed=rng_seed))
-        # the seed check leaves every vertex at degree 2, so the frontier
-        # starts as all of them: no degree scan and no union-find
+        # make_seed's layout leaves every vertex at degree 2, so the
+        # frontier starts as all of them: no degree scan and no union-find
         assert counts["degree2_vertices"] == counts["components"] == 0
         # the loop pairs the free slots it tracks, and forbidden_reach reads
         # its input's degree and free slot off the pair table, so no step

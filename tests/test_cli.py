@@ -11,7 +11,7 @@ import pytest
 from systolic import builder, census, ribbon, scanner, words
 from systolic.cli import build_parser, main
 
-from _oracles import circuit_graph, edges, seed_edges, theta_graph
+from _oracles import circuit_graph, complete, edges, seed_edges, theta_graph
 from conftest import TEST_ADDRESS_LIMIT_BYTES
 
 
@@ -361,7 +361,7 @@ def test_seed_flags_never_change_an_answer(tmp_path, capsys):
     third_slot = next(e for e in edges(k8) if e[0] // 3 == 0 and e not in seed_edges(k8))
     three_seed_slots = _reflagged(k8, {*seed_edges(k8), third_slot})
     assert all(three_seed_slots.seed_table()[:3])
-    letter_powers = builder.complete(circuit_graph(["L" * 5] * 4), 5)
+    letter_powers = complete(circuit_graph(["L" * 5] * 4), 5)
     cases = [
         *((g, k) for k, g in builds.items()),
         (_reflagged(k8, _seed_path(k8, 6)), 8),

@@ -20,6 +20,7 @@ from systolic.scanner import (
 from _oracles import (
     all_darts_enumerate,
     circuit_graph,
+    complete,
     cyclic_word_class,
     dart_major_enumerate,
     deepening_first_classes,
@@ -215,13 +216,13 @@ def _is_seed_circuit_power(g, darts):
 
 def test_word_major_scan_matches_the_dart_major_oracle():
     rng = random.Random(11)
-    complete = [
+    graphs = [
         theta_graph(False),
         theta_graph(True),
         *small_complete_corpus(),
         *(random_complete_graph(rng, 14) for _ in range(100)),
     ]
-    cases = [(g, bound) for g in complete for bound in (3, 6, 10, 13)]
+    cases = [(g, bound) for g in graphs for bound in (3, 6, 10, 13)]
     k8, _, _ = builder.build(builder.SeedSpec(k=8))
     cases.append((k8, 12))
     for k in range(5, 17):
@@ -233,7 +234,7 @@ def test_word_major_scan_matches_the_dart_major_oracle():
     cases += [(planted, 7), (planted, 11)]
     # seed circuits that are letter powers of five darts, at the bounds
     # where they first fit in the dart cap (6) and just miss it (5)
-    letter_powers = builder.complete(circuit_graph(["L" * 5] * 4), 5)
+    letter_powers = complete(circuit_graph(["L" * 5] * 4), 5)
     cases += [(letter_powers, bound) for bound in (4, 5, 6)]
     closures = seed_powers = 0
     for g, bound in cases:
