@@ -378,7 +378,14 @@ def _run_completion(g: CubicRibbonGraph, k: int) -> tuple[int, int, int]:
     """Complete the seed g in place; returns the step counts (Case 1 joins,
     Case 2 swaps) and the largest forbidden set seen.  g must be a seed
     that ``make_seed`` laid out for the floor k, whose ``SeedSpec.validate``
-    proved it realizable; the seed is not checked again here."""
+    proved it realizable; the seed is not checked again here.
+
+    Each Case-2 fault raises CompletionError once, where it is met: a
+    degree-2 vertex outside both forbidden sets at ``_non_seed_edge``, run
+    on every outside vertex before any edge changes (``make_seed`` gives
+    every vertex two seed slots, so one with a free slot has no non-seed
+    edge); no partner outside the intersection, or a partner not paired
+    into the outside set, at the ``_require`` that follows."""
     case1 = case2 = max_forbidden_set = 0
     pair = g.pair_table()
     succ, pred = ribbon.turn_tables(len(pair))
@@ -408,9 +415,6 @@ def _run_completion(g: CubicRibbonGraph, k: int) -> tuple[int, int, int]:
             union = fx | fy
             inter = fx & fy
             outside = [v for v in range(g.num_vertices) if v not in union]
-            for v in outside:
-                full = min(pair[3 * v : 3 * v + 3]) >= 0
-                _require(full, g, f"degree-2 vertex {v} escaped both forbidden sets")
             partners = sorted({_non_seed_edge(g, v)[1] // 3 for v in outside})
             candidates = [v for v in partners if v not in inter]
             _require(bool(candidates), g, "no swap partner outside the intersection")

@@ -46,9 +46,10 @@ __all__ = [
 # it keeps, about 76 MiB (tracemalloc at 10**6: 7.6 MiB held, 7.9 MiB at
 # the peak with one block's counts in flight, scaled tenfold; a fresh
 # process that builds it reads a ru_maxrss of 90 MiB) and takes about
-# 1.1-1.5 s on a 2-vCPU Xeon VM.  A larger request is refused with
-# ValueError before anything is allocated, rather than ending in
-# MemoryError or exhausting the host.
+# 1.1-1.5 s on a 2-vCPU Xeon VM.  The census trace gate, ``_require_trace``,
+# enforces the cap: a trace above _MAX_TRACE is refused with ValueError
+# before anything is allocated, rather than ending in MemoryError or
+# exhausting the host.
 MAX_SIEVE_LIMIT = 10**7
 # Largest census trace: a trace-m census reads a sieve of m*m // 4 entries,
 # which fits under the cap exactly when m*m <= 4 * MAX_SIEVE_LIMIT + 3.
@@ -91,14 +92,12 @@ def _divisor_counts(limit: int) -> list[int]:
     build refuses with OverflowError.  Memory is O(limit); for a census up
     to trace m the arguments reach roughly m*m/4, so the table for m = 300
     holds ~22500 entries.
+
+    The limit must lie in [1, MAX_SIEVE_LIMIT], which is not checked here:
+    ``n_by_formula`` passes max_trace**2 // 4 after its trace gate, so
+    2 <= limit <= _MAX_TRACE**2 // 4 <= MAX_SIEVE_LIMIT, and the selftest
+    passes the constant 900.
     """
-    if limit < 1:
-        raise ValueError(f"sieve limit must be >= 1, got {limit}")
-    if limit > MAX_SIEVE_LIMIT:
-        raise ValueError(
-            f"sieve limit {limit} exceeds the cap of {MAX_SIEVE_LIMIT} entries "
-            f"(traces above {_MAX_TRACE})"
-        )
     tau = [0] * (limit + 1)
     for lo in range(1, limit + 1, _SIEVE_BLOCK):
         hi = min(lo + _SIEVE_BLOCK, limit + 1)
@@ -117,8 +116,9 @@ def _divisor_counts(limit: int) -> list[int]:
 
 
 def _is_int(value) -> bool:
-    """An int that is not a bool, as ``ribbon._is_int``: this module imports
-    no other module of the package, so the census command loads it alone."""
+    """An int that is not a bool, the rule whose other home is
+    ``words._is_int``: this module imports no other module of the package,
+    so the census command loads it alone."""
     return isinstance(value, int) and not isinstance(value, bool)
 
 

@@ -25,6 +25,8 @@ import functools
 from collections import namedtuple
 from collections.abc import Iterable
 
+from .words import _is_int
+
 __all__ = [
     "MAX_VERTICES",
     "succ",
@@ -48,11 +50,6 @@ __all__ = [
 # is allocated for it, rather than ending in MemoryError or exhausting the
 # host.
 MAX_VERTICES = 10**6
-
-
-def _is_int(value) -> bool:
-    """An int that is not a bool, which would build as 0 or 1 but print as false or true."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def succ(s: int) -> int:

@@ -49,6 +49,14 @@ _DROP_LR = str.maketrans("", "", "LR")
 MAX_WORD_LETTERS = 10**6
 
 
+def _is_int(value) -> bool:
+    """An int that is not a bool, which would build as 0 or 1 but print as
+    false or true.  This is the package's home of the rule: ``ribbon``
+    imports it from here and ``builder`` and ``scanner`` through ``ribbon``;
+    only ``census``, which the census command loads alone, keeps a copy."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def check_word(word: str) -> None:
     """Reject anything that is not a string over the letters L and R.  The
     test is one ``translate`` that deletes both letters; only a refused word
@@ -71,7 +79,7 @@ class UniMat(namedtuple("UniMat", "a b c d")):
 
     def __new__(cls, a: int, b: int, c: int, d: int) -> "UniMat":
         for name, v in (("a", a), ("b", b), ("c", c), ("d", d)):
-            if not isinstance(v, int) or isinstance(v, bool):
+            if not _is_int(v):
                 raise ValueError(f"matrix entry {name}={v!r} is not an integer")
             if v < 0:
                 raise ValueError(f"matrix entry {name}={v} is negative")
@@ -126,9 +134,7 @@ def geodesic_length(trace: int) -> float:
     Traces come in as exact integers; the returned float is for reporting
     only and never feeds back into a comparison.
     """
-    # an int that is not a bool, as ``ribbon._is_int``, checked inline since
-    # the recover command loads no module of the package but cli and this one
-    if not isinstance(trace, int) or isinstance(trace, bool):
+    if not _is_int(trace):
         raise ValueError(f"trace {trace!r} is not an integer")
     if trace < 2:
         raise ValueError(f"trace {trace} is below 2; no geodesic length is defined")
@@ -194,8 +200,7 @@ def word_of_matrix(mat: UniMat) -> str:
             c, d = c - a, d - b
     if len(out) + b + c > MAX_WORD_LETTERS:
         raise ValueError(f"the matrix factors into more than {MAX_WORD_LETTERS} letters")
-    if c == 0:
-        out.append("L" * b)
-    else:
-        out.append("R" * c)
+    # the loop ended at a + d <= 2 with a, d >= 1, so a = d = 1 and
+    # ad - bc = 1 forces bc = 0: at most one of the two runs is non-empty
+    out.append("L" * b + "R" * c)
     return "".join(out)

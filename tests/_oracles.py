@@ -753,6 +753,14 @@ class SeedPreconditionError(ValueError):
     """A seed graph handed to the completion violates its preconditions."""
 
 
+def _arrival_slot(pair: list[int], v: int) -> int:
+    """The slot by which a circuit through the degree-2 vertex v enters it:
+    slot 0 when it is paired, so that the walk leaves by the paired slot 1
+    or 2, the direction ``_install_circuit`` wires a circuit; otherwise
+    slot 2, so that it leaves by the first paired slot, slot 1."""
+    return 3 * v if pair[3 * v] >= 0 else 3 * v + 2
+
+
 def check_seed_graph(g: CubicRibbonGraph, k: int, strict: bool = False) -> None:
     """Check the completion's preconditions in one pass each: the floor
     (``seed_size_bound`` asks the gate), size, degrees read from the pair
@@ -780,8 +788,9 @@ def check_seed_graph(g: CubicRibbonGraph, k: int, strict: bool = False) -> None:
         if seen[v]:
             continue
         # v is the least vertex of its circuit; read the circuit from v's
-        # first paired slot, turning L where the slot after arrival is paired
-        first = dart = 3 * v if pair[3 * v] >= 0 else 3 * v + 1
+        # letter on, the way ``_install_circuit`` wired it, turning L where
+        # the slot after arrival is paired
+        first = dart = pair[_arrival_slot(pair, v)]
         letters = []
         while True:
             t = pair[dart]
@@ -836,12 +845,12 @@ def circuit_graph(words_list: list[str]) -> CubicRibbonGraph:
 
 def circuit_word(g: CubicRibbonGraph, start: int) -> str:
     """Word read around the circuit through ``start``, whose vertices all have
-    degree 2: the walk leaves ``start`` by its first paired slot and turns L
-    wherever the slot after arrival is paired."""
+    degree 2, from the letter at ``start`` on: the walk enters ``start`` by
+    ``_arrival_slot`` and turns L wherever the slot after arrival is
+    paired, so a circuit wired by ``_install_circuit`` reads as its word."""
     pair = g.pair_table()
-    first = next(s for s in range(3 * start, 3 * start + 3) if pair[s] >= 0)
+    first = dart = pair[_arrival_slot(pair, start)]
     letters = []
-    dart = first
     while True:
         t = pair[dart]
         left = pair[ribbon.succ(t)] >= 0

@@ -159,6 +159,14 @@ def test_make_seed_minimum_for_k5():
         assert words.canonical(word) == words.canonical("LLLR")
 
 
+def test_circuit_word_reads_a_circuit_as_it_was_wired():
+    # the oracle leaves each vertex by its paired departure slot, as
+    # _install_circuit wires it, and starts at the given vertex's letter;
+    # reading against the wiring would give LRR, LLR, LLRRR and LRLRR
+    for word in ("LLR", "LRR", "LLLRR", "LLRLR"):
+        assert circuit_word(circuit_graph([word]), 0) == word
+
+
 def test_make_seed_size_resolution():
     # bound 88 is not reachable with circuits of 7 plus at most one of 8
     g = make_seed(SeedSpec(k=8))
@@ -552,7 +560,7 @@ def test_complete_rejects_bad_seeds():
     # failing circuit by its least vertex, 16
     with pytest.raises(
         SeedPreconditionError,
-        match="^circuit through vertex 16 carries 'LRR' with trace 4, below the floor 5$",
+        match="^circuit through vertex 16 carries 'LLR' with trace 4, below the floor 5$",
     ):
         check_seed_graph(circuit_graph(["LLLR"] * 4 + ["LLR", "LLR"]), 5)
     with pytest.raises(SeedPreconditionError, match="below the admissible bound"):
@@ -574,7 +582,7 @@ def test_letter_power_seed_allowed_but_not_in_strict_mode(monkeypatch):
     done = floor_checked_build(monkeypatch, lambda: complete(g, 5))
     assert scanner.certify(done, 5).passed
     with pytest.raises(
-        SeedPreconditionError, match="^circuit through vertex 0 carries 'RRRRR' with trace 2, below the floor 5$"
+        SeedPreconditionError, match="^circuit through vertex 0 carries 'LLLLL' with trace 2, below the floor 5$"
     ):
         complete(g, 5, strict_seed_trace=True)
 

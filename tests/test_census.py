@@ -53,9 +53,6 @@ def test_sieve_matches_trial_division():
         assert every[n] == divisor_count(n), n
     for limit in (1, 2, 3000, 3025, block - 1, block, block + 1, top - 2, top - 1, top):
         assert census._divisor_counts(limit) == every[: limit + 1], limit
-    for limit in (0, census.MAX_SIEVE_LIMIT + 1):  # refused before any table is built
-        with pytest.raises(ValueError, match="sieve limit"):
-            census._divisor_counts(limit)
 
 
 def test_sieve_at_the_cap_counts_every_pair_in_a_byte():

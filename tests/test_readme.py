@@ -65,9 +65,10 @@ def test_readme_states_the_largest_census_trace(monkeypatch):
     while table_size(m + 1) <= census.MAX_SIEVE_LIMIT:
         m += 1
     assert f"`census --max-trace` above {m} exits 2" in TEXT
+    # the sieve trusts its callers, so the refusal is read from the gate
     monkeypatch.undo()
-    with pytest.raises(ValueError, match=f"traces above {m}"):
-        census._divisor_counts(census.MAX_SIEVE_LIMIT + 1)
+    with pytest.raises(ValueError, match=f"exceeds the cap of {m} "):
+        census.n_by_formula(m + 1)
 
 
 def test_readme_library_example_runs(capsys):

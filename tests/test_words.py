@@ -1,9 +1,10 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
-from systolic import words
+from systolic import census, ribbon, words
 from systolic.words import (
     UniMat,
     canonical,
@@ -163,10 +164,21 @@ def test_equivalence_soundness_exhaustive_to_14():
 def test_word_of_matrix_examples():
     assert word_of_matrix(UniMat(2, 1, 1, 1)) == "LR"
     assert word_of_matrix(UniMat(1, 0, 0, 1)) == ""
-    assert word_of_matrix(UniMat(1, 5, 0, 1)) == "LLLLL"
-    assert word_of_matrix(UniMat(1, 0, 4, 1)) == "RRRR"
+    # a letter power is the trace-2 remainder alone, spelled by the one tail
+    for b in range(201):
+        assert word_of_matrix(UniMat(1, b, 0, 1)) == "L" * b
+        assert word_of_matrix(UniMat(1, 0, b, 1)) == "R" * b
     with pytest.raises(ValueError):
         word_of_matrix((2, 1, 1, 1))  # type: ignore[arg-type]
+
+
+def test_the_int_rule_has_one_home_and_one_copy():
+    # ribbon reads words' rule; census, loaded alone by its command, keeps
+    # a copy that must agree with it
+    assert ribbon._is_int is words._is_int
+    table = [0, 1, -1, 2**70, True, False, 1.0, "1", None, Fraction(1)]
+    assert [census._is_int(v) for v in table] == [words._is_int(v) for v in table]
+    assert [words._is_int(v) for v in table] == [True] * 4 + [False] * 6
 
 
 def test_roundtrip_exhaustive_to_10():
