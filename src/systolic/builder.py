@@ -270,8 +270,9 @@ def make_seed(spec: SeedSpec) -> CubicRibbonGraph:
 
 class ForbiddenReach(namedtuple("ForbiddenReach", "members")):
     """Endpoints of forbidden paths out of the free slot of one vertex, the
-    frozenset ``members``; the completion reads only ``members``, and so
-    does the benchmark tracer's member counter."""
+    set ``members``; the completion reads only ``members``, and so does the
+    benchmark tracer's member counter.  ``forbidden_reach`` hands over the
+    plain set its replay filled, so a record it returns is not hashable."""
 
     __slots__ = ()
 
@@ -327,10 +328,13 @@ def forbidden_reach(g: CubicRibbonGraph, x: int, k: int, _plan=None) -> Forbidde
     ``_admissible_tree(k)`` from x's free slot (x is reached by the empty
     path, node 0).  Node i arrives at ``tab[i][at[parent[i]]]``, its table
     read at its parent's arrival slot, and a node that meets a free slot
-    skips its subtree.  The completion passes its live ``_reach_plan`` as
-    ``_plan``, kept in step with the graph, so its calls cost only the
-    replay; any other call first composes a plan for itself, which costs
-    O(V) time and memory per call.  x's degree and free slot are read
+    skips its subtree; each arrival adds its vertex, read off the cached
+    ``ribbon.vertex_table``.  ``members`` is the plain set the replay
+    filled, fresh on each call and the caller's own, so the record is not
+    hashable.  The completion passes its live ``_reach_plan`` as ``_plan``,
+    kept in step with the graph, so its calls cost only the replay; any
+    other call first composes a plan for itself, which costs O(V) time and
+    memory per call.  x's degree and free slot are read
     straight off the pair table, and no matrix arithmetic is done.  Raises
     ValueError unless x is an int, not a bool, naming a vertex of the graph
     with degree 2, then, when it composes its own plan, SeedSpecError
@@ -344,6 +348,7 @@ def forbidden_reach(g: CubicRibbonGraph, x: int, k: int, _plan=None) -> Forbidde
     if len(free) != 1:
         raise ValueError(f"vertex {x} has degree {3 - len(free)}, expected 2")
     _, tab, parent, end, at = _plan or _reach_plan(pair, k)
+    vertex = ribbon.vertex_table(len(pair))
     n = len(tab)
     at[0] = free[0]
     reached = {x}
@@ -355,9 +360,9 @@ def forbidden_reach(g: CubicRibbonGraph, x: int, k: int, _plan=None) -> Forbidde
             i = end[i]
             continue
         at[i] = p
-        add(p // 3)
+        add(vertex[p])
         i += 1
-    return ForbiddenReach(frozenset(reached))
+    return ForbiddenReach(reached)
 
 
 def _require(ok: bool, g: CubicRibbonGraph, note: str) -> None:
@@ -378,7 +383,9 @@ def _run_completion(g: CubicRibbonGraph, k: int) -> tuple[int, int, int]:
     """Complete the seed g in place; returns the step counts (Case 1 joins,
     Case 2 swaps) and the largest forbidden set seen.  g must be a seed
     that ``make_seed`` laid out for the floor k, whose ``SeedSpec.validate``
-    proved it realizable; the seed is not checked again here.
+    proved it realizable; the seed is not checked again here.  A round keeps
+    each ``forbidden_reach`` result's ``members``, the plain set that call
+    filled, in ``reaches`` for Case 2 to read.
 
     Each Case-2 fault raises CompletionError once, where it is met: a
     degree-2 vertex outside both forbidden sets at ``_non_seed_edge``, run
@@ -396,7 +403,7 @@ def _run_completion(g: CubicRibbonGraph, k: int) -> tuple[int, int, int]:
     # and y; a swap frees one slot at w and at w' and pairs it again at once.
     free = [s for s, p in enumerate(pair) if p < 0]
     while free:
-        reaches: dict[int, frozenset[int]] = {}
+        reaches: dict[int, set[int]] = {}
         for sx in free:
             fx = reaches[sx] = forbidden_reach(g, sx // 3, k, plan).members
             max_forbidden_set = max(max_forbidden_set, len(fx))

@@ -32,6 +32,7 @@ __all__ = [
     "succ",
     "pred",
     "turn_tables",
+    "vertex_table",
     "CubicRibbonGraph",
     "faces",
     "ComponentSurface",
@@ -73,6 +74,19 @@ def turn_tables(n_slots: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     left[0::3], left[1::3], left[2::3] = ids[1::3], ids[2::3], ids[0::3]
     right[0::3], right[1::3], right[2::3] = ids[2::3], ids[0::3], ids[1::3]
     return tuple(left), tuple(right)
+
+
+@functools.lru_cache(maxsize=4)
+def vertex_table(n_slots: int) -> tuple[int, ...]:
+    """The vertex ``s // 3`` of every slot below ``n_slots``, a multiple of
+    3, for hot loops to index instead of dividing per step; cached per slot
+    count, like ``turn_tables``.  The table is filled by three slice
+    assignments from one list of vertex ids, so each vertex's three slots
+    share one int object.  At ``MAX_VERTICES`` it holds 3 * 10**6 entries."""
+    ids = list(range(n_slots // 3))
+    vertex = [0] * n_slots
+    vertex[0::3] = vertex[1::3] = vertex[2::3] = ids
+    return tuple(vertex)
 
 
 class CubicRibbonGraph:

@@ -447,6 +447,27 @@ def test_the_completion_keeps_its_step_tables_in_step(monkeypatch):
     assert calls == [(True, True)] * len(calls)
 
 
+def test_each_reach_call_returns_its_own_set():
+    # calls through one live plan, as the completion makes them, hand over
+    # the set each replay filled: a later call or the caller's edits to one
+    # result leave every other result as it was
+    g = make_seed(SeedSpec(k=10))
+    plan = builder._reach_plan(g.pair_table(), 10)
+    x, y = 0, g.num_vertices - 1
+    want_x, want_y = stack_forbidden_reach(g, x, 10), stack_forbidden_reach(g, y, 10)
+    assert want_x != want_y
+    first = forbidden_reach(g, x, 10, plan).members
+    second = forbidden_reach(g, y, 10, plan).members
+    assert first is not second
+    assert first == want_x and second == want_y
+    second.clear()
+    second.add(x)
+    assert first == want_x
+    first.clear()
+    again = forbidden_reach(g, x, 10, plan).members
+    assert again is not first and again == want_x
+
+
 def test_forbidden_reach_matches_the_path_oracle_on_partial_graphs():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies

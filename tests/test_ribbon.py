@@ -353,6 +353,17 @@ def test_turn_tables_hold_one_int_per_slot():
     assert held <= tables + 40 * n, (held, tables)
 
 
+def test_vertex_table_maps_each_slot_to_its_vertex():
+    for v in (0, 1, 2, 7):
+        vertex = ribbon.vertex_table(3 * v)
+        assert len(vertex) == 3 * v
+        assert vertex == tuple(s // 3 for s in range(3 * v))
+        assert ribbon.vertex_table(3 * v) is vertex
+    # a vertex's three slots share its one int object, small-int cache or not
+    vertex = ribbon.vertex_table(3 * 1000)
+    assert vertex[2997] is vertex[2998] is vertex[2999] == 999
+
+
 def test_beineke_harary_examples():
     assert beineke_harary_lower_bound(2, 3, 2) == 0
     assert beineke_harary_lower_bound(14, 21, 6) == 1

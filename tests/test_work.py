@@ -23,8 +23,10 @@ class _CountingTable:
 
 def test_completion_work_at_k20(monkeypatch):
     # per forbidden_reach call of build(SeedSpec(k=20)), the replay's node
-    # visits; each call visits at most the tree's nodes below the root
-    visits = []
+    # visits and the size of the set it returns (the benchmark tracer's
+    # builder.forbidden_reach.members); each call visits at most the tree's
+    # nodes below the root
+    visits, members = [], []
     real_plan, real_reach = builder._reach_plan, builder.forbidden_reach
 
     def counting_plan(pair, k):
@@ -34,13 +36,16 @@ def test_completion_work_at_k20(monkeypatch):
 
     def counting_reach(g, x, k, *plan):
         visits.append(0)
-        return real_reach(g, x, k, *plan)
+        reach = real_reach(g, x, k, *plan)
+        members.append(len(reach.members))
+        return reach
 
     monkeypatch.setattr(builder, "_reach_plan", counting_plan)
     monkeypatch.setattr(builder, "forbidden_reach", counting_reach)
     _, report, _ = build(SeedSpec(k=20))
     assert report.output_sha == "3d1e514e92f3edbe50d5407aac4e740c37a817e2bdbf1b7ad7bcf234ff610277"
     assert (len(visits), sum(visits)) == (551, 104361)
+    assert (len(members), sum(members)) == (551, 81781)
     assert max(visits) <= len(builder._admissible_tree(20)[0]) == 549
 
 
