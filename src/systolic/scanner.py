@@ -19,8 +19,9 @@ those of closed walks that never turn back, up to rotation and reversal, and
 each class carries its own geodesic.
 
 ``_enumerate`` holds the scan: its pruning, its start rule, which lets the
-seed flags change the cost of a scan but never its answer, and its finish of
-single-letter chains.  ``_probe_bound`` holds the systole's upper bound.
+seed flags change the cost of a scan but never its answer, its finish of
+single-letter chains and the cut of its bound to the least trace it finds.
+``_probe_bound`` holds the systole's upper bound.
 """
 
 from __future__ import annotations
@@ -64,8 +65,7 @@ class CycleClass(namedtuple("CycleClass", "word trace multiplicity witness")):
 def canonical_walk(darts: tuple[int, ...], g: CubicRibbonGraph) -> tuple[int, ...]:
     """Least rotation of the dart sequence or of its reversal, which flips
     every dart to its partner and reverses the order."""
-    pair = g.pair_table()
-    return words.least_rotation(darts, tuple(pair[d] for d in reversed(darts)))
+    return words.least_rotation(darts, tuple(map(g.pair_table().__getitem__, reversed(darts))))
 
 
 def _is_proper_power(darts: tuple[int, ...]) -> bool:
@@ -136,8 +136,8 @@ def _record(
 ) -> None:
     """Add to ``found`` the walks from the start labels ``closing`` that
     close on the word of matrix ``mat``: the word is the matrix's unique
-    factorization, and each walk's darts are replayed from its start along
-    the word and mapped back to slots."""
+    factorization, named once for all of them, and each walk's darts are
+    replayed from its start along the word and mapped back to slots."""
     word = words.word_of_matrix(words.UniMat(*mat))
     cw = None
     for d0 in closing:
@@ -151,11 +151,26 @@ def _record(
             found[canon] = cw
 
 
-def _enumerate(g: CubicRibbonGraph, max_trace: int) -> dict[tuple[int, ...], str]:
+def _enumerate(
+    g: CubicRibbonGraph, max_trace: int, floor: int | None = None
+) -> dict[tuple[int, ...], str]:
     """Closed-walk classes of a complete graph with word trace <= max_trace,
     as {canonical dart sequence: canonical word}.  Walks stop at
     max_trace - 1 darts: a word that is not a letter power has at most
     trace - 1 letters, and letter powers are dropped.
+
+    The bound starts at max_trace and falls only below a ``floor`` (by
+    default max_trace, so the bound stays put).  Once walks close on a
+    word of trace t whose matrix has b and c nonzero, the bound falls to
+    max(floor, t), and the length cap with it; a popped node above the
+    bound is skipped.  Such a word is no letter power, so the walk is an
+    essential class or a power of one of lower trace, and the systole s is
+    at most t.  So the bound never falls below max(floor, s), and every
+    class up to that trace is still found: each node on its walk's path
+    through the word tree has at most its trace, and every cut below holds
+    at any bound of at least that trace.  Classes recorded before the bound
+    fell, or on a chain past the node where it fell, may lie above it, and
+    the caller drops them.
 
     The starts rest on one rule that holds for any labelling.  The darts
     are relabelled edge-major, and a closed walk crosses its least edge,
@@ -169,32 +184,37 @@ def _enumerate(g: CubicRibbonGraph, max_trace: int) -> dict[tuple[int, ...], str
     One walk of the tree of words carries, per node, the matrix (a, b, c,
     d) and length of the word with the tuple of start darts still alive and
     the current dart of each; a letter steps them all at once.  At a node
-    where some walks close, ``_record`` recovers their word and darts.
-    The nodes wait on one explicit stack.
+    where some walks close, one ``_record`` call recovers their word and
+    darts.  The nodes wait on one explicit stack.
 
     Many subtrees are chains of a single letter, and the scan finishes
     each in one pass.  Take a child (a, b, c, d) of trace t below the
-    length cap.  Its R child has trace t + b, and along its L-chain t grows
-    by c >= 0 and b by a >= 1, so if t + b > max_trace every R child on
-    the chain is over the bound too: the child's subtree is its L-chain
-    alone.  With L and R swapped, t + c > max_trace makes it an R-chain.
-    If both hold the child is a leaf and is not pushed; that also cuts a
-    non-letter-power at the bound, which can only close above it.  A chain
-    head is no letter power (L^b has trace 2 and b letters, so 2 + b >
-    max_trace puts it at the length cap), so each step along the chain
+    length cap, and let B be the bound.  Its R child has trace t + b, and
+    along its L-chain t grows by c >= 0 and b by a >= 1, so if t + b > B
+    every R child on the chain is over the bound too: the child's subtree
+    is its L-chain alone.  With L and R swapped, t + c > B makes it an
+    R-chain.  If both hold the child is a leaf and is not pushed; that also
+    cuts a non-letter-power at the bound, which can only close above it.
+    A chain head is no letter power (L^b has trace 2 and b letters, so
+    2 + b > B puts it at the length cap), so each step along the chain
     adds delta = c (L) or b (R) >= 1 to the trace, and the j-th node of
-    the chain is checked exactly when t + j * delta <= max_trace: a word
-    that is no letter power has at most trace - 1 letters, so the length
-    cap never cuts a chain first.  A walk can close on the chain only if
-    its start lies on the orbit of its current label under the chain
-    letter's step table (a face for L, a right-turn cycle for R).  One
-    pass over the orbit ids picks those walks; each is stepped along the
-    chain in Python, dropped at its first label below its start and closed
-    at every return to it.  The orbit tables are built from the step
-    tables on a letter's first chain, so the rule holds for any labelling.
+    the chain is checked exactly when t + j * delta <= B: a word that is no
+    letter power has at most trace - 1 letters, so the length cap never
+    cuts a chain first.  A walk can close on the chain only if its start
+    lies on the orbit of its current label under the chain letter's step
+    table (a face for L, a right-turn cycle for R).  One pass over the
+    orbit ids picks those walks; each is stepped along the chain in
+    Python, dropped at its first label below its start and closed at every
+    return to it.  The closures are gathered by chain node, and each
+    node's are recorded in one ``_record`` call once the chain is walked,
+    so the bound falls only after the chain, which is read at the bound of
+    its head.  The orbit tables are built from the step tables on a
+    letter's first chain, so the rule holds for any labelling.
     """
     found: dict[tuple[int, ...], str] = {}
-    max_len = max_trace - 1
+    bound = max_trace
+    floor = max_trace if floor is None else floor
+    max_len = bound - 1
     orig, step_l, step_r = _edge_major_tables(g)
     steps = (step_l, step_r)
     orbits = [None, None]  # _orbit_tables of each letter, built on its first chain
@@ -202,25 +222,31 @@ def _enumerate(g: CubicRibbonGraph, max_trace: int) -> dict[tuple[int, ...], str
     stack = [(starts, starts, 1, 0, 0, 1, 1)] if starts else []
     while stack:
         st, cur, a, b, c, d, n = stack.pop()
+        if a + d > bound:  # pushed before the bound fell
+            continue
         get = _getter(cur)
         get_st = None
         for i, na, nb, nc, nd in ((0, a, a + b, c, c + d), (1, a + b, b, c + d, d)):
-            # no child is over the bound: the root's children have trace 2,
-            # and a node is pushed only when both its children are within it
+            # a child is over the bound only once the bound has fallen: the
+            # root's children have trace 2, and a node is pushed only when
+            # both its children are within the bound of the moment
             tr = na + nd
             e = get(steps[i])
             if any(map(eq, e, st)):
                 _record(found, g, orig, steps, (na, nb, nc, nd), compress(st, map(eq, e, st)))
+                if nb and nc:
+                    bound = min(bound, max(floor, tr))
+                    max_len = bound - 1
             if n >= max_len:
                 continue
             # a child whose R child (trace tr + nb) and L child (tr + nc)
             # are both over the bound is a leaf, as is any word at the
             # bound that is no letter power; with one over, it heads a chain
-            if tr + nb > max_trace:
-                if tr + nc > max_trace:
+            if tr + nb > bound:
+                if tr + nc > bound:
                     continue
                 letter, delta = 0, nc
-            elif tr + nc > max_trace:
+            elif tr + nc > bound:
                 letter, delta = 1, nb
             else:
                 keep = tuple(map(ge, e, st))
@@ -234,7 +260,8 @@ def _enumerate(g: CubicRibbonGraph, max_trace: int) -> dict[tuple[int, ...], str
             if get_st is None:
                 get_st = _getter(st)
             step = steps[letter]
-            last = (max_trace - tr) // delta
+            last = (bound - tr) // delta
+            closes: dict[int, list[int]] = {}
             for s0, x in compress(zip(st, e), map(eq, get_st(ids), get(after[i]))):
                 if x < s0:
                     continue
@@ -243,11 +270,15 @@ def _enumerate(g: CubicRibbonGraph, max_trace: int) -> dict[tuple[int, ...], str
                     if x < s0:
                         break
                     if x == s0:
-                        if letter:
-                            mat = (na + j * nb, nb, nc + j * nd, nd)
-                        else:
-                            mat = (na, nb + j * na, nc, nd + j * nc)
-                        _record(found, g, orig, steps, mat, (s0,))
+                        closes.setdefault(j, []).append(s0)
+            for j, closing in closes.items():
+                if letter:
+                    mat = (na + j * nb, nb, nc + j * nd, nd)
+                else:
+                    mat = (na, nb + j * na, nc, nd + j * nc)
+                _record(found, g, orig, steps, mat, closing)
+                bound = min(bound, max(floor, tr + j * delta))
+                max_len = bound - 1
     return found
 
 
@@ -319,9 +350,12 @@ def _first_classes(g: CubicRibbonGraph, start: int) -> list[CycleClass]:
     """``low_trace_cycles(g, bound)`` at the least bound >= start that finds
     a class: the systole first, then every class up to max(start, systole).
 
-    If the scan at ``start`` finds nothing, the scan at the probe bound U is
-    cut to its least trace s.  An essential word of trace t has at most
-    t - 1 letters, so that cut is exactly the bound-s scan.
+    If the scan at ``start`` finds nothing, the systole s is above start,
+    and one scan at the probe bound U with floor ``start`` finds it: the
+    scan's bound falls to the least essential trace it has recorded, and
+    never below s (see ``_enumerate``), so it costs about a scan at s,
+    whatever vertex is labelled 0.  The classes it recorded before its
+    bound fell to s are dropped here.
     """
     found = low_trace_cycles(g, start)
     if found:
@@ -329,7 +363,7 @@ def _first_classes(g: CubicRibbonGraph, start: int) -> list[CycleClass]:
     if g.num_vertices == 0:
         # the one complete graph whose every class is peripheral (vacuously)
         raise ValueError("graph has no cycles, so no essential class exists")
-    found = low_trace_cycles(g, _probe_bound(g))
+    found = _group_classes(_enumerate(g, _probe_bound(g), start))
     return [cls for cls in found if cls.trace == found[0].trace]
 
 

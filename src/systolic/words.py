@@ -155,8 +155,30 @@ def star(word: str) -> str:
 def least_rotation(seq, mirror):
     """Least cyclic rotation of ``seq`` or of ``mirror``, a sequence of the
     same length; works on strings and tuples alike, and an empty ``seq`` is
-    its own least rotation."""
-    return min((s[i:] + s[:i] for s in (seq, mirror) for i in range(len(s))), default=seq)
+    its own least rotation.
+
+    Only the rotations that start a cyclic run of m, the least element of
+    both sequences, are compared.  A least rotation r starts with m.  If
+    the element before its start is m too, r ends with m, and the rotation
+    one step earlier reads m, r[0], ..., r[n - 2]: it agrees with r up to
+    r's first element above m, where it still reads m, so it is smaller,
+    unless the sequence is all m.  The run starts are found with ``count``
+    and ``index``, so a sequence whose least element occurs once costs
+    O(n), not the O(n^2) of building every rotation."""
+    if not seq:
+        return seq
+    m = min(min(seq), min(mirror))
+    heads = []
+    for s in (seq, mirror):
+        k = s.count(m)
+        if k == len(s):
+            return s
+        i = -1
+        for _ in range(k):
+            i = s.index(m, i + 1)
+            if s[i - 1] != m:
+                heads.append(s[i:] + s[:i])
+    return min(heads)
 
 
 def canonical(word: str) -> str:

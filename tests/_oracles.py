@@ -3,9 +3,10 @@ the test modules.
 
 Everything here recomputes results through a different route than the
 library code it checks: matrix counts by bounded quadruple search, word
-classes by listing every rotation of a word and of its star, closed
-walks by composing per-letter dart maps and reading off fixed points, by
-walking the word tree once per start dart (also over the scan's own
+classes by listing every rotation of a word and of its star, canonical
+dart sequences by the least of every rotation of a walk and of its
+reversal, closed walks by composing per-letter dart maps and reading off
+fixed points, by walking the word tree once per start dart (also over the scan's own
 labels, level by level, to list each closing walk), or by one word-major
 walk from every dart with no regard to seed flags, the probe bound by deepening
 over that dart-major walk, free homotopy classes by reading each walk as
@@ -351,6 +352,21 @@ def relabeled(g: CubicRibbonGraph, perm: list[int]) -> CubicRibbonGraph:
 # -- closed-walk oracle -----------------------------------------------------
 
 
+def least_rotation(seq, mirror):
+    """``words.least_rotation`` as the library once computed it: the least
+    of every cyclic rotation of ``seq`` and of ``mirror``, with no regard to
+    where the least element's runs start.  An empty ``seq`` is its own."""
+    return min((s[i:] + s[:i] for s in (seq, mirror) for i in range(len(s))), default=seq)
+
+
+def canonical_walk(darts: tuple[int, ...], g: CubicRibbonGraph) -> tuple[int, ...]:
+    """``scanner.canonical_walk`` over ``least_rotation``: the least rotation
+    of the dart sequence or of its reversal with every dart flipped to its
+    partner."""
+    pair = g.pair_table()
+    return least_rotation(darts, tuple(pair[d] for d in reversed(darts)))
+
+
 def naive_walk_classes(
     g: CubicRibbonGraph, max_len: int, max_trace: int
 ) -> dict[tuple[int, ...], str]:
@@ -359,8 +375,8 @@ def naive_walk_classes(
     For each word w the per-letter dart maps compose into one map; its fixed
     points are exactly the starting darts of closed walks reading w.  The
     word tree is explored without any trace pruning, and results are
-    deduplicated with the same canonicalization as the scanner, which is the
-    point of the comparison.
+    deduplicated by the scanner's canonical form, computed here over every
+    rotation (``canonical_walk``), so the dicts compare key for key.
     """
     pair = g.pair_table()
     n = len(pair)
@@ -381,7 +397,7 @@ def naive_walk_classes(
                 walk = [d0]
                 for ch in word[:-1]:
                     walk.append(step[ch][walk[-1]])
-                canon = scanner.canonical_walk(tuple(walk), g)
+                canon = canonical_walk(tuple(walk), g)
                 if canon not in found:
                     found[canon] = words.canonical(word)
         if len(word) < max_len:
@@ -423,7 +439,7 @@ def dart_major_enumerate(
                     for letter in word[:-1]:
                         s = pair[darts[-1]]
                         darts.append(succ[s] if letter == "L" else pred[s])
-                    canon = scanner.canonical_walk(tuple(darts), g)
+                    canon = canonical_walk(tuple(darts), g)
                     if canon not in found:
                         found[canon] = words.canonical(word)
                 if e < d0 or n >= max_len:
@@ -507,7 +523,7 @@ def all_darts_enumerate(g: CubicRibbonGraph, max_trace: int) -> dict[tuple[int, 
                     darts = [d0]
                     for letter in word[:-1]:
                         darts.append((step_l if letter == "L" else step_r)[darts[-1]])
-                    canon = scanner.canonical_walk(tuple(darts), g)
+                    canon = canonical_walk(tuple(darts), g)
                     if canon not in found:
                         cw = cw or words.canonical(word)
                         found[canon] = cw
@@ -564,8 +580,7 @@ def free_group_word(
 def cyclic_word_class(word: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
     """Least rotation of a free-group word or of its inverse: the word's
     conjugacy class up to inversion, when the word is cyclically reduced."""
-    inverse = tuple((x, -e) for x, e in reversed(word))
-    return min(seq[i:] + seq[:i] for seq in (word, inverse) for i in range(len(word)))
+    return least_rotation(word, tuple((x, -e) for x, e in reversed(word)))
 
 
 def naive_cycle_classes(g, max_len, max_trace):

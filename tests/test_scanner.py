@@ -464,6 +464,53 @@ def test_first_classes_match_the_deepening_oracle():
     assert probe_overshoots
 
 
+def test_cut_scan_matches_the_deepening_oracle_when_the_probe_overshoots():
+    # the scan at the probe bound U cuts its bound to the least trace it
+    # finds; here U is far above the systole s: the planted trace-90
+    # circuit on vertex 0, the seed-6 parity circuit on vertex 0, and a
+    # k=12 build with vertex 0 swapped for vertex 20
+    planted, _, _ = builder.build(builder.SeedSpec(k=30, plants=(builder.Plant(builder.word_for_trace(90), 1),)))
+    seed6, _, _ = builder.build(builder.SeedSpec(k=12, rng_seed=6))
+    k12, _, _ = builder.build(builder.SeedSpec(k=12))
+    perm = list(range(k12.num_vertices))
+    perm[0], perm[20] = 20, 0
+    swapped = relabeled(k12, perm)
+    for g, u, s in ((planted, 75, 30), (seed6, 22, 12), (swapped, 19, 12)):
+        assert scanner._probe_bound(g) == u
+        # the scan at s - 1 finds nothing, so no class lies below s
+        want = deepening_first_classes(g, s - 1)
+        assert want[0].trace == s
+        for start in (3, s - 1):
+            assert scanner._first_classes(g, start) == want
+        assert scanner._first_classes(g, s) == low_trace_cycles(g, s)
+        if u < 30:
+            # the bound fell: the cut scan records part of what the scan
+            # at U records, and both keep the same least-trace classes
+            full = scanner._enumerate(g, u)
+            assert set(scanner._enumerate(g, u, 3)) < set(full)
+            assert [c for c in scanner._group_classes(full) if c.trace == s] == want
+
+
+def test_cut_scan_keeps_every_class_up_to_its_floor_or_least_trace():
+    # at any floor, the scan whose bound falls records part of what the
+    # full scan records, and the same classes up to max(floor, s), with s
+    # the least trace of a class within the bound
+    rng = random.Random(44)
+    graphs = [*small_complete_corpus(), *(random_complete_graph(rng, 24) for _ in range(60))]
+    fell = 0
+    for g in graphs:
+        for bound in (6, 10, 13):
+            raw = all_darts_enumerate(g, bound)
+            full = scanner._group_classes(raw)
+            for floor in (3, bound - 2):
+                cut = scanner._enumerate(g, bound, floor)
+                assert cut.items() <= raw.items()
+                keep = max(floor, full[0].trace) if full else bound
+                assert [c for c in scanner._group_classes(cut) if c.trace <= keep] == [c for c in full if c.trace <= keep]
+                fell += len(cut) < len(raw)
+    assert fell
+
+
 def test_primitive_walks_with_power_words_are_kept():
     # three primitive 4-dart walks read LRLR = (LR)^2, trace 7; the bare LR
     # walk does not close, so their geodesics are primitive
@@ -633,22 +680,22 @@ def test_report_matches_the_separate_systole_spectrum_and_girth_route():
 def test_report_scans_once_when_the_spectrum_reaches_the_systole(monkeypatch):
     g, _, _ = builder.build(builder.SeedSpec(k=5))
     s = systole(g).trace
-    scan = scanner.low_trace_cycles
+    scan = scanner._enumerate
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(args[1:])
         return scan(*args, **kwargs)
 
-    monkeypatch.setattr(scanner, "low_trace_cycles", counting)
+    monkeypatch.setattr(scanner, "_enumerate", counting)
     for spectrum_max in (s, s + 2):
         calls.clear()
         report(g, spectrum_max=spectrum_max)
         assert calls == [(spectrum_max,)]
     # below the systole: the scan at 3 finds nothing, the probe scans no
-    # whole graph, and one scan at the probe bound finishes
+    # whole graph, and one scan at the probe bound, with floor 3, finishes
     u = scanner._probe_bound(g)
     for run in (lambda: report(g, spectrum_max=None), lambda: systole(g)):
         calls.clear()
         run()
-        assert calls == [(3,), (u,)]
+        assert calls == [(3,), (u, 3)]

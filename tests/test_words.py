@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -10,6 +11,7 @@ from systolic.words import (
     canonical,
     geodesic_length,
     is_letter_power,
+    least_rotation,
     matrix_of,
     star,
     trace_of,
@@ -21,6 +23,7 @@ from _oracles import (
     all_words,
     equivalence_class,
     insert_letter,
+    least_rotation as every_rotation_least,
     log_phi_ceil,
     matmul,
     phi_power_floor,
@@ -159,6 +162,46 @@ def test_equivalence_soundness_exhaustive_to_14():
         for v in cls:
             assert trace_cache[v] == t
             assert canon_cache[v] == canon
+
+
+def test_least_rotation_matches_the_every_rotation_oracle():
+    # the library compares only rotations that start a run of the least
+    # element; the oracle compares every rotation of both sequences
+    cases = [
+        (seq, mirror)
+        for n in range(9)
+        for seq in product((0, 1), repeat=n)
+        for mirror in product((0, 1), repeat=n)
+    ]
+    rng = random.Random(44)
+    for _ in range(3000):
+        n = rng.randint(1, 24)
+        alphabet = range(rng.randint(1, 4))
+        cases.append(tuple(tuple(rng.choice(alphabet) for _ in range(n)) for _ in range(2)))
+    cases += [
+        ((), ()),
+        ("", ""),
+        ((3, 3, 3), (3, 3, 3)),
+        ((3, 3, 3), (4, 4, 4)),
+        ((4, 4, 4), (3, 3, 3)),
+        ("LLLL", "RRRR"),
+        ("RRRR", "LLLL"),
+        # the least element in the mirror only
+        ((5, 6, 7, 5), (6, 2, 9, 9)),
+        ((5, 6, 7, 5), (2, 9, 2, 2)),
+        # runs of the least element that wrap the end
+        ((0, 1, 0, 0), (1, 1, 1, 1)),
+        ((0, 0, 2, 1, 0), (1, 0, 2, 0, 1)),
+        ((1, 0, 2, 0, 0, 1, 0), (3, 3, 3, 3, 3, 3, 3)),
+        ("LRLLRLL", "RRRRRRR"),
+    ]
+    darts = rng.sample(range(2000), 800)
+    cases.append((tuple(darts[:400]), tuple(darts[400:])))
+    cases.append((tuple(darts[400:]), tuple(darts[:400])))
+    for seq, mirror in cases:
+        assert least_rotation(seq, mirror) == every_rotation_least(seq, mirror), (seq, mirror)
+    for w in all_words(12):
+        assert canonical(w) == every_rotation_least(w, star(w))
 
 
 def test_word_of_matrix_examples():

@@ -6,6 +6,8 @@ and states the old and new values and the reason."""
 from systolic import builder, scanner
 from systolic.builder import Plant, SeedSpec, build, word_for_trace
 
+from _oracles import small_complete_corpus
+
 
 class _CountingTable:
     """A step table of a ``_reach_plan`` that counts its reads: the replay
@@ -84,11 +86,23 @@ def test_scan_work_at_k20(monkeypatch):
 def test_scan_work_with_a_planted_trace_far_above_the_systole(monkeypatch):
     # make_seed puts the plant on ids 0, 1, ..., so vertex 0 lies on the
     # trace-90 circuit and the probe bound is 75, far above the systole 30;
-    # report scans at 75 and cuts to the systole.  The baseline for a scan
-    # whose bound falls to the least trace it has found
+    # report scans at 75 with floor 3, so the bound falls to the least
+    # trace it has found; with a scan that stayed at 75 it gathered 1,217,164
     g, _, _ = build(SeedSpec(k=30, plants=(Plant(word_for_trace(90), 1),)))
     assert scanner._probe_bound(g) == 75
     found = []
     work = _scan_work(monkeypatch, lambda: found.append(scanner.report(g)), g)
     assert found[0].systole_trace == 30
-    assert work == (1217164, 13496)
+    assert work == (303068, 13496)
+
+
+def test_cut_scan_work_on_the_small_corpus(monkeypatch):
+    # each complete graph of the small corpus scanned at 14 with floor 3,
+    # so the bound falls to the least trace found.  Without the skip of
+    # nodes pushed before the bound fell the cut scans gather 8,251, and
+    # without the cut at chain nodes 8,356
+    cut = full = 0
+    for g in small_complete_corpus():
+        cut += _scan_work(monkeypatch, lambda: scanner._enumerate(g, 14, 3), g)[0]
+        full += _scan_work(monkeypatch, lambda: scanner._enumerate(g, 14), g)[0]
+    assert (cut, full) == (8215, 36250)
